@@ -421,31 +421,6 @@ void BM_EndToEnd_SimulatedTxn(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEnd_SimulatedTxn);
 
-// Ablation twin of BM_EndToEnd_SimulatedTxn with per-site operation
-// batching off: one RPC per physical op instead of one per destination.
-// The gap between the two is the batching win in host time.
-void BM_EndToEnd_SimulatedTxn_Unbatched(benchmark::State& state) {
-  Config cfg;
-  cfg.n_sites = 4;
-  cfg.n_items = 100;
-  cfg.replication_degree = 3;
-  cfg.record_history = false;
-  cfg.batch_physical_ops = false;
-  Cluster cluster(cfg, 5);
-  cluster.bootstrap();
-  WorkloadParams wp;
-  wp.ops_per_txn = 3;
-  WorkloadGen gen(cfg, wp, 5);
-  SiteId origin = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cluster.run_txn(origin, gen.next()));
-    origin = static_cast<SiteId>((origin + 1) % 4);
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel("simulated distributed txns per wall-clock second");
-}
-BENCHMARK(BM_EndToEnd_SimulatedTxn_Unbatched);
-
 } // namespace
 } // namespace ddbs
 

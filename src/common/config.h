@@ -153,12 +153,6 @@ struct Config {
   // Jitter the failure detector's period so concurrent type-2 control
   // transactions from different sites do not collide in lockstep.
   bool detector_jitter = true;
-  // Batch all physical operations a coordinator sends to the same
-  // destination site into one BatchReq envelope. Semantically neutral
-  // (the Section 3.2 session check is per-site, so one check covers the
-  // batch); off restores the one-RPC-per-operation path for differential
-  // testing.
-  bool batch_physical_ops = true;
   // Footprint-proportional session protocol: user transactions and copiers
   // read/freeze only the NS entries of sites hosting their read/write set
   // (their host set), so per-transaction NS cost is O(touched sites), not

@@ -54,6 +54,7 @@ class Site {
   TransactionManager& tm() { return *tm_; }
   RecoveryManager& rm() { return *rm_; }
   FailureDetector& detector() { return *fd_; }
+  RpcEndpoint& rpc() { return rpc_; }
   const RpcEndpoint& rpc() const { return rpc_; }
 
  private:

@@ -1,7 +1,7 @@
 // Wire messages exchanged between sites. Everything the protocol does --
-// physical reads/writes, status-table access, two-phase commit, cooperative
-// termination, failure-detector pings and the spooler baseline -- is one of
-// these payloads inside an Envelope.
+// physical reads/writes (always a BatchReq), status-table access, two-phase
+// commit, cooperative termination, failure-detector pings and the spooler
+// baseline -- is one of these payloads inside an Envelope.
 #pragma once
 
 #include <cstdint>
@@ -16,85 +16,52 @@
 namespace ddbs {
 
 // ---- physical data operations -------------------------------------------
-
-// Request to read physical copy `item` at the destination site. Carries the
-// session number of the destination as perceived by the requesting
-// transaction (ns_i[k]); the DM rejects on mismatch with as[k]
-// (paper Section 3.2). Control transactions set `bypass_session_check`:
-// they are processable by recovering sites (Section 3.3).
-struct ReadReq {
-  TxnId txn = 0;
-  TxnKind kind = TxnKind::kUser;
-  SiteId coordinator = kInvalidSite;
-  ItemId item = 0;
-  SessionNum expected_session = 0;
-  bool bypass_session_check = false;
-  // Copier resolution pass only: serve the copy even if it is marked
-  // unreadable (under the normal shared lock). Used when EVERY resident
-  // copy of an item is marked -- the max-version copy among them is the
-  // latest committed state (see CopierCoordinator::resolve_all_marked).
-  bool allow_unreadable = false;
-};
-
-struct ReadResp {
-  TxnId txn = 0;
-  ItemId item = 0;
-  Code code = Code::kOk;
-  Value value = 0;
-  Version version;
-};
-
-// Request to X-lock and stage a write of `item`. `missed_sites` lists the
-// resident sites skipped because they are nominally down -- the DM records
-// them in its fail-lock table / missing list at commit (paper Section 5).
-struct WriteReq {
-  TxnId txn = 0;
-  TxnKind kind = TxnKind::kUser;
-  SiteId coordinator = kInvalidSite;
-  ItemId item = 0;
-  SessionNum expected_session = 0;
-  bool bypass_session_check = false;
-  Value value = 0;
-  // Copier writes install the source copy's version instead of bumping the
-  // per-item counter, so copies converge on identical tags.
-  bool is_copier_write = false;
-  Version copier_version;
-  SiteVec missed_sites;
-  // Every site this logical write targets (this one included); at commit
-  // each participant drops missing-list entries (item, j) for j in here,
-  // since a whole-item write makes every written copy current.
-  SiteVec written_sites;
-};
-
-struct WriteResp {
-  TxnId txn = 0;
-  ItemId item = 0;
-  Code code = Code::kOk;
-};
-
-// ---- batched physical operations ----------------------------------------
 //
-// Every physical operation a coordinator sends to the same destination site
-// rides in one envelope. This is semantically equivalent to N individual
-// ReadReq/WriteReq because the session convention (paper Section 3.2) is
-// per-SITE: expected_session = ns_i[k] for destination k, so a single check
-// covers the whole batch. The DM still admits each operation individually
-// (a planted skip-session-check bug must keep applying to writes only) and
-// reports a per-operation code, so failure semantics match the unbatched
-// path operation for operation.
+// Every physical read and write rides a BatchReq: all the operations a
+// coordinator sends to one destination site in one step share an envelope,
+// and a lone operation is a one-op batch. One envelope-level check is
+// enough because the session convention (paper Section 3.2) is per-SITE:
+// expected_session = ns_i[k] for destination k. Control transactions set
+// `bypass_session_check`: they are processable by recovering sites
+// (Section 3.3). The DM still admits each operation individually (a planted
+// skip-session-check bug must keep applying to writes only) and reports a
+// per-operation code.
 
 enum class BatchOpKind : uint8_t { kRead, kWrite };
+
+// How a read treats a copy marked unreadable (Section 3.2).
+enum class ReadMode : uint8_t {
+  // Answer kUnreadable; the coordinator may read another copy.
+  kReject,
+  // A user read under UnreadablePolicy::kBlock waits at the DM until the
+  // copy is refreshed -- honoured only when it is the batch's sole op, so
+  // a parked read never holds other operations' results hostage.
+  kMayPark,
+  // Copier resolution pass only: serve the copy even if it is marked
+  // (under the normal shared lock). Used when EVERY resident copy of an
+  // item is marked -- the max-version copy among them is the latest
+  // committed state (see CopierCoordinator::resolve_all_marked).
+  kServe,
+};
 
 struct BatchOp {
   BatchOpKind op = BatchOpKind::kRead;
   ItemId item = 0;
   // Read fields.
-  bool allow_unreadable = false;
-  // Write fields (see WriteReq).
+  ReadMode read_mode = ReadMode::kReject;
+  // Write fields.
   Value value = 0;
+  // Copier writes install the source copy's version instead of bumping the
+  // per-item counter, so copies converge on identical tags.
   bool is_copier_write = false;
   Version copier_version;
+  // Resident sites skipped because they are nominally down -- the DM
+  // records them in its fail-lock table / missing list at commit (paper
+  // Section 5).
   SiteVec missed_sites;
+  // Every site this logical write targets (this one included); at commit
+  // each participant drops missing-list entries (item, j) for j in here,
+  // since a whole-item write makes every written copy current.
   SiteVec written_sites;
 };
 
@@ -258,11 +225,11 @@ struct SpoolTrimReq { // recovering site tells spoolers to drop its records
 // ---------------------------------------------------------------------------
 
 using Payload =
-    std::variant<ReadReq, ReadResp, WriteReq, WriteResp, BatchReq, BatchResp,
-                 StatusReadReq, StatusReadResp, StatusClearReq,
-                 StatusClearResp, PrepareReq, PrepareResp, CommitReq, AbortReq,
-                 AckResp, OutcomeQuery, OutcomeResp, OutcomeAck, Ping, Pong,
-                 SpoolFetchReq, SpoolFetchResp, SpoolTrimReq, DeclaredDown>;
+    std::variant<BatchReq, BatchResp, StatusReadReq, StatusReadResp,
+                 StatusClearReq, StatusClearResp, PrepareReq, PrepareResp,
+                 CommitReq, AbortReq, AckResp, OutcomeQuery, OutcomeResp,
+                 OutcomeAck, Ping, Pong, SpoolFetchReq, SpoolFetchResp,
+                 SpoolTrimReq, DeclaredDown>;
 
 struct Envelope {
   uint64_t rpc_id = 0;

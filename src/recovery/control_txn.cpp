@@ -113,15 +113,10 @@ void ControlUpCoordinator::bootstrap_cold_start() {
   // values the local NS copies still hold.
   std::vector<PlannedWrite> writes;
   for (SiteId m = 0; m < cfg_.n_sites; ++m) {
-    WriteReq req;
-    req.txn = txn_;
-    req.kind = kind_;
-    req.coordinator = self_;
-    req.item = ns_item(m);
-    req.bypass_session_check = true;
-    req.value = m == self_ ? static_cast<Value>(new_session_) : 0;
-    req.written_sites = {self_};
-    writes.push_back({self_, std::move(req)});
+    PlannedWrite w =
+        ns_write(self_, m, m == self_ ? static_cast<Value>(new_session_) : 0);
+    w.op.written_sites = {self_};
+    writes.push_back(std::move(w));
   }
   touch(self_);
   send_writes_seq(std::move(writes), [this](bool ok, Code code) {
@@ -291,45 +286,25 @@ void ControlUpCoordinator::stage_and_write() {
 
   // Writes: ns_j[self] = s at every operational site and locally, plus the
   // copier-style refresh of the local copies of everyone else's entry.
-  // Remote writes go in ascending site order (canonical lock order).
+  // Remote writes go in ascending site order (canonical lock order), the
+  // local one last.
   std::vector<PlannedWrite> writes;
   std::vector<SiteId> written_sites = operational_;
   written_sites.push_back(self_);
   std::sort(written_sites.begin(), written_sites.end());
-  for (SiteId j : operational_) {
-    WriteReq req;
-    req.txn = txn_;
-    req.kind = kind_;
-    req.coordinator = self_;
-    req.item = ns_item(self_);
-    req.bypass_session_check = true;
-    req.value = static_cast<Value>(new_session_);
-    req.written_sites = written_sites;
-    writes.push_back({j, std::move(req)});
-  }
-  {
-    WriteReq req;
-    req.txn = txn_;
-    req.kind = kind_;
-    req.coordinator = self_;
-    req.item = ns_item(self_);
-    req.bypass_session_check = true;
-    req.value = static_cast<Value>(new_session_);
-    req.written_sites = written_sites;
-    writes.push_back({self_, std::move(req)});
+  std::vector<SiteId> targets = operational_;
+  targets.push_back(self_);
+  for (SiteId j : targets) {
+    PlannedWrite w = ns_write(j, self_, static_cast<Value>(new_session_));
+    w.op.written_sites = written_sites;
+    writes.push_back(std::move(w));
   }
   for (SiteId m = 0; m < cfg_.n_sites; ++m) {
     if (m == self_) continue;
-    WriteReq req;
-    req.txn = txn_;
-    req.kind = kind_;
-    req.coordinator = self_;
-    req.item = ns_item(m);
-    req.bypass_session_check = true;
-    req.value = static_cast<Value>(view_.session(m));
-    req.is_copier_write = true; // refresh, not an authoritative claim
-    req.copier_version = view_.version(m);
-    writes.push_back({self_, std::move(req)});
+    PlannedWrite w = ns_write(self_, m, static_cast<Value>(view_.session(m)));
+    w.op.is_copier_write = true; // refresh, not an authoritative claim
+    w.op.copier_version = view_.version(m);
+    writes.push_back(std::move(w));
   }
 
   touch(self_);
@@ -445,15 +420,9 @@ void ControlDownCoordinator::write_zeroes() {
   std::vector<PlannedWrite> writes;
   for (SiteId j : targets) {
     for (SiteId d : down_) {
-      WriteReq req;
-      req.txn = txn_;
-      req.kind = kind_;
-      req.coordinator = self_;
-      req.item = ns_item(d);
-      req.bypass_session_check = true;
-      req.value = 0;
-      req.written_sites = targets;
-      writes.push_back({j, std::move(req)});
+      PlannedWrite w = ns_write(j, d, 0);
+      w.op.written_sites = targets;
+      writes.push_back(std::move(w));
     }
   }
   send_writes_seq(std::move(writes), [this](bool ok, Code code) {

@@ -73,45 +73,30 @@ void CopierCoordinator::try_source(size_t idx) {
     return;
   }
   const SiteId src = sources_[idx];
-  touch(src);
-  ReadReq req;
-  req.txn = txn_;
-  req.kind = kind_;
-  req.coordinator = self_;
-  req.item = item_;
-  req.expected_session = view_.session(src);
-  send_request(
-      src, req, cfg_.lock_timeout + cfg_.rpc_timeout,
-      [this, idx, src](Code code, const Payload* payload) {
-        if (decided_) return;
-        Code rc = code;
-        const ReadResp* resp = nullptr;
-        if (code == Code::kOk && payload != nullptr) {
-          resp = &std::get<ReadResp>(*payload);
-          rc = resp->code;
-        }
-        switch (rc) {
-          case Code::kOk:
-            record_read(src, item_, *resp);
-            write_local(resp->value, resp->version);
-            return;
-          case Code::kUnreadable: // source itself is still refreshing
-            ++unreadable_sources_;
-            try_source(idx + 1);
-            return;
-          case Code::kSessionMismatch:  // stale view for this source
-          case Code::kSiteNotOperational:
-            try_source(idx + 1);
-            return;
-          case Code::kTimeout:
-            suspect(src);
-            try_source(idx + 1);
-            return;
-          default:
-            abort_txn(rc);
-            return;
-        }
-      });
+  send_read(src, ReadMode::kReject,
+            [this, idx, src](Code rc, const BatchOpResult* res) {
+              switch (rc) {
+                case Code::kOk:
+                  record_read(src, item_, res->version);
+                  write_local(res->value, res->version);
+                  return;
+                case Code::kUnreadable: // source itself is still refreshing
+                  ++unreadable_sources_;
+                  try_source(idx + 1);
+                  return;
+                case Code::kSessionMismatch: // stale view for this source
+                case Code::kSiteNotOperational:
+                  try_source(idx + 1);
+                  return;
+                case Code::kTimeout:
+                  suspect(src);
+                  try_source(idx + 1);
+                  return;
+                default:
+                  abort_txn(rc);
+                  return;
+              }
+            });
 }
 
 void CopierCoordinator::resolve_all_marked(size_t idx) {
@@ -129,40 +114,46 @@ void CopierCoordinator::resolve_all_marked(size_t idx) {
     return;
   }
   const SiteId src = sources_[idx];
+  send_read(src, ReadMode::kServe,
+            [this, idx, src](Code rc, const BatchOpResult* res) {
+              if (rc == Code::kOk) {
+                record_read(src, item_, res->version);
+                if (!have_best_ || best_version_ < res->version) {
+                  have_best_ = true;
+                  best_value_ = res->value;
+                  best_version_ = res->version;
+                }
+              } else if (rc == Code::kTimeout) {
+                suspect(src);
+                // A resident site died mid-resolution: the soundness
+                // argument needs every resident copy visible; abort and
+                // retry later.
+                abort_txn(Code::kTotallyFailed);
+                return;
+              }
+              resolve_all_marked(idx + 1);
+            });
+}
+
+void CopierCoordinator::send_read(
+    SiteId src, ReadMode mode,
+    std::function<void(Code, const BatchOpResult*)> k) {
   touch(src);
-  ReadReq req;
-  req.txn = txn_;
-  req.kind = kind_;
-  req.coordinator = self_;
-  req.item = item_;
-  req.expected_session = view_.session(src);
-  req.allow_unreadable = true;
-  send_request(
-      src, req, cfg_.lock_timeout + cfg_.rpc_timeout,
-      [this, idx, src](Code code, const Payload* payload) {
-        if (decided_) return;
-        Code rc = code;
-        const ReadResp* resp = nullptr;
-        if (code == Code::kOk && payload != nullptr) {
-          resp = &std::get<ReadResp>(*payload);
-          rc = resp->code;
-        }
-        if (rc == Code::kOk) {
-          record_read(src, item_, *resp);
-          if (!have_best_ || best_version_ < resp->version) {
-            have_best_ = true;
-            best_value_ = resp->value;
-            best_version_ = resp->version;
-          }
-        } else if (rc == Code::kTimeout) {
-          suspect(src);
-          // A resident site died mid-resolution: the soundness argument
-          // needs every resident copy visible; abort and retry later.
-          abort_txn(Code::kTotallyFailed);
-          return;
-        }
-        resolve_all_marked(idx + 1);
-      });
+  BatchReq req = batch_header(view_.session(src));
+  BatchOp op;
+  op.item = item_;
+  op.read_mode = mode;
+  req.ops.push_back(std::move(op));
+  send_request(src, std::move(req), cfg_.lock_timeout + cfg_.rpc_timeout,
+               [this, k = std::move(k)](Code code, const Payload* payload) {
+                 if (decided_) return;
+                 const BatchOpResult* res = nullptr;
+                 if (code == Code::kOk && payload != nullptr) {
+                   res = &std::get<BatchResp>(*payload).results[0];
+                   code = res->code;
+                 }
+                 k(code, res);
+               });
 }
 
 void CopierCoordinator::write_local(Value value, Version version) {
@@ -180,22 +171,21 @@ void CopierCoordinator::write_local(Value value, Version version) {
     metrics_.inc(metrics_.id.copier_payload_copies);
   }
   touch(self_);
-  WriteReq req;
-  req.txn = txn_;
-  req.kind = kind_;
-  req.coordinator = self_;
-  req.item = item_;
-  req.expected_session = view_.session(self_);
-  req.value = value;
-  req.is_copier_write = true;
-  req.copier_version = version;
+  BatchReq req = batch_header(view_.session(self_));
+  BatchOp op;
+  op.op = BatchOpKind::kWrite;
+  op.item = item_;
+  op.value = value;
+  op.is_copier_write = true;
+  op.copier_version = version;
+  req.ops.push_back(std::move(op));
   send_request(
-      self_, req, cfg_.lock_timeout + cfg_.rpc_timeout,
+      self_, std::move(req), cfg_.lock_timeout + cfg_.rpc_timeout,
       [this](Code code, const Payload* payload) {
         if (decided_) return;
         Code rc = code;
         if (code == Code::kOk && payload != nullptr) {
-          rc = std::get<WriteResp>(*payload).code;
+          rc = std::get<BatchResp>(*payload).code;
         }
         if (rc != Code::kOk) {
           abort_txn(rc);

@@ -19,6 +19,10 @@ class CopierCoordinator : public CoordinatorBase {
 
  private:
   void try_source(size_t idx);
+  // One-read batch of item_ at `src`. k gets the op's code and result, or
+  // the transport code and null when the RPC itself failed.
+  void send_read(SiteId src, ReadMode mode,
+                 std::function<void(Code, const BatchOpResult*)> k);
   void write_local(Value value, Version version);
   // Resolution protocol for "every copy is marked" (the paper defers this
   // to "a separate protocol", Section 3.2): when ALL resident sites are

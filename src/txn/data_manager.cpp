@@ -14,16 +14,6 @@ constexpr SimTime kDeadlockCheckDelay = 1'000;   // after a wait begins
 constexpr SimTime kDeadlockRecheck = 10'000;     // while waiters exist
 } // namespace
 
-// Debug aid: set to a txn id to trace its lifecycle at every DM.
-TxnId g_trace_txn = 0;
-void set_dm_trace_txn(TxnId t) { g_trace_txn = t; }
-#define DM_TRACE(txn, what)                                               \
-  if ((txn) == g_trace_txn && g_trace_txn != 0) {                         \
-    std::fprintf(stderr, "[DMTRACE] t=%lld site=%d txn=%llu %s\n",       \
-                 static_cast<long long>(sched_.now()), self_,             \
-                 static_cast<unsigned long long>(txn), (what));           \
-  }
-
 DataManager::DataManager(SiteId self, const Config& cfg, Scheduler& sched,
                          RpcEndpoint& rpc, StableStorage& stable,
                          SiteState& state, Metrics& metrics,
@@ -47,11 +37,7 @@ void DataManager::handle_request(const Envelope& env) {
   std::visit(
       [&](const auto& payload) {
         using T = std::decay_t<decltype(payload)>;
-        if constexpr (std::is_same_v<T, ReadReq>) {
-          on_read(env);
-        } else if constexpr (std::is_same_v<T, WriteReq>) {
-          on_write(env);
-        } else if constexpr (std::is_same_v<T, BatchReq>) {
+        if constexpr (std::is_same_v<T, BatchReq>) {
           on_batch(env);
         } else if constexpr (std::is_same_v<T, StatusReadReq>) {
           on_status_read(env);
@@ -83,14 +69,13 @@ void DataManager::handle_request(const Envelope& env) {
 // ---------------------------------------------------------------------------
 // admission
 
-Code DataManager::admit(TxnKind kind, SessionNum expected, bool bypass) const {
+Code DataManager::admit(SessionNum expected, bool bypass) const {
   if (bypass) {
     // Control transactions "can be processed by recovering sites as well"
     // (Section 3.3); if this handler runs at all, the process is booted.
     return state_.mode == SiteMode::kDown ? Code::kSiteNotOperational
                                           : Code::kOk;
   }
-  (void)kind;
   if (state_.mode != SiteMode::kUp) return Code::kSiteNotOperational;
   if (expected != state_.session) return Code::kSessionMismatch;
   return Code::kOk;
@@ -101,7 +86,6 @@ DataManager::TxnCtx& DataManager::ctx_of(TxnId txn, TxnKind kind,
   auto [it, inserted] = ctxs_.try_emplace(txn);
   TxnCtx& ctx = it->second;
   if (inserted) {
-    DM_TRACE(txn, "ctx created");
     ctx.txn = txn;
     ctx.kind = kind;
     ctx.coordinator = coordinator;
@@ -187,17 +171,6 @@ void DataManager::advance_chain(const std::shared_ptr<Chain>& chain) {
         c->timer = 0;
         if (c->rid != 0) lm_.cancel(c->rid);
         metrics_.inc(metrics_.id.dm_lock_timeout);
-        if (c->txn == g_trace_txn && g_trace_txn != 0) {
-          std::fprintf(stderr,
-                       "[DMTRACE] t=%lld site=%d txn=%llu chain TIMEOUT on "
-                       "item %lld (locks left %zu)\n",
-                       static_cast<long long>(sched_.now()), self_,
-                       static_cast<unsigned long long>(c->txn),
-                       c->locks.empty() ? -1
-                                        : static_cast<long long>(
-                                              c->locks.front().first),
-                       c->locks.size());
-        }
         SpanLog::close(spans_, c->wait_span);
         c->wait_span = 0;
         reply_code(c->env, Code::kLockTimeout);
@@ -274,11 +247,7 @@ void DataManager::run_deadlock_check() {
         } else if (!chains.empty()) {
           // Kind travels in the request payload for first-op transactions.
           const Envelope& env = chains.front()->env;
-          if (const auto* r = std::get_if<ReadReq>(&env.payload)) {
-            kind = r->kind;
-          } else if (const auto* w = std::get_if<WriteReq>(&env.payload)) {
-            kind = w->kind;
-          } else if (const auto* b = std::get_if<BatchReq>(&env.payload)) {
+          if (const auto* b = std::get_if<BatchReq>(&env.payload)) {
             kind = b->kind;
           } else {
             kind = TxnKind::kControlUp; // status ops come from control txns
@@ -312,162 +281,22 @@ void DataManager::rearm_deadlock_check() {
 }
 
 // ---------------------------------------------------------------------------
-// reads
-
-void DataManager::on_read(const Envelope& env) {
-  const auto& req = std::get<ReadReq>(env.payload);
-  if (locally_aborted_.count(req.txn)) {
-    reply_code(env, Code::kAborted);
-    return;
-  }
-  const Code c = admit(req.kind, req.expected_session,
-                       req.bypass_session_check);
-  if (c != Code::kOk) {
-    metrics_.inc(metrics_.id.dm_read_reject[static_cast<size_t>(c)]);
-    if (c == Code::kSessionMismatch) {
-      Tracer::emit(tracer_, TraceKind::kSessionReject, self_, req.txn,
-                   static_cast<int64_t>(state_.session),
-                   static_cast<int64_t>(req.expected_session));
-      SpanLog::note_under(spans_, env.span, SpanKind::kSessionReject, self_,
-                          req.txn, static_cast<int64_t>(state_.session));
-    }
-    reply_code(env, c);
-    return;
-  }
-  // Create the participant context up front: every lock this transaction
-  // acquires here -- including a partially acquired chain whose later lock
-  // times out -- is then covered by the context's activity timer, even if
-  // the coordinator dies before 2PC starts.
-  TxnCtx& rctx = ctx_of(req.txn, req.kind, req.coordinator);
-  // Read-own-write: return the staged value (it is what the transaction
-  // would see; not a database read, so nothing is recorded).
-  {
-    auto wit = rctx.writes.find(req.item);
-    if (wit != rctx.writes.end()) {
-      rpc_.respond(env, ReadResp{req.txn, req.item, Code::kOk,
-                                 wit->second.value, Version{0, req.txn}});
-      return;
-    }
-  }
-  const Copy* copy = kv().find(req.item);
-  if (copy == nullptr) {
-    reply_code(env, Code::kNotFound);
-    return;
-  }
-  if (is_data_item(req.item) && copy->unreadable &&
-      !req.bypass_session_check &&
-      !(req.allow_unreadable && req.kind == TxnKind::kCopier)) {
-    metrics_.inc(metrics_.id.dm_read_hit_unreadable);
-    // "a request for reading it triggers a copier transaction" (S. 3.2)
-    if (unreadable_hook_) unreadable_hook_(req.item);
-    if (cfg_.unreadable_policy == UnreadablePolicy::kBlock &&
-        req.kind == TxnKind::kUser) {
-      parked_[req.item].push_back(env);
-      return;
-    }
-    reply_code(env, Code::kUnreadable);
-    return;
-  }
-  start_chain(req.txn, env, {{req.item, LockMode::kShared}},
-              [this, env]() { serve_read(env); });
-}
-
-void DataManager::serve_read(const Envelope& env) {
-  const auto& req = std::get<ReadReq>(env.payload);
-  const Copy* copy = kv().find(req.item);
-  assert(copy != nullptr);
-  // NOT recorded here: the requesting coordinator records the read when it
-  // consumes the response. A serve can outlive the requester -- a read
-  // parked on an unreadable copy may only be served after the coordinator
-  // timed out, failed over to another copy and committed -- and recording
-  // such an orphaned serve would attribute a read the transaction never
-  // used, manufacturing false conflict-graph edges.
-  metrics_.inc(metrics_.id.dm_reads);
-  rpc_.respond(env, ReadResp{req.txn, req.item, Code::kOk, copy->value,
-                             copy->version});
-}
-
-// ---------------------------------------------------------------------------
-// writes
-
-void DataManager::on_write(const Envelope& env) {
-  const auto& req = std::get<WriteReq>(env.payload);
-  DM_TRACE(req.txn, "write arrives");
-  if (locally_aborted_.count(req.txn)) {
-    reply_code(env, Code::kAborted);
-    return;
-  }
-  Code c = admit(req.kind, req.expected_session, req.bypass_session_check);
-  // PLANTED BUG (explorer self-validation only): accept writes carrying a
-  // stale session number -- exactly the Section 3.2 rejection the paper's
-  // correctness argument needs on this path.
-  if (c == Code::kSessionMismatch &&
-      cfg_.planted_bug == PlantedBug::kSkipSessionCheck &&
-      state_.mode == SiteMode::kUp) {
-    c = Code::kOk;
-  }
-  if (c != Code::kOk) {
-    metrics_.inc(metrics_.id.dm_write_reject[static_cast<size_t>(c)]);
-    if (c == Code::kSessionMismatch) {
-      Tracer::emit(tracer_, TraceKind::kSessionReject, self_, req.txn,
-                   static_cast<int64_t>(state_.session),
-                   static_cast<int64_t>(req.expected_session));
-      SpanLog::note_under(spans_, env.span, SpanKind::kSessionReject, self_,
-                          req.txn, static_cast<int64_t>(state_.session));
-    }
-    reply_code(env, c);
-    return;
-  }
-  std::vector<std::pair<ItemId, LockMode>> locks{
-      {req.item, LockMode::kExclusive}};
-  // Skipping a nominally-down copy touches the per-down-site status lock in
-  // shared mode: additions commute with each other but must serialize
-  // against the type-1 control transaction's exclusive read-and-clear --
-  // this is what makes the missing list "under concurrency control" (S. 5)
-  // and closes the stale-readable race discussed in DESIGN.md.
-  const bool tracks_status =
-      cfg_.recovery_scheme == RecoveryScheme::kSpooler ||
-      cfg_.outdated_strategy == OutdatedStrategy::kFailLock ||
-      cfg_.outdated_strategy == OutdatedStrategy::kMissingList;
-  if (tracks_status && is_data_item(req.item)) {
-    for (SiteId d : req.missed_sites) {
-      locks.emplace_back(status_item(d), LockMode::kShared);
-    }
-  }
-  ctx_of(req.txn, req.kind, req.coordinator); // see on_read: covers chains
-  start_chain(req.txn, env, std::move(locks), [this, env]() {
-    const auto& r = std::get<WriteReq>(env.payload);
-    TxnCtx& ctx = ctx_of(r.txn, r.kind, r.coordinator);
-    StagedWrite w;
-    w.value = r.value;
-    w.is_copier = r.is_copier_write;
-    w.copier_version = r.copier_version;
-    w.missed = r.missed_sites;
-    w.written = r.written_sites;
-    ctx.writes[r.item] = std::move(w);
-    metrics_.inc(metrics_.id.dm_writes_staged);
-    SpanLog::note_under(spans_, env.span, SpanKind::kStage, self_, r.txn,
-                        r.item);
-    rpc_.respond(env, WriteResp{r.txn, r.item, Code::kOk});
-  });
-}
-
-// ---------------------------------------------------------------------------
-// batched physical operations
+// physical operations
 //
 // One envelope carries every read/write the coordinator has for this site.
 // The session check is evaluated once (it is per-site, Section 3.2) but
 // applied per operation so the planted skip-session-check bug keeps its
 // write-path-only scope; every other admission decision (read-own-write,
-// missing copy, unreadable copy) is made per operation exactly as the
-// unbatched handlers make it. All locks the admitted operations need are
-// acquired through a single chain -- per-item strongest mode, first-use
-// order -- and the operations are then served in op order, so a read that
-// follows a write of the same item in the batch sees the staged value just
-// as it would have under sequential single-op RPCs. Reads that hit an
-// unreadable copy are NOT parked here (a parked batch would hold the other
-// operations' results hostage); they resolve to kUnreadable and the
-// coordinator falls back to a single ReadReq, which parks under kBlock.
+// missing copy, unreadable copy) is made per operation. All locks the
+// admitted operations need are acquired through a single chain -- per-item
+// strongest mode, first-use order -- and the operations are then served in
+// op order, so a read that follows a write of the same item in the batch
+// sees the staged value just as it would have under sequential single-op
+// requests. A read that hits an unreadable copy parks only when it is the
+// batch's sole op, asks for ReadMode::kMayPark, and comes from a user
+// transaction under kBlock (a parked multi-op batch would hold the other
+// operations' results hostage); every other such read resolves to
+// kUnreadable and the coordinator falls back to a one-read batch.
 
 void DataManager::on_batch(const Envelope& env) {
   const auto& req = std::get<BatchReq>(env.payload);
@@ -481,11 +310,10 @@ void DataManager::on_batch(const Envelope& env) {
     rpc_.respond(env, std::move(resp));
     return;
   }
-  const Code session =
-      admit(req.kind, req.expected_session, req.bypass_session_check);
+  const Code session = admit(req.expected_session, req.bypass_session_check);
   Code write_session = session;
   // PLANTED BUG (explorer self-validation only): the mutation disables the
-  // Section 3.2 rejection on the write path only; batched reads must keep
+  // Section 3.2 rejection on the write path only; reads must keep
   // rejecting.
   if (session == Code::kSessionMismatch &&
       cfg_.planted_bug == PlantedBug::kSkipSessionCheck &&
@@ -539,8 +367,12 @@ void DataManager::on_batch(const Envelope& env) {
     if (resp.results[i].code != Code::kOk) continue;
     if (op.op == BatchOpKind::kWrite) {
       add_lock(op.item, LockMode::kExclusive);
-      // See on_write: skipping a nominally-down copy touches the per-site
-      // status lock in shared mode.
+      // Skipping a nominally-down copy touches the per-down-site status
+      // lock in shared mode: additions commute with each other but must
+      // serialize against the type-1 control transaction's exclusive
+      // read-and-clear -- this is what makes the missing list "under
+      // concurrency control" (S. 5) and closes the stale-readable race
+      // discussed in DESIGN.md.
       if (tracks_status && is_data_item(op.item)) {
         for (SiteId d : op.missed_sites) {
           add_lock(status_item(d), LockMode::kShared);
@@ -569,10 +401,16 @@ void DataManager::on_batch(const Envelope& env) {
     }
     if (is_data_item(op.item) && copy->unreadable &&
         !req.bypass_session_check &&
-        !(op.allow_unreadable && req.kind == TxnKind::kCopier)) {
+        !(op.read_mode == ReadMode::kServe && req.kind == TxnKind::kCopier)) {
       metrics_.inc(metrics_.id.dm_read_hit_unreadable);
       // "a request for reading it triggers a copier transaction" (S. 3.2)
       if (unreadable_hook_) unreadable_hook_(op.item);
+      if (n == 1 && op.read_mode == ReadMode::kMayPark &&
+          req.kind == TxnKind::kUser &&
+          cfg_.unreadable_policy == UnreadablePolicy::kBlock) {
+        parked_[op.item].push_back(env);
+        return;
+      }
       resp.results[i].code = Code::kUnreadable;
       continue;
     }
@@ -612,6 +450,13 @@ void DataManager::on_batch(const Envelope& env) {
           }
           const Copy* copy = kv().find(op.item);
           assert(copy != nullptr);
+          // NOT recorded here: the requesting coordinator records the read
+          // when it consumes the response. A serve can outlive the
+          // requester -- a read parked on an unreadable copy may only be
+          // served after the coordinator timed out, failed over to another
+          // copy and committed -- and recording such an orphaned serve
+          // would attribute a read the transaction never used,
+          // manufacturing false conflict-graph edges.
           metrics_.inc(metrics_.id.dm_reads);
           resp.results[i] =
               BatchOpResult{Code::kOk, copy->value, copy->version};
@@ -636,7 +481,7 @@ void DataManager::on_status_read(const Envelope& env) {
     reply_code(env, Code::kAborted);
     return;
   }
-  const Code c = admit(TxnKind::kControlUp, 0, /*bypass=*/true);
+  const Code c = admit(0, /*bypass=*/true);
   if (c != Code::kOk) {
     reply_code(env, c);
     return;
@@ -672,7 +517,7 @@ void DataManager::on_status_clear(const Envelope& env) {
     reply_code(env, Code::kAborted);
     return;
   }
-  const Code c = admit(TxnKind::kControlUp, 0, /*bypass=*/true);
+  const Code c = admit(0, /*bypass=*/true);
   if (c != Code::kOk) {
     reply_code(env, c);
     return;
@@ -696,7 +541,6 @@ void DataManager::on_status_clear(const Envelope& env) {
 
 void DataManager::on_prepare(const Envelope& env) {
   const auto& req = std::get<PrepareReq>(env.payload);
-  DM_TRACE(req.txn, "prepare arrives");
   TxnCtx* ctx = find_ctx(req.txn);
   if (ctx == nullptr || locally_aborted_.count(req.txn)) {
     // Unknown transaction: either we crashed since serving it (all its
@@ -775,7 +619,6 @@ void DataManager::on_commit(const Envelope& env) {
 void DataManager::apply_commit(
     TxnCtx& ctx, const std::vector<std::pair<ItemId, uint64_t>>& counters) {
   const TxnId txn = ctx.txn;
-  DM_TRACE(txn, "apply_commit");
   if (ctx.termination_timer != 0) sched_.cancel(ctx.termination_timer);
   if (ctx.activity_timer != 0) sched_.cancel(ctx.activity_timer);
   if (ctx.logged_prepare) {
@@ -911,7 +754,6 @@ void DataManager::on_abort(const Envelope& env) {
 }
 
 void DataManager::finish_abort(TxnId txn, bool log_abort) {
-  DM_TRACE(txn, "finish_abort");
   drop_parked(txn);
   locally_aborted_.insert(txn);
   auto it = ctxs_.find(txn);
@@ -952,7 +794,6 @@ void DataManager::arm_termination_timer(TxnId txn) {
 }
 
 void DataManager::run_termination(TxnId txn, size_t participant_idx) {
-  DM_TRACE(txn, "run_termination");
   TxnCtx* ctx = find_ctx(txn);
   if (ctx == nullptr || !ctx->prepared) return; // resolved meanwhile
   // Target 0 is the coordinator; then the other participants in turn.
@@ -1223,11 +1064,7 @@ void DataManager::reply_code(const Envelope& env, Code code) {
   std::visit(
       [&](const auto& payload) {
         using T = std::decay_t<decltype(payload)>;
-        if constexpr (std::is_same_v<T, ReadReq>) {
-          rpc_.respond(env, ReadResp{payload.txn, payload.item, code, 0, {}});
-        } else if constexpr (std::is_same_v<T, WriteReq>) {
-          rpc_.respond(env, WriteResp{payload.txn, payload.item, code});
-        } else if constexpr (std::is_same_v<T, BatchReq>) {
+        if constexpr (std::is_same_v<T, BatchReq>) {
           // A failed lock chain fails the whole batch: nothing was staged
           // or served, so every operation reports the chain's code.
           BatchResp resp;
@@ -1272,8 +1109,7 @@ void DataManager::drop_parked(TxnId txn) {
     auto& vec = it->second;
     vec.erase(std::remove_if(vec.begin(), vec.end(),
                              [txn](const Envelope& e) {
-                               const auto* r = std::get_if<ReadReq>(&e.payload);
-                               return r != nullptr && r->txn == txn;
+                               return std::get<BatchReq>(e.payload).txn == txn;
                              }),
               vec.end());
     it = vec.empty() ? parked_.erase(it) : std::next(it);

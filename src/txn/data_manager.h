@@ -13,9 +13,9 @@
 //     fail-lock additions for skipped copies, removals for written copies,
 //     spool records in spooler mode, and unreadable-mark transitions;
 //   * answers pings, outcome queries and spool fetches;
-//   * parks reads that hit an unreadable copy (kBlock) or rejects them so
-//     the TM can redirect (kRedirect), triggering an on-demand copier
-//     either way.
+//   * parks a lone ReadMode::kMayPark user read that hits an unreadable
+//     copy (kBlock) or rejects it so the TM can redirect (kRedirect),
+//     triggering an on-demand copier either way.
 //
 // Volatile state (locks, transaction contexts, parked reads, status tables)
 // is wiped by crash(); the KV image, WAL, spool and outcome log live in
@@ -155,8 +155,6 @@ class DataManager {
   };
 
   // ---- handlers ----
-  void on_read(const Envelope& env);
-  void on_write(const Envelope& env);
   void on_batch(const Envelope& env);
   void on_status_read(const Envelope& env);
   void on_status_clear(const Envelope& env);
@@ -177,7 +175,7 @@ class DataManager {
   TxnCtx* find_ctx(TxnId txn);
   // Admission: mode + session checks shared by read/write/status ops.
   // Returns kOk or the rejection code.
-  Code admit(TxnKind kind, SessionNum expected, bool bypass) const;
+  Code admit(SessionNum expected, bool bypass) const;
 
   void start_chain(TxnId txn, const Envelope& env,
                    std::vector<std::pair<ItemId, LockMode>> locks,
@@ -188,7 +186,6 @@ class DataManager {
   void run_deadlock_check();
   void rearm_deadlock_check();
 
-  void serve_read(const Envelope& env);
   void finish_abort(TxnId txn, bool log_abort);
   void apply_commit(TxnCtx& ctx,
                     const std::vector<std::pair<ItemId, uint64_t>>& counters);

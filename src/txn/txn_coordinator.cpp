@@ -88,111 +88,61 @@ void CoordinatorBase::read_ns_vector(SiteId at, bool bypass,
   read_ns_entries(at, std::move(sites), bypass, expected_at, std::move(k));
 }
 
+// The requested NS entries travel in one BatchReq. The DM serves the reads
+// in index order under one lock chain -- the order control transactions
+// write NS entries in, which keeps NS-lock deadlocks rare (and the detector
+// catches the rest); the first failing entry fails the vector read.
 void CoordinatorBase::read_ns_entries(SiteId at, std::vector<SiteId> sites,
                                       bool bypass, SessionNum expected_at,
                                       std::function<void(bool)> k) {
   touch(at);
   metrics_.inc(metrics_.id.txn_ns_reads,
                static_cast<int64_t>(sites.size()));
-  auto st = std::make_shared<NsReadState>();
-  st->at = at;
-  st->bypass = bypass;
-  st->expected = expected_at;
-  st->sites = std::move(sites);
-  st->k = std::move(k);
-  if (cfg_.batch_physical_ops) {
-    ns_read_batched(std::move(st));
+  if (sites.empty()) {
+    k(true);
     return;
   }
-  ns_read_step(std::move(st), 0);
-}
-
-// Batched variant: the requested NS entries travel in one BatchReq. The DM
-// serves the reads in index order under one lock chain, so lock order and
-// results match the sequential ladder; the first failing entry fails the
-// vector read exactly as the ladder's early-out does.
-void CoordinatorBase::ns_read_batched(std::shared_ptr<NsReadState> st) {
-  BatchReq req;
-  req.txn = txn_;
-  req.kind = kind_;
-  req.coordinator = self_;
-  req.expected_session = st->expected;
-  req.bypass_session_check = st->bypass;
-  req.ops.reserve(st->sites.size());
-  for (SiteId idx : st->sites) {
+  BatchReq req = batch_header(expected_at, bypass);
+  req.ops.reserve(sites.size());
+  for (SiteId idx : sites) {
     BatchOp op;
     op.op = BatchOpKind::kRead;
     op.item = ns_item(idx);
     req.ops.push_back(std::move(op));
   }
-  if (req.ops.empty()) {
-    st->k(true);
-    return;
-  }
-  const SiteId at = st->at;
   send_request(
       at, std::move(req), cfg_.lock_timeout + cfg_.rpc_timeout,
-      [this, at, st = std::move(st)](Code code, const Payload* payload) {
+      [this, at, sites = std::move(sites), k = std::move(k)](
+          Code code, const Payload* payload) {
         if (decided_) return;
         if (code != Code::kOk) {
           if (code == Code::kTimeout) suspect(at);
-          st->k(false);
+          k(false);
           return;
         }
         const auto& resp = std::get<BatchResp>(*payload);
         if (resp.code != Code::kOk) {
-          st->k(false);
+          k(false);
           return;
         }
-        for (size_t j = 0; j < st->sites.size(); ++j) {
-          const SiteId idx = st->sites[j];
-          const ReadResp rr{txn_, ns_item(idx), Code::kOk,
-                            resp.results[j].value, resp.results[j].version};
-          record_read(at, ns_item(idx), rr);
-          view_.set(idx, static_cast<SessionNum>(rr.value), rr.version);
+        for (size_t j = 0; j < sites.size(); ++j) {
+          const BatchOpResult& r = resp.results[j];
+          record_read(at, ns_item(sites[j]), r.version);
+          view_.set(sites[j], static_cast<SessionNum>(r.value), r.version);
         }
-        st->k(true);
+        k(true);
       });
 }
 
-// Sequential, in index order: control transactions write NS entries in the
-// same order, which keeps NS-lock deadlocks rare (and the detector catches
-// the rest). The state is owned by the in-flight RPC callback, not by a
-// self-referential closure (which would leak).
-void CoordinatorBase::ns_read_step(std::shared_ptr<NsReadState> st,
-                                   size_t idx) {
-  if (idx >= st->sites.size()) {
-    st->k(true);
-    return;
-  }
-  const SiteId site = st->sites[idx];
-  ReadReq req;
+BatchReq CoordinatorBase::batch_header(SessionNum expected,
+                                       bool bypass) const {
+  BatchReq req;
   req.txn = txn_;
   req.kind = kind_;
   req.coordinator = self_;
-  req.item = ns_item(site);
-  req.expected_session = st->expected;
-  req.bypass_session_check = st->bypass;
-  const SiteId at = st->at;
-  send_request(
-      at, req, cfg_.lock_timeout + cfg_.rpc_timeout,
-      [this, idx, site, at, st = std::move(st)](Code code,
-                                                const Payload* payload) {
-        if (decided_) return;
-        if (code != Code::kOk) {
-          if (code == Code::kTimeout) suspect(at);
-          st->k(false);
-          return;
-        }
-        const auto& resp = std::get<ReadResp>(*payload);
-        if (resp.code != Code::kOk) {
-          st->k(false);
-          return;
-        }
-        record_read(at, ns_item(site), resp);
-        view_.set(site, static_cast<SessionNum>(resp.value), resp.version);
-        ns_read_step(st, idx + 1);
-      });
+  req.expected_session = expected;
+  req.bypass_session_check = bypass;
+  return req;
 }
 
 void CoordinatorBase::send_writes_seq(std::vector<PlannedWrite> writes,
@@ -205,17 +155,29 @@ void CoordinatorBase::send_writes_seq(std::vector<PlannedWrite> writes,
     // the same site stay separate: collapsing them would reorder the
     // caller's canonical send order.
     WriteGroup* back = st->groups.empty() ? nullptr : &st->groups.back();
-    if (cfg_.batch_physical_ops && back != nullptr && back->to == pw.to &&
-        back->reqs.back().expected_session == pw.req.expected_session &&
-        back->reqs.back().bypass_session_check ==
-            pw.req.bypass_session_check) {
-      back->reqs.push_back(std::move(pw.req));
-    } else {
-      st->groups.push_back(WriteGroup{pw.to, {std::move(pw.req)}});
+    if (back == nullptr || back->to != pw.to ||
+        back->req.expected_session != pw.expected_session ||
+        back->req.bypass_session_check != pw.bypass_session_check) {
+      st->groups.push_back(WriteGroup{
+          pw.to, batch_header(pw.expected_session, pw.bypass_session_check)});
+      back = &st->groups.back();
     }
+    back->req.ops.push_back(std::move(pw.op));
   }
   st->k = std::move(k);
   write_seq_step(std::move(st), 0);
+}
+
+CoordinatorBase::PlannedWrite CoordinatorBase::ns_write(SiteId to,
+                                                       SiteId entry,
+                                                       Value value) {
+  PlannedWrite w;
+  w.to = to;
+  w.op.op = BatchOpKind::kWrite;
+  w.op.item = ns_item(entry);
+  w.op.value = value;
+  w.bypass_session_check = true;
+  return w;
 }
 
 void CoordinatorBase::write_seq_step(std::shared_ptr<WriteSeqState> st,
@@ -224,44 +186,11 @@ void CoordinatorBase::write_seq_step(std::shared_ptr<WriteSeqState> st,
     st->k(true, Code::kOk);
     return;
   }
-  const WriteGroup& g = st->groups[i];
-  const SiteId to = g.to;
+  const SiteId to = st->groups[i].to;
   touch(to);
-  if (g.reqs.size() == 1) {
-    const WriteReq req = g.reqs[0];
-    send_request(
-        to, req, cfg_.lock_timeout + cfg_.rpc_timeout,
-        [this, to, i, st = std::move(st)](Code code,
-                                          const Payload* payload) mutable {
-          if (decided_) return;
-          Code rc = code;
-          if (code == Code::kOk && payload != nullptr) {
-            rc = std::get<WriteResp>(*payload).code;
-          }
-          write_group_result(std::move(st), i, to, rc);
-        });
-    return;
-  }
-  BatchReq breq;
-  breq.txn = txn_;
-  breq.kind = g.reqs[0].kind;
-  breq.coordinator = self_;
-  breq.expected_session = g.reqs[0].expected_session;
-  breq.bypass_session_check = g.reqs[0].bypass_session_check;
-  breq.ops.reserve(g.reqs.size());
-  for (const WriteReq& w : g.reqs) {
-    BatchOp op;
-    op.op = BatchOpKind::kWrite;
-    op.item = w.item;
-    op.value = w.value;
-    op.is_copier_write = w.is_copier_write;
-    op.copier_version = w.copier_version;
-    op.missed_sites = w.missed_sites;
-    op.written_sites = w.written_sites;
-    breq.ops.push_back(std::move(op));
-  }
+  BatchReq req = std::move(st->groups[i].req);
   send_request(
-      to, std::move(breq), cfg_.lock_timeout + cfg_.rpc_timeout,
+      to, std::move(req), cfg_.lock_timeout + cfg_.rpc_timeout,
       [this, to, i, st = std::move(st)](Code code,
                                         const Payload* payload) mutable {
         if (decided_) return;
@@ -269,21 +198,16 @@ void CoordinatorBase::write_seq_step(std::shared_ptr<WriteSeqState> st,
         if (code == Code::kOk && payload != nullptr) {
           rc = std::get<BatchResp>(*payload).code; // first failing op's code
         }
-        write_group_result(std::move(st), i, to, rc);
+        if (rc != Code::kOk) {
+          if (rc == Code::kTimeout) {
+            suspect(to);
+            last_write_timeouts_.push_back(to);
+          }
+          st->k(false, rc);
+          return;
+        }
+        write_seq_step(std::move(st), i + 1);
       });
-}
-
-void CoordinatorBase::write_group_result(std::shared_ptr<WriteSeqState> st,
-                                         size_t i, SiteId to, Code rc) {
-  if (rc != Code::kOk) {
-    if (rc == Code::kTimeout) {
-      suspect(to);
-      last_write_timeouts_.push_back(to);
-    }
-    st->k(false, rc);
-    return;
-  }
-  write_seq_step(std::move(st), i + 1);
 }
 
 void CoordinatorBase::run_2pc(std::function<void(bool)> k) {
@@ -481,11 +405,7 @@ void UserTxnCoordinator::start() {
       abort_txn(Code::kAborted);
       return;
     }
-    if (cfg_.batch_physical_ops) {
-      run_batched_ops();
-    } else {
-      next_op();
-    }
+    run_batched_ops();
   };
   if (cfg_.footprint_ns) {
     read_ns_entries(self_, host_set(), /*bypass=*/false, state_.session,
@@ -514,132 +434,12 @@ void UserTxnCoordinator::finish_ops() {
   }
 }
 
-void UserTxnCoordinator::next_op() {
-  if (decided_) return;
-  if (op_idx_ >= spec_.ops.size()) {
-    finish_ops();
-    return;
-  }
-  const LogicalOp& op = spec_.ops[op_idx_];
-  if (op.kind == OpKind::kRead) {
-    read_cands_ = read_candidates(cat_, cfg_.write_scheme, view_, op.item,
-                                  self_);
-    if (read_cands_.empty()) {
-      abort_txn(Code::kNoCopyAvailable);
-      return;
-    }
-    do_read(op, 0);
-  } else {
-    do_write(op);
-  }
-}
-
-void UserTxnCoordinator::do_read(const LogicalOp& op, size_t candidate_idx) {
-  if (decided_) return;
-  if (candidate_idx >= read_cands_.size()) {
-    abort_txn(Code::kNoCopyAvailable);
-    return;
-  }
-  const SiteId target = read_cands_[candidate_idx];
-  touch(target);
-  ReadReq req;
-  req.txn = txn_;
-  req.kind = kind_;
-  req.coordinator = self_;
-  req.item = op.item;
-  req.expected_session = view_.session(target);
-  send_request(
-      target, req, cfg_.lock_timeout + cfg_.rpc_timeout,
-      [this, op, candidate_idx, target](Code code, const Payload* payload) {
-        if (decided_) return;
-        Code rc = code;
-        const ReadResp* resp = nullptr;
-        if (code == Code::kOk && payload != nullptr) {
-          resp = &std::get<ReadResp>(*payload);
-          rc = resp->code;
-        }
-        switch (rc) {
-          case Code::kOk:
-            record_read(target, op.item, *resp);
-            read_values_.push_back(resp->value);
-            ++op_idx_;
-            next_op();
-            return;
-          case Code::kUnreadable:
-            // "may read some other copy instead" (Section 3.2).
-            metrics_.inc(metrics_.id.txn_read_redirect);
-            do_read(op, candidate_idx + 1);
-            return;
-          case Code::kTimeout:
-            suspect(target);
-            metrics_.inc(metrics_.id.txn_read_failover);
-            do_read(op, candidate_idx + 1);
-            return;
-          case Code::kSessionMismatch:
-          case Code::kSiteNotOperational:
-            // Our frozen view is stale for this site; READ is a
-            // disjunction, so try the next copy.
-            metrics_.inc(metrics_.id.txn_read_stale_view);
-            do_read(op, candidate_idx + 1);
-            return;
-          default:
-            abort_txn(rc);
-            return;
-        }
-      });
-}
-
-void UserTxnCoordinator::do_write(const LogicalOp& op) {
-  const WritePlan plan = write_plan(cat_, cfg_.write_scheme, view_, op.item);
-  if (!plan.feasible) {
-    metrics_.inc(metrics_.id.txn_write_infeasible);
-    abort_txn(Code::kNoCopyAvailable);
-    return;
-  }
-  std::vector<PlannedWrite> writes;
-  writes.reserve(plan.targets.size());
-  for (SiteId target : plan.targets) { // ascending (catalog order)
-    WriteReq req;
-    req.txn = txn_;
-    req.kind = kind_;
-    req.coordinator = self_;
-    req.item = op.item;
-    req.expected_session = view_.session(target);
-    req.value = op.value;
-    req.missed_sites = plan.missed;
-    req.written_sites = plan.targets;
-    writes.push_back({target, std::move(req)});
-  }
-  DDBS_TRACE << "txn " << txn_ << " do_write item " << op.item << " targets "
-             << writes.size() << " view " << to_string(view_);
-  auto done = [this](bool ok, Code code) {
-    if (decided_) return;
-    if (!ok) {
-      // WRITE is a conjunction over every nominally-up copy: one failure
-      // fails the logical operation (Section 2).
-      abort_txn(code);
-      return;
-    }
-    ++op_idx_;
-    next_op();
-  };
-  if (cfg_.canonical_write_order) {
-    send_writes_seq(std::move(writes), std::move(done));
-  } else {
-    // Ablation variant: acquire every copy's X-lock in parallel. Two
-    // writers of the same item can then deadlock ACROSS sites, invisible
-    // to any local wait-for graph -- bench_ablation measures the damage.
-    send_writes_parallel(std::move(writes), std::move(done));
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Whole-transaction batching. Reads target their first candidate (the same
-// copy do_read(op, 0) would try), writes target every nominally-up copy;
-// everything bound for one site rides a single BatchReq. Batches go out in
-// ascending site order, sequentially under canonical_write_order, so
-// concurrent writers of one item still acquire its copies' X-locks in the
-// same global order as the unbatched path.
+// Whole-transaction batching. Reads target their first candidate, writes
+// target every nominally-up copy; everything bound for one site rides a
+// single BatchReq. Batches go out in ascending site order, sequentially
+// under canonical_write_order, so concurrent writers of one item acquire
+// its copies' X-locks in one global order.
 
 void UserTxnCoordinator::run_batched_ops() {
   auto st = std::make_shared<BatchRunState>();
@@ -648,13 +448,7 @@ void UserTxnCoordinator::run_batched_ops() {
     for (auto& b : st->batches) {
       if (b.to == to) return b;
     }
-    SiteBatch b;
-    b.to = to;
-    b.req.txn = txn_;
-    b.req.kind = kind_;
-    b.req.coordinator = self_;
-    b.req.expected_session = view_.session(to);
-    st->batches.push_back(std::move(b));
+    st->batches.push_back(SiteBatch{to, batch_header(view_.session(to)), {}});
     return st->batches.back();
   };
   for (size_t i = 0; i < spec_.ops.size(); ++i) {
@@ -733,7 +527,9 @@ void UserTxnCoordinator::dispatch_batches(std::shared_ptr<BatchRunState> st) {
     batch_step(std::move(st), 0);
     return;
   }
-  // Ablation variant (see send_writes_parallel): per-site batches race.
+  // Ablation variant: acquire every site's locks in parallel. Two writers
+  // of the same item can then deadlock ACROSS sites, invisible to any
+  // local wait-for graph -- bench_ablation measures the damage.
   st->pending = st->batches.size();
   for (size_t i = 0; i < st->batches.size(); ++i) {
     const SiteId to = st->batches[i].to;
@@ -795,17 +591,14 @@ bool UserTxnCoordinator::consume_batch_resp(BatchRunState& st, size_t i,
     }
     const size_t slot = b.read_slot[j];
     switch (rc) {
-      case Code::kOk: {
-        const ReadResp rr{txn_, bop.item, Code::kOk, resp->results[j].value,
-                          resp->results[j].version};
-        record_read(to, bop.item, rr);
-        read_values_[slot] = rr.value;
+      case Code::kOk:
+        record_read(to, bop.item, resp->results[j].version);
+        read_values_[slot] = resp->results[j].value;
         break;
-      }
       case Code::kUnreadable:
-        // Replay as a single ReadReq from candidate 0 (the same site):
-        // batches never park, but the single read does under kBlock, and
-        // under kRedirect the ladder walks on from there.
+        // Replay as a one-read batch from candidate 0 (the same site):
+        // multi-op batches never park, but the lone kMayPark read does
+        // under kBlock, and under kRedirect the ladder walks on from there.
         st.retries.push_back(ReadRetry{bop.item, slot, 0});
         break;
       case Code::kTimeout:
@@ -857,33 +650,33 @@ void UserTxnCoordinator::retry_read(std::shared_ptr<BatchRunState> st,
   const ReadRetry& r = st->retries[st->next_retry];
   const SiteId target = read_cands_[candidate_idx];
   touch(target);
-  ReadReq req;
-  req.txn = txn_;
-  req.kind = kind_;
-  req.coordinator = self_;
-  req.item = r.item;
-  req.expected_session = view_.session(target);
+  BatchReq req = batch_header(view_.session(target));
+  BatchOp op;
+  op.item = r.item;
+  op.read_mode = ReadMode::kMayPark;
+  req.ops.push_back(std::move(op));
   send_request(
-      target, req, cfg_.lock_timeout + cfg_.rpc_timeout,
+      target, std::move(req), cfg_.lock_timeout + cfg_.rpc_timeout,
       [this, st = std::move(st), candidate_idx,
        target](Code code, const Payload* payload) mutable {
         if (decided_) return;
         Code rc = code;
-        const ReadResp* resp = nullptr;
+        const BatchOpResult* res = nullptr;
         if (code == Code::kOk && payload != nullptr) {
-          resp = &std::get<ReadResp>(*payload);
-          rc = resp->code;
+          res = &std::get<BatchResp>(*payload).results[0];
+          rc = res->code;
         }
         switch (rc) {
           case Code::kOk: {
             const ReadRetry& r = st->retries[st->next_retry];
-            record_read(target, r.item, *resp);
-            read_values_[r.slot] = resp->value;
+            record_read(target, r.item, res->version);
+            read_values_[r.slot] = res->value;
             ++st->next_retry;
             retry_step(std::move(st));
             return;
           }
           case Code::kUnreadable:
+            // "may read some other copy instead" (Section 3.2).
             metrics_.inc(metrics_.id.txn_read_redirect);
             retry_read(std::move(st), candidate_idx + 1);
             return;
@@ -902,39 +695,6 @@ void UserTxnCoordinator::retry_read(std::shared_ptr<BatchRunState> st,
             return;
         }
       });
-}
-
-void UserTxnCoordinator::send_writes_parallel(
-    std::vector<PlannedWrite> writes, std::function<void(bool, Code)> k) {
-  struct State {
-    size_t pending;
-    bool failed = false;
-    Code code = Code::kOk;
-    std::function<void(bool, Code)> k;
-  };
-  auto st = std::make_shared<State>();
-  st->pending = writes.size();
-  st->k = std::move(k);
-  for (auto& pw : writes) {
-    const SiteId to = pw.to;
-    touch(to);
-    send_request(
-        to, std::move(pw.req), cfg_.lock_timeout + cfg_.rpc_timeout,
-        [this, to, st](Code code, const Payload* payload) {
-          if (decided_) return;
-          Code rc = code;
-          if (code == Code::kOk && payload != nullptr) {
-            rc = std::get<WriteResp>(*payload).code;
-          }
-          if (rc != Code::kOk) {
-            if (rc == Code::kTimeout) suspect(to);
-            st->failed = true;
-            if (st->code == Code::kOk) st->code = rc;
-          }
-          if (--st->pending > 0) return;
-          st->k(!st->failed, st->failed ? st->code : Code::kOk);
-        });
-  }
 }
 
 } // namespace ddbs

@@ -107,46 +107,43 @@ class CoordinatorBase {
   // Mark a site as touched; it becomes a 2PC participant.
   void touch(SiteId site) { participants_.insert(site); }
 
-  // Send the writes ONE AT A TIME in the given order. All writers of the
-  // same item use ascending site order, so X-locks on one item's copies are
-  // acquired in a canonical global order and multi-site writer/writer
-  // deadlocks (invisible to local wait-for graphs) cannot form. With
-  // Config::batch_physical_ops, runs of consecutive same-destination writes
-  // travel in one BatchReq -- the run boundaries preserve the caller's send
-  // order, so the canonical global order is unchanged.
+  // An empty BatchReq from this transaction carrying the given session
+  // stamp; callers append the ops.
+  BatchReq batch_header(SessionNum expected, bool bypass = false) const;
+
+  // Send the writes ONE DESTINATION AT A TIME in the given order. All
+  // writers of the same item use ascending site order, so X-locks on one
+  // item's copies are acquired in a canonical global order and multi-site
+  // writer/writer deadlocks (invisible to local wait-for graphs) cannot
+  // form. A run of consecutive writes to one destination with the same
+  // session stamp travels in one BatchReq -- the run boundaries preserve
+  // the caller's send order, so the canonical global order is unchanged.
   // k(true) when all staged; k(false, code) on first failure (timeouts are
   // reported through suspect()).
   struct PlannedWrite {
     SiteId to = kInvalidSite;
-    WriteReq req;
+    BatchOp op;
+    SessionNum expected_session = 0;
+    bool bypass_session_check = false;
   };
   void send_writes_seq(std::vector<PlannedWrite> writes,
                        std::function<void(bool, Code)> k);
+  // A write of NS entry ns[entry] := value at site `to` that bypasses the
+  // session check, as control transactions issue them (they are
+  // processable by recovering sites, Section 3.3).
+  static PlannedWrite ns_write(SiteId to, SiteId entry, Value value);
 
-  // Async-chain state holders for the two sequential helpers. Owned by the
-  // in-flight RPC callbacks: no self-referential closures, no leaks.
-  struct NsReadState {
-    SiteId at = kInvalidSite;
-    bool bypass = false;
-    SessionNum expected = 0;
-    std::vector<SiteId> sites; // NS entries to read, ascending
-    std::function<void(bool)> k;
-  };
-  // One sequential send: a single WriteReq, or a BatchReq carrying a run of
-  // consecutive same-destination writes.
+  // Async-chain state of send_writes_seq: one BatchReq per run. Owned by
+  // the in-flight RPC callbacks: no self-referential closures, no leaks.
   struct WriteGroup {
     SiteId to = kInvalidSite;
-    std::vector<WriteReq> reqs;
+    BatchReq req;
   };
   struct WriteSeqState {
     std::vector<WriteGroup> groups;
     std::function<void(bool, Code)> k;
   };
-  void ns_read_step(std::shared_ptr<NsReadState> st, size_t idx);
-  void ns_read_batched(std::shared_ptr<NsReadState> st);
   void write_seq_step(std::shared_ptr<WriteSeqState> st, size_t i);
-  void write_group_result(std::shared_ptr<WriteSeqState> st, size_t i,
-                          SiteId to, Code rc);
 
   // Presumed-abort 2PC over participants_. k(true) fires once the decision
   // is commit AND the local participant has applied (self is always a
@@ -196,12 +193,11 @@ class CoordinatorBase {
   // Record a physical read THIS transaction actually consumed. Use-time
   // recording (vs. at the serving DM) keeps orphaned serves -- a parked
   // read answered after this coordinator failed over, a response the
-  // transport lost -- out of the checked history. Read-own-write responses
+  // transport lost -- out of the checked history. Read-own-write results
   // (marked with version.writer == txn_) are not database reads.
-  void record_read(SiteId site, ItemId item, const ReadResp& resp) {
-    if (recorder_ && resp.version.writer != txn_) {
-      recorder_->add_read(txn_, site, item, resp.version.writer,
-                          resp.version.counter);
+  void record_read(SiteId site, ItemId item, const Version& version) {
+    if (recorder_ && version.writer != txn_) {
+      recorder_->add_read(txn_, site, item, version.writer, version.counter);
     }
   }
 
@@ -255,23 +251,17 @@ class UserTxnCoordinator : public CoordinatorBase {
   // only NS entries whose values can ever matter to this transaction.
   std::vector<SiteId> host_set() const;
 
-  void next_op();
-  void do_read(const LogicalOp& op, size_t candidate_idx);
-  void do_write(const LogicalOp& op);
-  void send_writes_parallel(std::vector<PlannedWrite> writes,
-                            std::function<void(bool, Code)> k);
-  // Commit phase shared by the sequential and batched op loops.
+  // Commit phase, once every logical op has resolved.
   void finish_ops();
 
-  // Whole-transaction batching (Config::batch_physical_ops): every logical
-  // op is planned against the frozen view up front and shipped as ONE
-  // BatchReq per destination site -- O(sites) scheduler events instead of
-  // O(ops x sites). Safe because the Section 3.2 session check is per-site:
-  // the batch is admitted or rejected under exactly the session number each
-  // single op would have carried. A failed write aborts (conjunction over
-  // nominally-up copies); a failed read falls back to the single-read
-  // candidate ladder, which can park on unreadable copies just as the
-  // unbatched path does.
+  // Whole-transaction batching: every logical op is planned against the
+  // frozen view up front and shipped as ONE BatchReq per destination site
+  // -- O(sites) scheduler events instead of O(ops x sites). Safe because
+  // the Section 3.2 session check is per-site: the batch is admitted or
+  // rejected under exactly the session number each single op would have
+  // carried. A failed write aborts (conjunction over nominally-up copies);
+  // a failed read falls back to the candidate ladder of one-read batches,
+  // whose ReadMode::kMayPark read can park on an unreadable copy.
   struct ReadRetry {
     ItemId item = 0;
     size_t slot = 0;       // read-op ordinal (index into read_values_)
@@ -304,7 +294,6 @@ class UserTxnCoordinator : public CoordinatorBase {
   void retry_read(std::shared_ptr<BatchRunState> st, size_t candidate_idx);
 
   TxnSpec spec_;
-  size_t op_idx_ = 0;
   std::vector<Value> read_values_;
   std::vector<SiteId> read_cands_;
 };

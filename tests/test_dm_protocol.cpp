@@ -34,26 +34,39 @@ struct DmFixture : public ::testing::Test {
                     /*to=*/0, std::move(p)};
   }
 
-  WriteReq write_req(TxnId txn, ItemId item, Value v) {
-    WriteReq req;
+  // One-op batches from a user transaction coordinated by site 1.
+  BatchReq user_batch(TxnId txn, SessionNum expected, BatchOp op) {
+    BatchReq req;
     req.txn = txn;
     req.kind = TxnKind::kUser;
     req.coordinator = 1;
-    req.item = item;
-    req.expected_session = 1;
-    req.value = v;
-    req.written_sites = cluster->catalog().sites_of(item);
+    req.expected_session = expected;
+    req.ops.push_back(std::move(op));
     return req;
+  }
+
+  BatchReq read_req(TxnId txn, ItemId item, SessionNum expected,
+                    ReadMode mode = ReadMode::kReject) {
+    BatchOp op;
+    op.item = item;
+    op.read_mode = mode;
+    return user_batch(txn, expected, std::move(op));
+  }
+
+  BatchReq write_req(TxnId txn, ItemId item, Value v) {
+    BatchOp op;
+    op.op = BatchOpKind::kWrite;
+    op.item = item;
+    op.value = v;
+    op.written_sites = cluster->catalog().sites_of(item);
+    return user_batch(txn, 1, std::move(op));
   }
 };
 
 TEST_F(DmFixture, SessionMismatchRejected) {
   DataManager& dm = cluster->site(0).dm();
-  ReadReq req;
-  req.txn = make_txn_id(1, 1);
-  req.item = item_at_0;
-  req.expected_session = 42; // wrong: actual session is 1
-  dm.handle_request(make_env(req));
+  // Wrong session: the actual one is 1.
+  dm.handle_request(make_env(read_req(make_txn_id(1, 1), item_at_0, 42)));
   EXPECT_EQ(cluster->metrics().get("dm.read_reject.session-mismatch"), 1);
 }
 
@@ -61,11 +74,7 @@ TEST_F(DmFixture, UserOpsRejectedWhileNotOperational) {
   cluster->crash_site(0);
   cluster->site(0).state().mode = SiteMode::kRecovering; // simulate boot
   DataManager& dm = cluster->site(0).dm();
-  ReadReq req;
-  req.txn = make_txn_id(1, 2);
-  req.item = item_at_0;
-  req.expected_session = 0;
-  dm.handle_request(make_env(req));
+  dm.handle_request(make_env(read_req(make_txn_id(1, 2), item_at_0, 0)));
   EXPECT_EQ(cluster->metrics().get("dm.read_reject.site-not-operational"),
             1);
 }
@@ -199,6 +208,121 @@ TEST_F(DmFixture, CommitForUnknownTxnRefusedWithoutOutcome) {
   dm.handle_request(make_env(creq));
   // Nothing applied, no crash: the DM must not invent state.
   EXPECT_EQ(dm.active_txn_count(), 0u);
+}
+
+// ---- reads on an unreadable copy: park (kBlock) or reject ----------------
+
+// A real round trip from site 1's RPC endpoint to site 0's DM, so the
+// test sees the DM's answer.
+struct Reply {
+  bool done = false;
+  Code code = Code::kOk;
+  BatchResp resp;
+};
+
+void send_from_site1(Cluster& cluster, BatchReq req, Reply* out) {
+  cluster.site(1).rpc().send_request(
+      0, std::move(req), cluster.config().txn_timeout,
+      [out](Code code, const Payload* payload) {
+        out->done = true;
+        out->code = code;
+        if (code == Code::kOk && payload != nullptr) {
+          out->resp = std::get<BatchResp>(*payload);
+        }
+      });
+}
+
+// Runs in small steps until site 0 parks a read or `r` is answered: the
+// copier the unreadable hit triggers needs a network round trip, so it
+// cannot clear the mark within one step of the read's arrival.
+void run_until_parked_or_answered(Cluster& cluster, const Reply& r) {
+  DataManager& dm = cluster.site(0).dm();
+  for (int i = 0; i < 100 && dm.parked_read_count() == 0 && !r.done; ++i) {
+    cluster.run_until(cluster.now() + 100);
+  }
+}
+
+TEST_F(DmFixture, MayParkReadParksUntilCopyIsRefreshed) {
+  ASSERT_EQ(cfg.unreadable_policy, UnreadablePolicy::kBlock);
+  DataManager& dm = cluster->site(0).dm();
+  dm.kv().mark_unreadable(item_at_0);
+  Reply r;
+  send_from_site1(*cluster,
+                  read_req(make_txn_id(1, 20), item_at_0, 1,
+                           ReadMode::kMayPark),
+                  &r);
+  run_until_parked_or_answered(*cluster, r);
+  EXPECT_EQ(dm.parked_read_count(), 1u);
+  EXPECT_FALSE(r.done);
+  // The on-demand copier the hit launched refreshes the copy, which
+  // unparks the read; it is then served like any other.
+  cluster->run_until(cluster->now() + 200'000);
+  EXPECT_FALSE(dm.kv().find(item_at_0)->unreadable);
+  EXPECT_EQ(dm.parked_read_count(), 0u);
+  ASSERT_TRUE(r.done);
+  EXPECT_EQ(r.code, Code::kOk);
+  ASSERT_EQ(r.resp.results.size(), 1u);
+  EXPECT_EQ(r.resp.results[0].code, Code::kOk);
+}
+
+TEST_F(DmFixture, ParkedReadDroppedWhenItsTxnAborts) {
+  DataManager& dm = cluster->site(0).dm();
+  dm.kv().mark_unreadable(item_at_0);
+  const TxnId t1 = make_txn_id(1, 21);
+  dm.handle_request(
+      make_env(read_req(t1, item_at_0, 1, ReadMode::kMayPark)));
+  EXPECT_EQ(dm.parked_read_count(), 1u);
+  dm.handle_request(make_env(AbortReq{t1}));
+  EXPECT_EQ(dm.parked_read_count(), 0u);
+}
+
+TEST_F(DmFixture, MultiOpBatchNeverParks) {
+  DataManager& dm = cluster->site(0).dm();
+  ItemId other = -1;
+  for (ItemId x : cluster->catalog().items_at(0)) {
+    if (x != item_at_0) {
+      other = x;
+      break;
+    }
+  }
+  ASSERT_NE(other, -1);
+  dm.kv().mark_unreadable(item_at_0);
+  BatchReq req = read_req(make_txn_id(1, 22), item_at_0, 1,
+                          ReadMode::kMayPark);
+  BatchOp second;
+  second.item = other;
+  req.ops.push_back(second);
+  Reply r;
+  send_from_site1(*cluster, std::move(req), &r);
+  run_until_parked_or_answered(*cluster, r);
+  EXPECT_EQ(dm.parked_read_count(), 0u);
+  ASSERT_TRUE(r.done);
+  EXPECT_EQ(r.resp.code, Code::kUnreadable);
+  ASSERT_EQ(r.resp.results.size(), 2u);
+  EXPECT_EQ(r.resp.results[0].code, Code::kUnreadable);
+  EXPECT_EQ(r.resp.results[1].code, Code::kOk);
+}
+
+struct RedirectDmFixture : public DmFixture {
+  void SetUp() override {
+    cfg.unreadable_policy = UnreadablePolicy::kRedirect;
+    DmFixture::SetUp();
+  }
+};
+
+TEST_F(RedirectDmFixture, MayParkReadAnswersUnreadable) {
+  DataManager& dm = cluster->site(0).dm();
+  dm.kv().mark_unreadable(item_at_0);
+  Reply r;
+  send_from_site1(*cluster,
+                  read_req(make_txn_id(1, 23), item_at_0, 1,
+                           ReadMode::kMayPark),
+                  &r);
+  run_until_parked_or_answered(*cluster, r);
+  EXPECT_EQ(dm.parked_read_count(), 0u);
+  ASSERT_TRUE(r.done);
+  ASSERT_EQ(r.resp.results.size(), 1u);
+  EXPECT_EQ(r.resp.results[0].code, Code::kUnreadable);
 }
 
 TEST_F(DmFixture, PingReportsOperationalState) {

@@ -74,10 +74,16 @@ TEST(Recovery, NominalVectorConsistentAfterRecovery) {
   }
 }
 
+// gtest names each instantiation after the raw bytes of its parameter, so the
+// struct carries no implicit padding: padding would hold whatever the
+// allocator left there and the test names would change from run to run.
 struct StrategyCase {
+  StrategyCase(OutdatedStrategy s, const char* n) : strategy(s), name(n) {}
   OutdatedStrategy strategy;
+  uint8_t zero_pad[7] = {};
   const char* name;
 };
+static_assert(sizeof(StrategyCase) == 8 + sizeof(const char*));
 
 class StrategyTest : public ::testing::TestWithParam<StrategyCase> {};
 

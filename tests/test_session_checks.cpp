@@ -24,6 +24,22 @@ struct SessionFixture : public ::testing::Test {
   Envelope env_from(SiteId from, Payload p) {
     return Envelope{1234, false, from, 0, std::move(p)};
   }
+
+  // A one-op batch from a user transaction coordinated by site 1.
+  static BatchReq one_op(TxnId txn, SessionNum expected, BatchOp op) {
+    BatchReq req;
+    req.txn = txn;
+    req.coordinator = 1;
+    req.expected_session = expected;
+    req.ops.push_back(std::move(op));
+    return req;
+  }
+
+  static BatchReq read_req(TxnId txn, ItemId item, SessionNum expected) {
+    BatchOp op;
+    op.item = item;
+    return one_op(txn, expected, std::move(op));
+  }
 };
 
 TEST_F(SessionFixture, StaleSessionAfterReincarnationRejected) {
@@ -38,41 +54,33 @@ TEST_F(SessionFixture, StaleSessionAfterReincarnationRejected) {
   ASSERT_EQ(cluster->site(0).state().mode, SiteMode::kUp);
   ASSERT_NE(cluster->site(0).state().session, old_session);
 
-  ReadReq req;
-  req.txn = make_txn_id(1, 500);
-  req.item = 0;
-  req.expected_session = old_session; // a txn frozen before the crash
-  cluster->site(0).dm().handle_request(env_from(1, req));
+  // A txn frozen before the crash.
+  cluster->site(0).dm().handle_request(
+      env_from(1, read_req(make_txn_id(1, 500), 0, old_session)));
   EXPECT_EQ(cluster->metrics().get("dm.read_reject.session-mismatch"), 1);
 
-  WriteReq wreq;
-  wreq.txn = make_txn_id(1, 501);
-  wreq.item = 0;
-  wreq.expected_session = old_session;
-  wreq.value = 99;
-  cluster->site(0).dm().handle_request(env_from(1, wreq));
+  BatchOp write;
+  write.op = BatchOpKind::kWrite;
+  write.item = 0;
+  write.value = 99;
+  cluster->site(0).dm().handle_request(
+      env_from(1, one_op(make_txn_id(1, 501), old_session, write)));
   EXPECT_EQ(cluster->metrics().get("dm.write_reject.session-mismatch"), 1);
   // Nothing staged, nothing locked.
   EXPECT_EQ(cluster->site(0).dm().active_txn_count(), 0u);
 }
 
 TEST_F(SessionFixture, CurrentSessionAccepted) {
-  ReadReq req;
-  req.txn = make_txn_id(1, 502);
-  req.item = 0;
-  req.expected_session = cluster->site(0).state().session;
-  cluster->site(0).dm().handle_request(env_from(1, req));
+  cluster->site(0).dm().handle_request(env_from(
+      1, read_req(make_txn_id(1, 502), 0, cluster->site(0).state().session)));
   EXPECT_EQ(cluster->metrics().get("dm.read_reject.session-mismatch"), 0);
   EXPECT_EQ(cluster->metrics().get("dm.reads"), 1);
 }
 
 TEST_F(SessionFixture, BypassIgnoresSessionButNotDownState) {
   // Control ops bypass the session check entirely...
-  ReadReq req;
-  req.txn = make_txn_id(1, 503);
+  BatchReq req = read_req(make_txn_id(1, 503), ns_item(1), 424242);
   req.kind = TxnKind::kControlUp;
-  req.item = ns_item(1);
-  req.expected_session = 424242;
   req.bypass_session_check = true;
   cluster->site(0).dm().handle_request(env_from(1, req));
   EXPECT_EQ(cluster->metrics().get("dm.reads"), 1);
@@ -81,11 +89,8 @@ TEST_F(SessionFixture, BypassIgnoresSessionButNotDownState) {
 TEST_F(SessionFixture, ZeroSessionNeverMatchesOperationalSite) {
   // A transaction that believes site 0 is DOWN would never send to it; if
   // such a message appears anyway (raced with a type-2), it is rejected.
-  ReadReq req;
-  req.txn = make_txn_id(1, 504);
-  req.item = 0;
-  req.expected_session = 0;
-  cluster->site(0).dm().handle_request(env_from(1, req));
+  cluster->site(0).dm().handle_request(
+      env_from(1, read_req(make_txn_id(1, 504), 0, 0)));
   EXPECT_EQ(cluster->metrics().get("dm.read_reject.session-mismatch"), 1);
 }
 

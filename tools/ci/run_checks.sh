@@ -59,7 +59,7 @@ if [[ "$run_tsan" == 1 ]]; then
     -R 'SpscRing|ShardedMetrics|ParallelRuntime|ParallelDifferential'
 fi
 
-step "adversarial explorer smoke (planted-bug self-check + clean run)"
+step "adversarial explorer smoke (planted-bug self-checks + clean run)"
 # Self-validation: with a planted protocol bug the bounded exploration
 # must find a violation, shrink it, and verify the repro byte-for-byte
 # (nonzero exit otherwise). The same bounded run on the unmutated
@@ -71,6 +71,15 @@ rm -rf "$corpus"
   --planted-bug=skip-mark --schedules=6 --seeds=1 -j "$jobs" \
   --sites=4 --items=40 --horizon-ms=1500 \
   --shrink-budget=80 --max-shrinks=2 --corpus="$corpus" >/dev/null
+# The session-check mutation lives in the DM's write path and only bites
+# when a stale-session write reaches an up site, which takes message loss,
+# partition churn and several clients per site (schedule 11 is the first
+# to fire under these settings).
+"$repo/build/tools/ddbs_explore" \
+  --planted-bug=skip-session-check --schedules=12 --seeds=1 -j "$jobs" \
+  --sites=4 --items=40 --horizon-ms=1500 --loss=0.05 --partitions \
+  --clients=3 --shrink-budget=80 --max-shrinks=2 --corpus="$corpus" \
+  >/dev/null
 "$repo/build/tools/ddbs_explore" \
   --schedules=4 --seeds=1 -j "$jobs" \
   --sites=4 --items=40 --horizon-ms=1500 --corpus= >/dev/null
