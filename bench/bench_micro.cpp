@@ -164,6 +164,54 @@ void BM_EventQueue_PushCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue_PushCancelChurn);
 
+// The RPC pattern behind most simulator events: arm a 220 ms backstop
+// timeout, deliver the response ~2 ms later, cancel the timeout, send the
+// next request. 1.5k requests in flight keep about 3k events live; the
+// timeouts never fire. One iteration is one response.
+class RpcChurn {
+ public:
+  static constexpr SimTime kTimeout = 220'000;
+  static constexpr int kInFlight = 1'500;
+
+  RpcChurn() : timer_(kInFlight) {
+    for (int i = 0; i < kInFlight; ++i) send(i);
+  }
+  // Queued callbacks hold `this`.
+  RpcChurn(const RpcChurn&) = delete;
+  RpcChurn& operator=(const RpcChurn&) = delete;
+  void step() {
+    EventQueue::Fired f = q_.pop();
+    now_ = f.time;
+    f.fn();
+  }
+  size_t live() const { return q_.size(); }
+
+ private:
+  void send(int i) {
+    timer_[static_cast<size_t>(i)] = q_.push_timer(now_ + kTimeout, kTimeout,
+                                                   []() {});
+    lcg_ = lcg_ * 6364136223846793005ull + 1442695040888963407ull;
+    const SimTime rtt = 1'500 + static_cast<SimTime>((lcg_ >> 33) % 1'000);
+    q_.push(now_ + rtt, [this, i]() {
+      q_.cancel(timer_[static_cast<size_t>(i)]);
+      send(i);
+    });
+  }
+
+  EventQueue q_;
+  std::vector<EventId> timer_;
+  SimTime now_ = 0;
+  uint64_t lcg_ = 1;
+};
+
+void BM_EventQueue_TimeoutChurn(benchmark::State& state) {
+  RpcChurn rpcs;
+  for (auto _ : state) rpcs.step();
+  benchmark::DoNotOptimize(rpcs.live());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueue_TimeoutChurn);
+
 // One envelope through the transport: send() -> latency event -> handler.
 void BM_Network_SendDeliver(benchmark::State& state) {
   Config cfg;

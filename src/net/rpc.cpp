@@ -19,7 +19,7 @@ uint64_t RpcEndpoint::send_request(SiteId to, Payload payload, SimTime timeout,
   Pending p;
   p.cb = std::move(cb);
   p.resume_span = ctx;
-  p.timeout_ev = sched_.after(timeout, [this, id]() {
+  p.timeout_ev = sched_.timeout(timeout, [this, id]() {
     Pending* it = pending_.find(id);
     if (it == nullptr) return;
     ResponseCb cb = std::move(it->cb);

@@ -3,7 +3,7 @@
 namespace ddbs {
 
 void EventQueue::sift_up(size_t i) {
-  HeapEntry e = heap_[i];
+  Entry e = heap_[i];
   while (i > 0) {
     const size_t parent = (i - 1) / 4;
     if (!before(e, heap_[parent])) break;
@@ -15,7 +15,7 @@ void EventQueue::sift_up(size_t i) {
 
 void EventQueue::sift_down(size_t i) const {
   const size_t n = heap_.size();
-  HeapEntry e = heap_[i];
+  Entry e = heap_[i];
   while (true) {
     const size_t first = 4 * i + 1;
     if (first >= n) break;

@@ -21,6 +21,15 @@ EventId Scheduler::after(SimTime delay, EventFn fn) {
   return queue_.push(now_ + delay, std::move(fn));
 }
 
+EventId Scheduler::timeout(SimTime delay, EventFn fn) {
+  assert(delay >= 0);
+  if (site_keys_) {
+    return queue_.push_timer_keyed(now_ + delay, delay, mint_ambient_key(),
+                                   std::move(fn));
+  }
+  return queue_.push_timer(now_ + delay, delay, std::move(fn));
+}
+
 EventId Scheduler::at_keyed(SimTime when, EventKey key, EventFn fn) {
   assert(when >= now_);
   assert(site_keys_);
@@ -49,8 +58,8 @@ void Scheduler::fire(EventQueue::Fired& fired) {
 
 size_t Scheduler::run_until(SimTime until) {
   size_t n = 0;
-  while (!queue_.empty() && queue_.next_time() != kNoTime &&
-         queue_.next_time() <= until) {
+  for (SimTime t = queue_.next_time(); t != kNoTime && t <= until;
+       t = queue_.next_time()) {
     auto fired = queue_.pop();
     fire(fired);
     ++n;
@@ -65,8 +74,8 @@ size_t Scheduler::run_until(SimTime until) {
 
 size_t Scheduler::run_window(SimTime end) {
   size_t n = 0;
-  while (!queue_.empty() && queue_.next_time() != kNoTime &&
-         queue_.next_time() < end) {
+  for (SimTime t = queue_.next_time(); t != kNoTime && t < end;
+       t = queue_.next_time()) {
     auto fired = queue_.pop();
     fire(fired);
     ++n;

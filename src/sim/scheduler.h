@@ -21,6 +21,11 @@
 // locally computable -- a shard owning sites {a..b} mints exactly the same
 // keys for those sites as the single-threaded DES does, which is what
 // makes the two backends order-equivalent.
+//
+// Timeouts (timeout()) and ordinary events share one EventQueue: the
+// former sit in per-delay FIFO lists, the latter in the heap, and the run
+// loops take the earliest of both by (time, key), peeking the head once
+// per fired event.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +54,12 @@ class Scheduler {
   // Schedule with a pre-minted key (site-ordered mode only): the network
   // mints delivery keys eagerly so the same key can salt the latency hash.
   EventId at_keyed(SimTime when, EventKey key, EventFn fn);
+  // A backstop timeout: like after(delay, fn) -- same key, same fire
+  // order -- but filed in the queue's FIFO list for `delay` instead of the
+  // heap, because it is expected to be cancelled. Use it for timers armed
+  // with a fixed configured delay (RPC, lock wait, termination, DM
+  // activity, transaction deadline): the queue keeps one list per delay.
+  EventId timeout(SimTime delay, EventFn fn);
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   // Switch to site-ordered (lane, counter) keys; `n_sites` sizes the

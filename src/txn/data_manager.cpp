@@ -93,7 +93,7 @@ DataManager::TxnCtx& DataManager::ctx_of(TxnId txn, TxnKind kind,
     // the activity timer unilaterally aborts never-prepared contexts.
     const uint64_t epoch = boot_epoch_;
     ctx.activity_timer =
-        sched_.after(cfg_.txn_timeout, [this, txn, epoch]() {
+        sched_.timeout(cfg_.txn_timeout, [this, txn, epoch]() {
           if (epoch != boot_epoch_) return;
           TxnCtx* c = find_ctx(txn);
           if (c && !c->prepared) {
@@ -164,7 +164,7 @@ void DataManager::advance_chain(const std::shared_ptr<Chain>& chain) {
     }
     if (chain->timer == 0) {
       const uint64_t epoch = boot_epoch_;
-      chain->timer = sched_.after(cfg_.lock_timeout, [this, weak, epoch]() {
+      chain->timer = sched_.timeout(cfg_.lock_timeout, [this, weak, epoch]() {
         if (epoch != boot_epoch_) return;
         auto c = weak.lock();
         if (!c) return;
@@ -787,7 +787,7 @@ void DataManager::arm_termination_timer(TxnId txn) {
   assert(ctx != nullptr);
   const uint64_t epoch = boot_epoch_;
   ctx->termination_timer =
-      sched_.after(3 * cfg_.rpc_timeout, [this, txn, epoch]() {
+      sched_.timeout(3 * cfg_.rpc_timeout, [this, txn, epoch]() {
         if (epoch != boot_epoch_) return;
         run_termination(txn, 0);
       });
@@ -816,7 +816,7 @@ void DataManager::run_termination(TxnId txn, size_t participant_idx) {
     // retry the whole round later.
     const uint64_t epoch = boot_epoch_;
     ctx->termination_timer =
-        sched_.after(5 * cfg_.rpc_timeout, [this, txn, epoch]() {
+        sched_.timeout(5 * cfg_.rpc_timeout, [this, txn, epoch]() {
           if (epoch != boot_epoch_) return;
           run_termination(txn, 0);
         });

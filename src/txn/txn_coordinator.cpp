@@ -53,7 +53,7 @@ uint64_t CoordinatorBase::send_request(SiteId to, Payload payload,
 }
 
 void CoordinatorBase::schedule(SimTime delay, EventFn fn) {
-  timers_.push_back(sched_.after(delay, [this, fn = std::move(fn)]() mutable {
+  timers_.push_back(sched_.timeout(delay, [this, fn = std::move(fn)]() mutable {
     SpanScope scope(spans_, span_);
     fn();
   }));

@@ -73,7 +73,8 @@ class CoordinatorBase {
   void set_retire_fn(RetireFn f) { retire_ = std::move(f); }
 
  protected:
-  // Timer that is automatically cancelled when the coordinator dies.
+  // Timer that is automatically cancelled when the coordinator dies. It
+  // is a backstop (Scheduler::timeout): nearly every one is cancelled.
   void schedule(SimTime delay, EventFn fn);
 
   // All coordinator-originated requests go through this wrapper, which

@@ -3,6 +3,8 @@
 // diverge. This is what makes every property-test failure replayable.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/cluster.h"
 #include "workload/runner.h"
 
@@ -64,6 +66,59 @@ TEST(Determinism, DifferentSeedsDiverge) {
   // Weak check: at least the metrics string should differ somewhere.
   EXPECT_NE(a.metrics + std::to_string(a.committed),
             b.metrics + std::to_string(b.committed));
+}
+
+// Fixed-seed trajectory fingerprints of a 64-site DES run with a crash and
+// a recovery, in legacy global-FIFO key mode and in site-keyed mode. The
+// pinned values were captured before the event core filed timeouts in
+// per-delay lists; a change to the event core that moves them changes the
+// order events fire in and must say why.
+struct Trajectory {
+  int64_t submitted = 0;
+  int64_t committed = 0;
+  uint64_t messages = 0;
+  uint64_t events = 0;
+
+  friend bool operator==(const Trajectory&, const Trajectory&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Trajectory& t) {
+  return os << "submitted=" << t.submitted << " committed=" << t.committed
+            << " messages=" << t.messages << " events=" << t.events;
+}
+
+Trajectory run_pinned(bool site_keys) {
+  Config cfg;
+  cfg.n_sites = 64;
+  cfg.n_items = 640;
+  cfg.replication_degree = 3;
+  cfg.placement_seed = 42;
+  cfg.site_ordered_events = site_keys;
+  cfg.record_history = false;
+  Cluster cluster(cfg, 7);
+  cluster.bootstrap();
+  RunnerParams rp;
+  rp.clients_per_site = 1;
+  rp.think_time = 2'000;
+  rp.duration = 400'000;
+  rp.schedule = {{100'000, FailureEvent::What::kCrash, 5},
+                 {250'000, FailureEvent::What::kRecover, 5}};
+  Runner runner(cluster, rp, 7);
+  const RunnerStats stats = runner.run();
+  cluster.settle();
+  return Trajectory{stats.submitted, stats.committed,
+                    cluster.network().messages_sent(),
+                    cluster.events_executed()};
+}
+
+TEST(Determinism, PinnedTrajectoryLegacyKeys) {
+  EXPECT_EQ(run_pinned(/*site_keys=*/false),
+            (Trajectory{575, 500, 178'724, 182'000}));
+}
+
+TEST(Determinism, PinnedTrajectorySiteKeys) {
+  EXPECT_EQ(run_pinned(/*site_keys=*/true),
+            (Trajectory{610, 544, 116'118, 118'827}));
 }
 
 } // namespace
