@@ -1,118 +1,138 @@
 #include "common/config.h"
 
+#include <type_traits>
+
 namespace ddbs {
 
-const char* to_string(WriteScheme s) {
-  switch (s) {
-    case WriteScheme::kRowaStrict: return "ROWA-strict";
-    case WriteScheme::kRowaa: return "ROWAA";
-  }
-  return "?";
-}
-
-const char* to_string(RecoveryScheme s) {
-  switch (s) {
-    case RecoveryScheme::kSessionVector: return "session-vector";
-    case RecoveryScheme::kSpooler: return "spooler-redo";
-  }
-  return "?";
-}
-
-const char* to_string(OutdatedStrategy s) {
-  switch (s) {
-    case OutdatedStrategy::kMarkAll: return "mark-all";
-    case OutdatedStrategy::kMarkAllVersionCmp: return "mark-all+vcmp";
-    case OutdatedStrategy::kFailLock: return "fail-lock";
-    case OutdatedStrategy::kMissingList: return "missing-list";
-  }
-  return "?";
-}
-
-const char* to_string(CopierMode m) {
-  switch (m) {
-    case CopierMode::kEager: return "eager";
-    case CopierMode::kOnDemand: return "on-demand";
-  }
-  return "?";
-}
-
-const char* to_string(UnreadablePolicy p) {
-  switch (p) {
-    case UnreadablePolicy::kBlock: return "block";
-    case UnreadablePolicy::kRedirect: return "redirect";
-  }
-  return "?";
-}
-
-const char* to_string(StorageEngineKind k) {
-  switch (k) {
-    case StorageEngineKind::kInMemory: return "in-memory";
-    case StorageEngineKind::kDurable: return "durable";
-  }
-  return "?";
-}
-
-const char* to_string(PlantedBug b) {
-  switch (b) {
-    case PlantedBug::kNone: return "none";
-    case PlantedBug::kSkipSessionCheck: return "skip-session-check";
-    case PlantedBug::kSkipMark: return "skip-mark";
-  }
-  return "?";
-}
+static_assert(std::is_same_v<size_t, uint64_t>,
+              "size_t members share the uint64 field type");
 
 namespace {
 
-// Generic inverse lookup over an enum's to_string table.
-template <typename E>
-bool parse_enum(std::string_view name, E* out, std::initializer_list<E> all) {
-  for (E e : all) {
-    if (name == to_string(e)) {
-      *out = e;
-      return true;
-    }
-  }
-  return false;
-}
+constexpr EnumName<WriteScheme> kWriteSchemes[] = {
+    {WriteScheme::kRowaStrict, "ROWA-strict", "rowa"},
+    {WriteScheme::kRowaa, "ROWAA", "rowaa"},
+};
+constexpr EnumName<RecoveryScheme> kRecoverySchemes[] = {
+    {RecoveryScheme::kSessionVector, "session-vector", "session-vector"},
+    {RecoveryScheme::kSpooler, "spooler-redo", "spooler"},
+};
+constexpr EnumName<OutdatedStrategy> kStrategies[] = {
+    {OutdatedStrategy::kMarkAll, "mark-all", "mark-all"},
+    {OutdatedStrategy::kMarkAllVersionCmp, "mark-all+vcmp", "vcmp"},
+    {OutdatedStrategy::kFailLock, "fail-lock", "fail-lock"},
+    {OutdatedStrategy::kMissingList, "missing-list", "missing-list"},
+};
+constexpr EnumName<CopierMode> kCopierModes[] = {
+    {CopierMode::kEager, "eager", "eager"},
+    {CopierMode::kOnDemand, "on-demand", "on-demand"},
+};
+constexpr EnumName<UnreadablePolicy> kPolicies[] = {
+    {UnreadablePolicy::kBlock, "block", "block"},
+    {UnreadablePolicy::kRedirect, "redirect", "redirect"},
+};
+constexpr EnumName<StorageEngineKind> kEngines[] = {
+    {StorageEngineKind::kInMemory, "in-memory", "in-memory"},
+    {StorageEngineKind::kDurable, "durable", "durable"},
+};
+constexpr EnumName<PlantedBug> kPlantedBugs[] = {
+    {PlantedBug::kNone, "none", "none"},
+    {PlantedBug::kSkipSessionCheck, "skip-session-check", "skip-session-check"},
+    {PlantedBug::kSkipMark, "skip-mark", "skip-mark"},
+};
+
+using C = Config;
+
+constexpr ConfigField kFields[] = {
+    {"n_sites", "sites", &C::n_sites, "number of sites"},
+    {"n_items", "items", &C::n_items, "number of logical items"},
+    {"replication_degree", "degree", &C::replication_degree,
+     "copies per item (capped at --sites)"},
+    {"placement_seed", nullptr, &C::placement_seed, nullptr},
+    {"write_scheme", "write-scheme", &C::write_scheme,
+     "logical-write rule (Section 2)"},
+    {"recovery_scheme", "scheme", &C::recovery_scheme,
+     "session vectors or the spooler redo baseline"},
+    {"outdated_strategy", "strategy", &C::outdated_strategy,
+     "out-of-date copy identification (Section 5)"},
+    {"copier_mode", "copier", &C::copier_mode,
+     "when copier transactions run (Section 3.2)"},
+    {"unreadable_policy", "policy", &C::unreadable_policy,
+     "a read of an unreadable copy blocks or redirects"},
+    {"spooler_copies", nullptr, &C::spooler_copies, nullptr},
+    {"net_latency_min", nullptr, &C::net_latency_min, nullptr},
+    {"net_latency_max", nullptr, &C::net_latency_max, nullptr},
+    {"msg_loss_prob", "loss", &C::msg_loss_prob, "message loss probability"},
+    {"rpc_timeout", nullptr, &C::rpc_timeout, nullptr},
+    {"lock_timeout", nullptr, &C::lock_timeout, nullptr},
+    {"txn_timeout", nullptr, &C::txn_timeout, nullptr},
+    {"detector_interval", nullptr, &C::detector_interval, nullptr},
+    {"copier_concurrency", nullptr, &C::copier_concurrency, nullptr},
+    {"control_retry_limit", "retry-limit", &C::control_retry_limit,
+     "type-1 retries before giving up"},
+    {"user_txn_retry", nullptr, &C::user_txn_retry, nullptr},
+    {"read_only_one_phase", nullptr, &C::read_only_one_phase, nullptr},
+    {"footprint_ns", "footprint-ns", &C::footprint_ns,
+     "user txns read only their host set's NS entries"},
+    {"canonical_write_order", nullptr, &C::canonical_write_order, nullptr},
+    {"detector_jitter", nullptr, &C::detector_jitter, nullptr},
+    {"reconcile_probes", nullptr, &C::reconcile_probes, nullptr},
+    {"wal_checkpoint_threshold", nullptr, &C::wal_checkpoint_threshold,
+     nullptr},
+    {"storage_engine", "storage-engine", &C::storage_engine,
+     "stable-storage backend"},
+    {"checkpoint_interval", "checkpoint-interval", &C::checkpoint_interval,
+     "redo records between checkpoints (durable; 0 = never)"},
+    {"disk_latency_us", "disk-latency-us", &C::disk_latency_us,
+     "per-op disk latency (us)"},
+    {"disk_bandwidth_mbps", "disk-bw-mbps", &C::disk_bandwidth_mbps,
+     "disk bandwidth (MB/s)"},
+    {"disk_queue_depth", "disk-queue-depth", &C::disk_queue_depth,
+     "concurrent disk channels"},
+    {"local_op_cost", nullptr, &C::local_op_cost, nullptr},
+    {"trace_capacity", "trace-cap", &C::trace_capacity,
+     "trace ring capacity (events)"},
+    {"span_capacity", "span-cap", &C::span_capacity,
+     "span ring capacity (events)"},
+    {"timeseries_bucket", "bucket-ms", &C::timeseries_bucket,
+     "time-series bucket width (0 = off)"},
+    {"record_history", nullptr, &C::record_history, nullptr},
+    {"online_verify", "online-verify", &C::online_verify,
+     "maintain the revised 1-STG incrementally"},
+    {"n_threads", "threads", &C::n_threads,
+     "cluster threads; >1 runs the site-parallel backend"},
+    {"site_ordered_events", nullptr, &C::site_ordered_events, nullptr},
+    {"workload_shards", nullptr, &C::workload_shards, nullptr},
+    {"planted_bug", "planted-bug", &C::planted_bug,
+     "protocol mutation (explorer self-check)"},
+    {"planted_stall", "planted-stall", &C::planted_stall,
+     "historical type-1 retry give-up (watchdog demo)"},
+};
 
 } // namespace
 
-bool parse_write_scheme(std::string_view name, WriteScheme* out) {
-  return parse_enum(name, out,
-                    {WriteScheme::kRowaStrict, WriteScheme::kRowaa});
+std::span<const EnumName<WriteScheme>> enum_names(WriteScheme) {
+  return kWriteSchemes;
+}
+std::span<const EnumName<RecoveryScheme>> enum_names(RecoveryScheme) {
+  return kRecoverySchemes;
+}
+std::span<const EnumName<OutdatedStrategy>> enum_names(OutdatedStrategy) {
+  return kStrategies;
+}
+std::span<const EnumName<CopierMode>> enum_names(CopierMode) {
+  return kCopierModes;
+}
+std::span<const EnumName<UnreadablePolicy>> enum_names(UnreadablePolicy) {
+  return kPolicies;
+}
+std::span<const EnumName<StorageEngineKind>> enum_names(StorageEngineKind) {
+  return kEngines;
+}
+std::span<const EnumName<PlantedBug>> enum_names(PlantedBug) {
+  return kPlantedBugs;
 }
 
-bool parse_recovery_scheme(std::string_view name, RecoveryScheme* out) {
-  return parse_enum(name, out,
-                    {RecoveryScheme::kSessionVector, RecoveryScheme::kSpooler});
-}
-
-bool parse_outdated_strategy(std::string_view name, OutdatedStrategy* out) {
-  return parse_enum(name, out,
-                    {OutdatedStrategy::kMarkAll,
-                     OutdatedStrategy::kMarkAllVersionCmp,
-                     OutdatedStrategy::kFailLock,
-                     OutdatedStrategy::kMissingList});
-}
-
-bool parse_copier_mode(std::string_view name, CopierMode* out) {
-  return parse_enum(name, out, {CopierMode::kEager, CopierMode::kOnDemand});
-}
-
-bool parse_unreadable_policy(std::string_view name, UnreadablePolicy* out) {
-  return parse_enum(name, out,
-                    {UnreadablePolicy::kBlock, UnreadablePolicy::kRedirect});
-}
-
-bool parse_storage_engine(std::string_view name, StorageEngineKind* out) {
-  return parse_enum(name, out,
-                    {StorageEngineKind::kInMemory, StorageEngineKind::kDurable});
-}
-
-bool parse_planted_bug(std::string_view name, PlantedBug* out) {
-  return parse_enum(name, out,
-                    {PlantedBug::kNone, PlantedBug::kSkipSessionCheck,
-                     PlantedBug::kSkipMark});
-}
+std::span<const ConfigField> config_fields() { return kFields; }
 
 } // namespace ddbs

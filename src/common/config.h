@@ -1,10 +1,17 @@
 // Cluster-wide configuration knobs. One struct so benches can sweep any
 // dimension; every field has a sensible default matching the paper's basic
 // algorithm (ROWAA + session vectors + mark-all).
+//
+// Adding a knob means one member below plus one row in the field table
+// (config_fields() in config.cpp). The table alone drives the report's
+// config echo, repro parsing, every tool's CLI flag and usage line, and
+// ddbs_sweep's axes; an enum member also needs its name table there.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
+#include <variant>
 
 #include "common/types.h"
 
@@ -64,24 +71,54 @@ enum class PlantedBug : uint8_t {
   kSkipMark,
 };
 
-const char* to_string(WriteScheme s);
-const char* to_string(RecoveryScheme s);
-const char* to_string(OutdatedStrategy s);
-const char* to_string(CopierMode m);
-const char* to_string(UnreadablePolicy p);
-const char* to_string(StorageEngineKind k);
-const char* to_string(PlantedBug b);
+// Name table of one enum value: the canonical name (reports, repro
+// artifacts) and the short CLI spelling. Both parse; to_string prints the
+// canonical one.
+template <typename E>
+struct EnumName {
+  E value;
+  const char* name;
+  const char* cli;
+};
 
-// Inverse of the to_string pairs above, for parsing CLI flags and repro
-// artifacts. Each returns false (leaving *out untouched) on an unknown
-// name.
-bool parse_write_scheme(std::string_view name, WriteScheme* out);
-bool parse_recovery_scheme(std::string_view name, RecoveryScheme* out);
-bool parse_outdated_strategy(std::string_view name, OutdatedStrategy* out);
-bool parse_copier_mode(std::string_view name, CopierMode* out);
-bool parse_unreadable_policy(std::string_view name, UnreadablePolicy* out);
-bool parse_storage_engine(std::string_view name, StorageEngineKind* out);
-bool parse_planted_bug(std::string_view name, PlantedBug* out);
+std::span<const EnumName<WriteScheme>> enum_names(WriteScheme);
+std::span<const EnumName<RecoveryScheme>> enum_names(RecoveryScheme);
+std::span<const EnumName<OutdatedStrategy>> enum_names(OutdatedStrategy);
+std::span<const EnumName<CopierMode>> enum_names(CopierMode);
+std::span<const EnumName<UnreadablePolicy>> enum_names(UnreadablePolicy);
+std::span<const EnumName<StorageEngineKind>> enum_names(StorageEngineKind);
+std::span<const EnumName<PlantedBug>> enum_names(PlantedBug);
+
+template <typename E>
+concept ConfigEnum = requires(E e) { enum_names(e); };
+
+template <ConfigEnum E>
+const char* to_string(E e) {
+  for (const EnumName<E>& n : enum_names(e)) {
+    if (n.value == e) return n.name;
+  }
+  return "?";
+}
+
+template <ConfigEnum E>
+const char* cli_name(E e) {
+  for (const EnumName<E>& n : enum_names(e)) {
+    if (n.value == e) return n.cli;
+  }
+  return "?";
+}
+
+// Accepts either spelling; false (leaving *out untouched) on anything else.
+template <ConfigEnum E>
+bool parse_enum(std::string_view name, E* out) {
+  for (const EnumName<E>& n : enum_names(E{})) {
+    if (name == n.name || name == n.cli) {
+      *out = n.value;
+      return true;
+    }
+  }
+  return false;
+}
 
 struct Config {
   // Topology.
@@ -233,6 +270,29 @@ struct Config {
     return static_cast<int>(static_cast<int64_t>(s) * shard_count() /
                             n_sites);
   }
+
+  bool operator==(const Config&) const = default;
 };
+
+// One row of the Config field table. Parsing and printing follow from
+// the member's type (int, int64/SimTime, uint64/size_t, double, bool or a
+// ConfigEnum); a CLI flag ending in "-ms" takes milliseconds for a
+// microsecond member.
+using ConfigMember =
+    std::variant<int Config::*, int64_t Config::*, uint64_t Config::*,
+                 double Config::*, bool Config::*, WriteScheme Config::*,
+                 RecoveryScheme Config::*, OutdatedStrategy Config::*,
+                 CopierMode Config::*, UnreadablePolicy Config::*,
+                 StorageEngineKind Config::*, PlantedBug Config::*>;
+
+struct ConfigField {
+  const char* key;  // report/repro JSON key: the member's name
+  const char* flag; // CLI flag without "--"; nullptr = not on the CLI
+  ConfigMember member;
+  const char* doc;  // usage text for flagged rows
+};
+
+// Every Config member, in report order.
+std::span<const ConfigField> config_fields();
 
 } // namespace ddbs

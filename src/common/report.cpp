@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 namespace ddbs {
 
@@ -131,46 +133,17 @@ void JsonWriter::value(bool b) {
 
 void write_config(JsonWriter& w, const Config& cfg) {
   w.begin_object();
-  w.kv("n_sites", cfg.n_sites);
-  w.kv("n_items", cfg.n_items);
-  w.kv("replication_degree", cfg.replication_degree);
-  w.kv("placement_seed", cfg.placement_seed);
-  w.kv("write_scheme", to_string(cfg.write_scheme));
-  w.kv("recovery_scheme", to_string(cfg.recovery_scheme));
-  w.kv("outdated_strategy", to_string(cfg.outdated_strategy));
-  w.kv("copier_mode", to_string(cfg.copier_mode));
-  w.kv("unreadable_policy", to_string(cfg.unreadable_policy));
-  w.kv("spooler_copies", cfg.spooler_copies);
-  w.kv("net_latency_min", cfg.net_latency_min);
-  w.kv("net_latency_max", cfg.net_latency_max);
-  w.kv("msg_loss_prob", cfg.msg_loss_prob);
-  w.kv("rpc_timeout", cfg.rpc_timeout);
-  w.kv("lock_timeout", cfg.lock_timeout);
-  w.kv("txn_timeout", cfg.txn_timeout);
-  w.kv("detector_interval", cfg.detector_interval);
-  w.kv("copier_concurrency", cfg.copier_concurrency);
-  w.kv("control_retry_limit", cfg.control_retry_limit);
-  w.kv("read_only_one_phase", cfg.read_only_one_phase);
-  w.kv("footprint_ns", cfg.footprint_ns);
-  w.kv("canonical_write_order", cfg.canonical_write_order);
-  w.kv("detector_jitter", cfg.detector_jitter);
-  w.kv("reconcile_probes", cfg.reconcile_probes);
-  w.kv("wal_checkpoint_threshold", cfg.wal_checkpoint_threshold);
-  w.kv("storage_engine", to_string(cfg.storage_engine));
-  w.kv("checkpoint_interval", cfg.checkpoint_interval);
-  w.kv("disk_latency_us", cfg.disk_latency_us);
-  w.kv("disk_bandwidth_mbps", cfg.disk_bandwidth_mbps);
-  w.kv("disk_queue_depth", cfg.disk_queue_depth);
-  w.kv("local_op_cost", cfg.local_op_cost);
-  w.kv("trace_capacity", static_cast<uint64_t>(cfg.trace_capacity));
-  w.kv("span_capacity", static_cast<uint64_t>(cfg.span_capacity));
-  w.kv("timeseries_bucket", cfg.timeseries_bucket);
-  w.kv("online_verify", cfg.online_verify);
-  w.kv("n_threads", cfg.n_threads);
-  w.kv("site_ordered_events", cfg.site_ordered_events);
-  w.kv("workload_shards", cfg.workload_shards);
-  w.kv("planted_bug", to_string(cfg.planted_bug));
-  w.kv("planted_stall", cfg.planted_stall);
+  for (const ConfigField& f : config_fields()) {
+    std::visit(
+        [&](auto m) {
+          if constexpr (ConfigEnum<std::decay_t<decltype(cfg.*m)>>) {
+            w.kv(f.key, to_string(cfg.*m));
+          } else {
+            w.kv(f.key, cfg.*m);
+          }
+        },
+        f.member);
+  }
   w.end_object();
 }
 

@@ -1,119 +1,71 @@
 #include "explore/repro.h"
 
+#include <cmath>
+#include <limits>
+#include <type_traits>
+#include <variant>
+
 #include "common/json.h"
 #include "common/report.h"
 
 namespace ddbs {
 namespace {
 
-// Inverse of write_config (report.cpp) for the fields it emits. Fields
-// absent from the document keep their Config defaults, so older artifacts
-// stay replayable as knobs are added -- the canonical report embeds the
-// effective planted_bug either way.
+// Reads one number field into an integer or double member: it must be a
+// JSON number that the member's type holds exactly.
+template <typename T>
+bool read_number(const json::JsonValue& v, T* out) {
+  if (!v.is_number()) return false;
+  const double d = v.num();
+  if constexpr (std::is_floating_point_v<T>) {
+    *out = d;
+    return true;
+  } else {
+    using L = std::numeric_limits<T>;
+    if (!(d >= static_cast<double>(L::lowest()) &&
+          d < std::ldexp(1.0, L::digits))) {
+      return false;
+    }
+    *out = static_cast<T>(d);
+    return static_cast<double>(*out) == d;
+  }
+}
+
+// Inverse of write_config (report.cpp), row by row over the Config field
+// table. Keys absent from the document keep their Config defaults, so
+// older artifacts stay replayable as knobs are added; a present key of the
+// wrong type or value is an error.
 bool parse_config(const json::JsonValue& v, Config* out, std::string* error) {
   if (!v.is_object()) {
     if (error != nullptr) *error = "config is not an object";
     return false;
   }
   Config c = *out;
-  c.n_sites = static_cast<int>(v.num_or("n_sites", c.n_sites));
-  c.n_items = static_cast<int64_t>(
-      v.num_or("n_items", static_cast<double>(c.n_items)));
-  c.replication_degree = static_cast<int>(
-      v.num_or("replication_degree", c.replication_degree));
-  c.placement_seed = static_cast<uint64_t>(
-      v.num_or("placement_seed", static_cast<double>(c.placement_seed)));
-  c.spooler_copies = static_cast<int>(
-      v.num_or("spooler_copies", c.spooler_copies));
-  c.net_latency_min = static_cast<SimTime>(
-      v.num_or("net_latency_min", static_cast<double>(c.net_latency_min)));
-  c.net_latency_max = static_cast<SimTime>(
-      v.num_or("net_latency_max", static_cast<double>(c.net_latency_max)));
-  c.msg_loss_prob = v.num_or("msg_loss_prob", c.msg_loss_prob);
-  c.rpc_timeout = static_cast<SimTime>(
-      v.num_or("rpc_timeout", static_cast<double>(c.rpc_timeout)));
-  c.lock_timeout = static_cast<SimTime>(
-      v.num_or("lock_timeout", static_cast<double>(c.lock_timeout)));
-  c.txn_timeout = static_cast<SimTime>(
-      v.num_or("txn_timeout", static_cast<double>(c.txn_timeout)));
-  c.detector_interval = static_cast<SimTime>(
-      v.num_or("detector_interval", static_cast<double>(c.detector_interval)));
-  c.copier_concurrency = static_cast<int>(
-      v.num_or("copier_concurrency", c.copier_concurrency));
-  c.control_retry_limit = static_cast<int>(
-      v.num_or("control_retry_limit", c.control_retry_limit));
-  c.read_only_one_phase = v.bool_or("read_only_one_phase",
-                                    c.read_only_one_phase);
   // Absent means the artifact predates the footprint-proportional session
   // protocol: it was recorded under dense full-vector NS reads, and only
   // that protocol replays it byte-identically (the sparse one sends fewer
   // events, shifting every downstream timestamp).
-  c.footprint_ns = v.bool_or("footprint_ns", false);
-  c.canonical_write_order = v.bool_or("canonical_write_order",
-                                      c.canonical_write_order);
-  c.detector_jitter = v.bool_or("detector_jitter", c.detector_jitter);
-  c.reconcile_probes = v.bool_or("reconcile_probes", c.reconcile_probes);
-  c.wal_checkpoint_threshold = static_cast<size_t>(v.num_or(
-      "wal_checkpoint_threshold",
-      static_cast<double>(c.wal_checkpoint_threshold)));
-  c.checkpoint_interval = static_cast<int64_t>(v.num_or(
-      "checkpoint_interval", static_cast<double>(c.checkpoint_interval)));
-  c.disk_latency_us = static_cast<SimTime>(
-      v.num_or("disk_latency_us", static_cast<double>(c.disk_latency_us)));
-  c.disk_bandwidth_mbps = static_cast<int64_t>(v.num_or(
-      "disk_bandwidth_mbps", static_cast<double>(c.disk_bandwidth_mbps)));
-  c.disk_queue_depth = static_cast<int>(
-      v.num_or("disk_queue_depth", c.disk_queue_depth));
-  c.local_op_cost = static_cast<SimTime>(
-      v.num_or("local_op_cost", static_cast<double>(c.local_op_cost)));
-  c.trace_capacity = static_cast<size_t>(
-      v.num_or("trace_capacity", static_cast<double>(c.trace_capacity)));
-  c.span_capacity = static_cast<size_t>(
-      v.num_or("span_capacity", static_cast<double>(c.span_capacity)));
-  c.timeseries_bucket = static_cast<SimTime>(v.num_or(
-      "timeseries_bucket", static_cast<double>(c.timeseries_bucket)));
-  c.online_verify = v.bool_or("online_verify", c.online_verify);
-
-  struct EnumField {
-    const char* key;
-    bool (*apply)(std::string_view, Config*);
-  };
-  static constexpr EnumField kEnums[] = {
-      {"write_scheme",
-       [](std::string_view s, Config* cc) {
-         return parse_write_scheme(s, &cc->write_scheme);
-       }},
-      {"recovery_scheme",
-       [](std::string_view s, Config* cc) {
-         return parse_recovery_scheme(s, &cc->recovery_scheme);
-       }},
-      {"outdated_strategy",
-       [](std::string_view s, Config* cc) {
-         return parse_outdated_strategy(s, &cc->outdated_strategy);
-       }},
-      {"copier_mode",
-       [](std::string_view s, Config* cc) {
-         return parse_copier_mode(s, &cc->copier_mode);
-       }},
-      {"unreadable_policy",
-       [](std::string_view s, Config* cc) {
-         return parse_unreadable_policy(s, &cc->unreadable_policy);
-       }},
-      {"storage_engine",
-       [](std::string_view s, Config* cc) {
-         return parse_storage_engine(s, &cc->storage_engine);
-       }},
-      {"planted_bug",
-       [](std::string_view s, Config* cc) {
-         return parse_planted_bug(s, &cc->planted_bug);
-       }},
-  };
-  for (const EnumField& f : kEnums) {
+  c.footprint_ns = false;
+  for (const ConfigField& f : config_fields()) {
     const json::JsonValue* field = v.get(f.key);
     if (field == nullptr) continue;
-    if (!field->is_string() || !f.apply(field->str(), &c)) {
+    const bool ok = std::visit(
+        [&](auto m) {
+          using T = std::decay_t<decltype(c.*m)>;
+          if constexpr (ConfigEnum<T>) {
+            return field->is_string() && parse_enum(field->str(), &(c.*m));
+          } else if constexpr (std::is_same_v<T, bool>) {
+            if (!field->is_bool()) return false;
+            c.*m = field->boolean();
+            return true;
+          } else {
+            return read_number(*field, &(c.*m));
+          }
+        },
+        f.member);
+    if (!ok) {
       if (error != nullptr) {
-        *error = std::string("bad enum value for config.") + f.key;
+        *error = std::string("bad value for config.") + f.key;
       }
       return false;
     }

@@ -200,6 +200,21 @@ TEST(Explore, ReproParserRejectsGarbage) {
           "schedule": []})",
       &a, &err));
   EXPECT_NE(err, "");
+  // A present key of the wrong JSON type, or a number the member cannot
+  // hold, is rejected rather than silently left at its default.
+  const std::pair<const char*, const char*> bad[] = {
+      {"n_sites", R"("7")"},       {"n_sites", "4.5"},
+      {"n_sites", "3e10"},         {"placement_seed", "-1"},
+      {"footprint_ns", "1"},       {"msg_loss_prob", "false"},
+      {"write_scheme", "3"},       {"trace_capacity", "null"},
+  };
+  for (const auto& [key, value] : bad) {
+    err.clear();
+    const std::string doc = std::string(R"({"kind": "repro", "config": {")") +
+                            key + "\": " + value + R"(}, "schedule": []})";
+    EXPECT_FALSE(parse_repro(doc, &a, &err)) << doc;
+    EXPECT_EQ(err, std::string("bad value for config.") + key) << doc;
+  }
 }
 
 TEST(RunParallel, DeterministicAcrossThreadCounts) {

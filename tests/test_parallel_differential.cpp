@@ -414,7 +414,7 @@ TEST(ParallelDifferential, ExplorerSpoolerReportByteIdentical) {
 // run is clean; here the run violates).
 TEST(ParallelDifferential, PlantedBugVerdictsAgreeAcrossBackends) {
   Config cfg = explorer_cfg();
-  ASSERT_TRUE(parse_planted_bug("skip-mark", &cfg.planted_bug));
+  ASSERT_TRUE(parse_enum("skip-mark", &cfg.planted_bug));
   const Schedule schedule = {
       {200'000, NemesisKind::kCrash, 1, 0, 0.0, 1.0},
       {600'000, NemesisKind::kReboot, 1, 0, 0.0, 1.0},

@@ -21,8 +21,6 @@
 //   ddbs_explore --planted-bug=skip-mark --schedules=12 -j 4
 //   ddbs_explore --replay=corpus/REPRO_sched7_seed1.json
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -34,6 +32,7 @@
 #include "explore/repro.h"
 #include "explore/schedule.h"
 #include "explore/shrink.h"
+#include "workload/cli.h"
 #include "workload/sweep.h"
 
 using namespace ddbs;
@@ -47,7 +46,7 @@ struct Options {
   int seeds = 1;
   uint64_t seed_base = 1;
   uint64_t schedule_seed_base = 1;
-  int threads = 1;
+  int jobs = 1;
   int shrink_budget = 200;
   int max_shrinks = 8; // violations beyond this are reported, not shrunk
   bool fail_fast = false;
@@ -56,145 +55,55 @@ struct Options {
   std::string telemetry_dir; // "" = don't write per-run telemetry JSONL
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::printf(
-      "usage: %s [flags]\n"
-      "search space:\n"
-      "  --schedules=N         nemesis schedules to generate (default 20)\n"
-      "  --seeds=M             workload seeds per schedule (default 1)\n"
-      "  --seed-base=N         first workload seed (default 1)\n"
-      "  --schedule-seed-base=N first schedule seed (default 1)\n"
-      "  --max-actions=N       actions per generated schedule (default 8)\n"
-      "  --partitions          include partition/heal actions\n"
-      "  --no-drop-bursts      exclude message-drop bursts\n"
-      "  --no-skew             exclude latency-skew windows\n"
-      "run shape:\n"
-      "  --sites=N --items=N --degree=N --loss=F\n"
-      "  --footprint-ns=on|off host-set-only session reads (default on)\n"
-      "  --storage-engine=in-memory|durable\n"
-      "  --checkpoint-interval=N --disk-latency-us=N --disk-bw-mbps=N\n"
-      "  --disk-queue-depth=N  durable-engine device knobs\n"
-      "  --horizon-ms=N        load+fault window (default 2000)\n"
-      "  --clients=N --ops=N --reads=F --zipf=F\n"
-      "  --planted-bug=NAME    none|skip-session-check|skip-mark\n"
-      "  --verify=MODE         post-hoc|online (default post-hoc);\n"
-      "                        online streams commits through the\n"
-      "                        incremental 1-STG verifier instead of\n"
-      "                        rebuilding the graph at each check\n"
-      "driver:\n"
-      "  -j N, --threads=N     worker threads (default 1)\n"
-      "  --fail-fast           stop scheduling runs after first violation\n"
-      "  --shrink-budget=N     max re-runs per shrink (default 200)\n"
-      "  --max-shrinks=N       violations to shrink (default 8)\n"
-      "  --corpus=DIR          minimized repro artifacts (default\n"
-      "                        explore-corpus; \"\" disables)\n"
-      "  --replay=FILE         replay one repro artifact and exit\n"
-      "  --telemetry-dir=DIR   write TEL_sched<S>_seed<N>.jsonl per run\n"
-      "  --telemetry-interval-ms=N  telemetry tick period (default 250)\n",
-      argv0);
-  std::exit(2);
-}
-
-bool parse_kv(const char* arg, const char* key, std::string* out) {
-  const size_t len = std::strlen(key);
-  if (std::strncmp(arg, key, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
 Options parse(int argc, char** argv) {
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    std::string v;
-    if (parse_kv(argv[i], "--schedules", &v)) {
-      o.schedules = std::stoi(v);
-    } else if (parse_kv(argv[i], "--seeds", &v)) {
-      o.seeds = std::stoi(v);
-    } else if (parse_kv(argv[i], "--seed-base", &v)) {
-      o.seed_base = std::stoull(v);
-    } else if (parse_kv(argv[i], "--schedule-seed-base", &v)) {
-      o.schedule_seed_base = std::stoull(v);
-    } else if (parse_kv(argv[i], "--max-actions", &v)) {
-      o.sched.max_actions = std::stoi(v);
-    } else if (std::strcmp(argv[i], "--partitions") == 0) {
-      o.sched.partitions = true;
-    } else if (std::strcmp(argv[i], "--no-drop-bursts") == 0) {
-      o.sched.drop_bursts = false;
-    } else if (std::strcmp(argv[i], "--no-skew") == 0) {
-      o.sched.latency_skew = false;
-    } else if (parse_kv(argv[i], "--sites", &v)) {
-      o.run.cfg.n_sites = std::stoi(v);
-    } else if (parse_kv(argv[i], "--items", &v)) {
-      o.run.cfg.n_items = std::stoll(v);
-    } else if (parse_kv(argv[i], "--degree", &v)) {
-      o.run.cfg.replication_degree = std::stoi(v);
-    } else if (parse_kv(argv[i], "--footprint-ns", &v)) {
-      if (v == "on") {
-        o.run.cfg.footprint_ns = true;
-      } else if (v == "off") {
-        o.run.cfg.footprint_ns = false;
-      } else {
-        usage(argv[0]);
-      }
-    } else if (parse_kv(argv[i], "--loss", &v)) {
-      o.run.cfg.msg_loss_prob = std::stod(v);
-    } else if (parse_kv(argv[i], "--storage-engine", &v)) {
-      if (!parse_storage_engine(v, &o.run.cfg.storage_engine)) usage(argv[0]);
-    } else if (parse_kv(argv[i], "--checkpoint-interval", &v)) {
-      o.run.cfg.checkpoint_interval = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-latency-us", &v)) {
-      o.run.cfg.disk_latency_us = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-bw-mbps", &v)) {
-      o.run.cfg.disk_bandwidth_mbps = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-queue-depth", &v)) {
-      o.run.cfg.disk_queue_depth = std::stoi(v);
-    } else if (parse_kv(argv[i], "--horizon-ms", &v)) {
-      o.run.horizon = std::stoll(v) * 1000;
-    } else if (parse_kv(argv[i], "--clients", &v)) {
-      o.run.clients_per_site = std::stoi(v);
-    } else if (parse_kv(argv[i], "--ops", &v)) {
-      o.run.workload.ops_per_txn = std::stoi(v);
-    } else if (parse_kv(argv[i], "--reads", &v)) {
-      o.run.workload.read_fraction = std::stod(v);
-    } else if (parse_kv(argv[i], "--zipf", &v)) {
-      o.run.workload.zipf_theta = std::stod(v);
-    } else if (parse_kv(argv[i], "--planted-bug", &v)) {
-      if (!parse_planted_bug(v, &o.run.cfg.planted_bug)) usage(argv[0]);
-    } else if (parse_kv(argv[i], "--verify", &v)) {
-      if (!parse_verify_mode(v, &o.run.verify)) usage(argv[0]);
-    } else if (parse_kv(argv[i], "--threads", &v)) {
-      o.threads = std::stoi(v);
-    } else if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc) {
-      o.threads = std::stoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "-j", 2) == 0 && argv[i][2] != '\0') {
-      o.threads = std::stoi(argv[i] + 2);
-    } else if (std::strcmp(argv[i], "--fail-fast") == 0) {
-      o.fail_fast = true;
-    } else if (parse_kv(argv[i], "--shrink-budget", &v)) {
-      o.shrink_budget = std::stoi(v);
-    } else if (parse_kv(argv[i], "--max-shrinks", &v)) {
-      o.max_shrinks = std::stoi(v);
-    } else if (parse_kv(argv[i], "--corpus", &v)) {
-      o.corpus = v;
-    } else if (parse_kv(argv[i], "--replay", &v)) {
-      o.replay_path = v;
-    } else if (parse_kv(argv[i], "--telemetry-dir", &v)) {
-      o.telemetry_dir = v;
-      o.run.capture_telemetry = true;
-    } else if (parse_kv(argv[i], "--telemetry-interval-ms", &v)) {
-      o.run.telemetry.interval = std::stoll(v) * 1000;
-    } else {
-      usage(argv[0]);
-    }
-  }
-  if (o.schedules < 1 || o.seeds < 1 || o.threads < 1 ||
+  bool no_drop_bursts = false, no_skew = false;
+  Cli cli(argv[0]);
+  cli.add("search space:",
+          {{"schedules", &o.schedules, "nemesis schedules to generate"},
+           {"seeds", &o.seeds, "workload seeds per schedule"},
+           {"seed-base", &o.seed_base, "first workload seed"},
+           {"schedule-seed-base", &o.schedule_seed_base,
+            "first schedule seed"},
+           {"max-actions", &o.sched.max_actions,
+            "actions per generated schedule"},
+           {"partitions", &o.sched.partitions,
+            "include partition/heal actions"},
+           {"no-drop-bursts", &no_drop_bursts,
+            "exclude message-drop bursts"},
+           {"no-skew", &no_skew, "exclude latency-skew windows"},
+           {"horizon-ms", &o.run.horizon, "load+fault window"},
+           {"verify",
+            [&o](const std::string& v) {
+              return parse_verify_mode(v, &o.run.verify);
+            },
+            "post-hoc, or online: the incremental 1-STG verifier",
+            "post-hoc|online"}});
+  cli.add("driver:",
+          {{"jobs", &o.jobs, "worker pool size (also -j N)"},
+           {"fail-fast", &o.fail_fast,
+            "stop scheduling runs after first violation"},
+           {"shrink-budget", &o.shrink_budget, "max re-runs per shrink"},
+           {"max-shrinks", &o.max_shrinks, "violations to shrink"},
+           {"corpus", &o.corpus, "minimized repro artifacts (\"\" = off)"},
+           {"replay", &o.replay_path, "replay one repro artifact and exit"},
+           {"telemetry-dir", &o.telemetry_dir,
+            "write TEL_sched<S>_seed<N>.jsonl per run"},
+           {"telemetry-interval-ms", &o.run.telemetry.interval,
+            "telemetry tick period"}});
+  cli.add_scenario(&o.run.clients_per_site, &o.run.workload);
+  cli.add_config(&o.run.cfg);
+  cli.parse(argc, argv);
+  if (o.schedules < 1 || o.seeds < 1 || o.jobs < 1 ||
       o.sched.max_actions < 1 || o.shrink_budget < 1) {
-    usage(argv[0]);
+    cli.usage(2);
   }
+  o.sched.drop_bursts = !no_drop_bursts;
+  o.sched.latency_skew = !no_skew;
   o.sched.n_sites = o.run.cfg.n_sites;
   o.sched.horizon = o.run.horizon;
+  o.run.capture_telemetry = !o.telemetry_dir.empty();
+  if (o.run.cfg.online_verify) o.run.verify = VerifyMode::kOnline;
   return o;
 }
 
@@ -232,17 +141,6 @@ int replay_artifact(const std::string& path) {
   return 0;
 }
 
-bool write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "ddbs_explore: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  return true;
-}
-
 struct RunOutcome {
   uint64_t schedule_seed = 0;
   uint64_t seed = 0;
@@ -262,15 +160,15 @@ int main(int argc, char** argv) {
   std::printf("ddbs_explore: %d schedule%s x %d seed%s = %zu runs on %d"
               " thread%s (planted bug: %s)\n",
               o.schedules, o.schedules == 1 ? "" : "s", o.seeds,
-              o.seeds == 1 ? "" : "s", total, o.threads,
-              o.threads == 1 ? "" : "s",
+              o.seeds == 1 ? "" : "s", total, o.jobs,
+              o.jobs == 1 ? "" : "s",
               to_string(o.run.cfg.planted_bug));
 
   std::vector<RunOutcome> outcomes(total);
   std::atomic<bool> cancel{false};
   std::mutex progress_mu;
   run_parallel(
-      total, o.threads,
+      total, o.jobs,
       [&](size_t i) {
         RunOutcome& out = outcomes[i];
         out.schedule_seed =

@@ -16,8 +16,6 @@
 // Exit codes: 0 clean, 1 divergence/verify failure, 2 usage, 4 watchdog
 // stall (diagnostic bundle written when --bundle-out is given).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -26,6 +24,7 @@
 #include "common/telemetry.h"
 #include "core/runtime.h"
 #include "verify/one_sr_checker.h"
+#include "workload/cli.h"
 #include "workload/runner.h"
 #include "workload/stats.h"
 
@@ -36,227 +35,60 @@ namespace {
 struct Options {
   Config cfg;
   uint64_t seed = 1;
-  SimTime duration = 5'000'000;
-  int clients = 2;
-  int ops_per_txn = 3;
-  double read_fraction = 0.5;
-  double zipf = 0.0;
-  std::vector<FailureEvent> schedule;
+  RunnerParams rp;
   bool verify = false;
   bool dump_metrics = false;
-  bool quiet_expect = false;
   std::string report_out; // JSON run report path ("" = off)
   std::string trace_out;  // JSON trace-event dump path ("" = off)
   std::string spans_out;  // Chrome trace_event span dump path ("" = off)
   std::string telemetry_out; // live telemetry JSONL path ("-" = stdout)
   TelemetryOptions telemetry;
-  bool watchdog = false;
   // Partition-based fault injection: isolate one site from every other at
   // a given time, optionally healing later. kInvalidSite = off.
   SiteId isolate_site = kInvalidSite;
   SimTime isolate_at = 0;
-  SimTime heal_at = -1;
+  int64_t heal_ms = -1;
 };
-
-[[noreturn]] void usage(const char* argv0) {
-  std::printf(
-      "usage: %s [flags]\n"
-      "  --sites=N             number of sites (default 5)\n"
-      "  --items=N             number of logical items (default 200)\n"
-      "  --degree=N            copies per item (default 3)\n"
-      "  --footprint-ns=on|off user txns read only their host set's NS\n"
-      "                        entries (default on; off = full vector)\n"
-      "  --seed=N              simulation seed (default 1)\n"
-      "  --duration-ms=N       workload duration (default 5000)\n"
-      "  --clients=N           closed-loop clients per site (default 2)\n"
-      "  --ops=N               operations per transaction (default 3)\n"
-      "  --reads=F             read fraction 0..1 (default 0.5)\n"
-      "  --zipf=F              access skew theta (default 0 = uniform)\n"
-      "  --scheme=session-vector|spooler\n"
-      "  --write-scheme=rowaa|rowa\n"
-      "  --strategy=mark-all|vcmp|fail-lock|missing-list\n"
-      "  --copier=eager|on-demand\n"
-      "  --policy=block|redirect\n"
-      "  --loss=F              message loss probability (default 0)\n"
-      "  --storage-engine=in-memory|durable (default in-memory)\n"
-      "  --checkpoint-interval=N  redo records between fuzzy checkpoints\n"
-      "                        (durable engine; 0 = never; default 2048)\n"
-      "  --disk-latency-us=N   per-op disk latency (default 100)\n"
-      "  --disk-bw-mbps=N      disk bandwidth MB/s (default 200)\n"
-      "  --disk-queue-depth=N  concurrent device channels (default 4)\n"
-      "  --crash=S@MS          crash site S at MS milliseconds (repeatable)\n"
-      "  --recover=S@MS        recover site S at MS milliseconds\n"
-      "  --verify              run the Section-4 serializability checkers\n"
-      "  --metrics             dump the raw metric counters\n"
-      "  --report-out=PATH     write a JSON run report (schema: EXPERIMENTS.md)\n"
-      "  --trace-out=PATH      write the structured trace ring as JSON\n"
-      "  --spans-out=PATH      write causal spans as Chrome trace_event JSON\n"
-      "                        (load in chrome://tracing / Perfetto, or feed\n"
-      "                        to tools/ddbs_trace.py)\n"
-      "  --trace-cap=N         trace ring capacity in events (default 16384)\n"
-      "  --span-cap=N          span ring capacity in events (default 32768)\n"
-      "  --bucket-ms=N         time-series bucket width (default 250; 0 off)\n"
-      "  --threads=N           worker threads; N>1 runs the site-parallel\n"
-      "                        backend (site-sharded, epoch-windowed)\n"
-      "  --telemetry-out=PATH  stream live telemetry JSONL (- = stdout)\n"
-      "  --telemetry-interval-ms=N  tick period (default 250)\n"
-      "  --telemetry-host      include host-side fields (rss_kb);\n"
-      "                        breaks cross-backend byte-identity\n"
-      "  --watchdog            abort with exit 4 when progress stalls\n"
-      "  --watchdog-no-commit-ms=N    no-commit budget (default 2000)\n"
-      "  --watchdog-recovery-ms=N     recovery-phase budget (default 8000)\n"
-      "  --watchdog-retries=N         type-1 retry budget (default 64)\n"
-      "  --bundle-out=PATH     write the stall diagnostic bundle here\n"
-      "  --retry-limit=N       type-1 give-up threshold (config knob)\n"
-      "  --planted-stall       re-enable the historical fixed NS-lock retry\n"
-      "                        backoff + permanent give-up (watchdog demo)\n"
-      "  --isolate=S@MS        partition site S away from everyone at MS\n"
-      "  --heal=MS             dissolve the partition at MS\n",
-      argv0);
-  std::exit(2);
-}
-
-bool parse_kv(const char* arg, const char* key, std::string* out) {
-  const size_t len = std::strlen(key);
-  if (std::strncmp(arg, key, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-FailureEvent parse_event(const std::string& v, FailureEvent::What what,
-                         const char* argv0) {
-  const size_t at = v.find('@');
-  if (at == std::string::npos) usage(argv0);
-  FailureEvent ev;
-  ev.what = what;
-  ev.site = static_cast<SiteId>(std::stol(v.substr(0, at)));
-  ev.at = static_cast<SimTime>(std::stoll(v.substr(at + 1))) * 1000;
-  return ev;
-}
 
 Options parse(int argc, char** argv) {
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    std::string v;
-    if (parse_kv(argv[i], "--sites", &v)) {
-      o.cfg.n_sites = std::stoi(v);
-    } else if (parse_kv(argv[i], "--items", &v)) {
-      o.cfg.n_items = std::stoll(v);
-    } else if (parse_kv(argv[i], "--degree", &v)) {
-      o.cfg.replication_degree = std::stoi(v);
-    } else if (parse_kv(argv[i], "--footprint-ns", &v)) {
-      if (v == "on") {
-        o.cfg.footprint_ns = true;
-      } else if (v == "off") {
-        o.cfg.footprint_ns = false;
-      } else {
-        usage(argv[0]);
-      }
-    } else if (parse_kv(argv[i], "--seed", &v)) {
-      o.seed = std::stoull(v);
-    } else if (parse_kv(argv[i], "--duration-ms", &v)) {
-      o.duration = std::stoll(v) * 1000;
-    } else if (parse_kv(argv[i], "--clients", &v)) {
-      o.clients = std::stoi(v);
-    } else if (parse_kv(argv[i], "--ops", &v)) {
-      o.ops_per_txn = std::stoi(v);
-    } else if (parse_kv(argv[i], "--reads", &v)) {
-      o.read_fraction = std::stod(v);
-    } else if (parse_kv(argv[i], "--zipf", &v)) {
-      o.zipf = std::stod(v);
-    } else if (parse_kv(argv[i], "--loss", &v)) {
-      o.cfg.msg_loss_prob = std::stod(v);
-    } else if (parse_kv(argv[i], "--storage-engine", &v)) {
-      if (!parse_storage_engine(v, &o.cfg.storage_engine)) usage(argv[0]);
-    } else if (parse_kv(argv[i], "--checkpoint-interval", &v)) {
-      o.cfg.checkpoint_interval = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-latency-us", &v)) {
-      o.cfg.disk_latency_us = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-bw-mbps", &v)) {
-      o.cfg.disk_bandwidth_mbps = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-queue-depth", &v)) {
-      o.cfg.disk_queue_depth = std::stoi(v);
-    } else if (parse_kv(argv[i], "--scheme", &v)) {
-      o.cfg.recovery_scheme = v == "spooler" ? RecoveryScheme::kSpooler
-                                             : RecoveryScheme::kSessionVector;
-    } else if (parse_kv(argv[i], "--write-scheme", &v)) {
-      o.cfg.write_scheme =
-          v == "rowa" ? WriteScheme::kRowaStrict : WriteScheme::kRowaa;
-    } else if (parse_kv(argv[i], "--strategy", &v)) {
-      if (v == "mark-all") {
-        o.cfg.outdated_strategy = OutdatedStrategy::kMarkAll;
-      } else if (v == "vcmp") {
-        o.cfg.outdated_strategy = OutdatedStrategy::kMarkAllVersionCmp;
-      } else if (v == "fail-lock") {
-        o.cfg.outdated_strategy = OutdatedStrategy::kFailLock;
-      } else if (v == "missing-list") {
-        o.cfg.outdated_strategy = OutdatedStrategy::kMissingList;
-      } else {
-        usage(argv[0]);
-      }
-    } else if (parse_kv(argv[i], "--copier", &v)) {
-      o.cfg.copier_mode =
-          v == "on-demand" ? CopierMode::kOnDemand : CopierMode::kEager;
-    } else if (parse_kv(argv[i], "--policy", &v)) {
-      o.cfg.unreadable_policy = v == "redirect" ? UnreadablePolicy::kRedirect
-                                                : UnreadablePolicy::kBlock;
-    } else if (parse_kv(argv[i], "--crash", &v)) {
-      o.schedule.push_back(
-          parse_event(v, FailureEvent::What::kCrash, argv[0]));
-    } else if (parse_kv(argv[i], "--recover", &v)) {
-      o.schedule.push_back(
-          parse_event(v, FailureEvent::What::kRecover, argv[0]));
-    } else if (parse_kv(argv[i], "--report-out", &v)) {
-      o.report_out = v;
-    } else if (parse_kv(argv[i], "--trace-out", &v)) {
-      o.trace_out = v;
-    } else if (parse_kv(argv[i], "--spans-out", &v)) {
-      o.spans_out = v;
-    } else if (parse_kv(argv[i], "--trace-cap", &v)) {
-      o.cfg.trace_capacity = static_cast<size_t>(std::stoull(v));
-    } else if (parse_kv(argv[i], "--span-cap", &v)) {
-      o.cfg.span_capacity = static_cast<size_t>(std::stoull(v));
-    } else if (parse_kv(argv[i], "--bucket-ms", &v)) {
-      o.cfg.timeseries_bucket = std::stoll(v) * 1000;
-    } else if (parse_kv(argv[i], "--threads", &v)) {
-      o.cfg.n_threads = std::stoi(v);
-    } else if (parse_kv(argv[i], "--telemetry-out", &v)) {
-      o.telemetry_out = v;
-    } else if (parse_kv(argv[i], "--telemetry-interval-ms", &v)) {
-      o.telemetry.interval = std::stoll(v) * 1000;
-    } else if (parse_kv(argv[i], "--watchdog-no-commit-ms", &v)) {
-      o.telemetry.no_commit_budget = std::stoll(v) * 1000;
-    } else if (parse_kv(argv[i], "--watchdog-recovery-ms", &v)) {
-      o.telemetry.recovery_phase_budget = std::stoll(v) * 1000;
-    } else if (parse_kv(argv[i], "--watchdog-retries", &v)) {
-      o.telemetry.control_retry_budget = std::stoll(v);
-    } else if (parse_kv(argv[i], "--bundle-out", &v)) {
-      o.telemetry.bundle_path = v;
-    } else if (parse_kv(argv[i], "--retry-limit", &v)) {
-      o.cfg.control_retry_limit = std::stoi(v);
-    } else if (parse_kv(argv[i], "--isolate", &v)) {
-      const size_t at = v.find('@');
-      if (at == std::string::npos) usage(argv[0]);
-      o.isolate_site = static_cast<SiteId>(std::stol(v.substr(0, at)));
-      o.isolate_at = std::stoll(v.substr(at + 1)) * 1000;
-    } else if (parse_kv(argv[i], "--heal", &v)) {
-      o.heal_at = std::stoll(v) * 1000;
-    } else if (std::strcmp(argv[i], "--telemetry-host") == 0) {
-      o.telemetry.include_host = true;
-    } else if (std::strcmp(argv[i], "--watchdog") == 0) {
-      o.watchdog = true;
-    } else if (std::strcmp(argv[i], "--planted-stall") == 0) {
-      o.cfg.planted_stall = true;
-    } else if (std::strcmp(argv[i], "--verify") == 0) {
-      o.verify = true;
-    } else if (std::strcmp(argv[i], "--metrics") == 0) {
-      o.dump_metrics = true;
-    } else {
-      usage(argv[0]);
-    }
-  }
+  o.rp.workload.ops_per_txn = 3;
+  Cli cli(argv[0]);
+  cli.add("run:",
+          {{"seed", &o.seed, "simulation seed"},
+           {"verify", &o.verify, "run the Section-4 serializability checkers"},
+           {"metrics", &o.dump_metrics, "dump the raw metric counters"},
+           {"isolate",
+            [&o](const std::string& v) {
+              return parse_site_at(v, &o.isolate_site, &o.isolate_at);
+            },
+            "partition site S away from everyone at MS", "S@MS"},
+           {"heal", &o.heal_ms,
+            "dissolve the partition at N ms (-1 = never)"}});
+  cli.add("output:",
+          {{"report-out", &o.report_out, "JSON run report (EXPERIMENTS.md)"},
+           {"trace-out", &o.trace_out, "structured trace ring as JSON"},
+           {"spans-out", &o.spans_out,
+            "causal spans as Chrome trace_event JSON"},
+           {"telemetry-out", &o.telemetry_out,
+            "stream live telemetry JSONL (- = stdout)"},
+           {"telemetry-interval-ms", &o.telemetry.interval, "tick period"},
+           {"telemetry-host", &o.telemetry.include_host,
+            "add host-side fields (breaks cross-backend identity)"},
+           {"watchdog", &o.telemetry.watchdog,
+            "abort with exit 4 when progress stalls"},
+           {"watchdog-no-commit-ms", &o.telemetry.no_commit_budget,
+            "no-commit budget"},
+           {"watchdog-recovery-ms", &o.telemetry.recovery_phase_budget,
+            "recovery-phase budget"},
+           {"watchdog-retries", &o.telemetry.control_retry_budget,
+            "type-1 retry budget"},
+           {"bundle-out", &o.telemetry.bundle_path,
+            "stall diagnostic bundle path"}});
+  cli.add_scenario(&o.rp.clients_per_site, &o.rp.workload, &o.rp.duration,
+                   &o.rp.schedule);
+  cli.add_config(&o.cfg);
+  cli.parse(argc, argv);
   return o;
 }
 
@@ -265,7 +97,7 @@ Options parse(int argc, char** argv) {
 int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
   Config cfg = o.cfg;
-  cfg.record_history = o.verify;
+  cfg.record_history = o.verify || cfg.online_verify;
 
   std::printf("ddbs_sim: %d sites, %lld items x%d, %s / %s / %s / %s, "
               "seed %llu, %d thread%s\n",
@@ -280,11 +112,10 @@ int main(int argc, char** argv) {
   ClusterRuntime& cluster = *rt;
   cluster.bootstrap();
 
-  TelemetryOptions topts = o.telemetry;
-  topts.watchdog = o.watchdog;
+  const TelemetryOptions& topts = o.telemetry;
   std::ofstream telemetry_file;
   std::unique_ptr<TelemetryStream> stream;
-  if (!o.telemetry_out.empty() || o.watchdog) {
+  if (!o.telemetry_out.empty() || topts.watchdog) {
     stream = std::make_unique<TelemetryStream>(cluster, topts);
     if (!o.telemetry_out.empty() && o.telemetry_out != "-") {
       telemetry_file.open(o.telemetry_out);
@@ -309,19 +140,14 @@ int main(int argc, char** argv) {
       }
       cluster.network().set_partition({rest});
     });
-    if (o.heal_at >= 0) {
-      cluster.schedule_global(o.heal_at,
-                              [&cluster]() { cluster.network().clear_partition(); });
+    if (o.heal_ms >= 0) {
+      cluster.schedule_global(o.heal_ms * 1000, [&cluster]() {
+        cluster.network().clear_partition();
+      });
     }
   }
 
-  RunnerParams rp;
-  rp.clients_per_site = o.clients;
-  rp.duration = o.duration;
-  rp.workload.ops_per_txn = o.ops_per_txn;
-  rp.workload.read_fraction = o.read_fraction;
-  rp.workload.zipf_theta = o.zipf;
-  rp.schedule = o.schedule;
+  RunnerParams rp = o.rp;
   if (stream) {
     TelemetryStream* sp = stream.get();
     rp.stop_check = [sp]() { return sp->stalled(); };
@@ -359,7 +185,7 @@ int main(int argc, char** argv) {
   t.add_row({"aborted", TablePrinter::integer(stats.aborted)});
   t.add_row({"commit ratio", TablePrinter::pct(stats.commit_ratio())});
   t.add_row({"throughput",
-             TablePrinter::num(stats.throughput_per_sec(o.duration), 1) +
+             TablePrinter::num(stats.throughput_per_sec(rp.duration), 1) +
                  " txn/s"});
   t.add_row(
       {"p50 latency", TablePrinter::ms(stats.commit_latency_us.percentile(50))});
@@ -413,36 +239,22 @@ int main(int argc, char** argv) {
     run.scalars.emplace_back("aborted", stats.aborted);
     run.scalars.emplace_back("commit_ratio", stats.commit_ratio());
     run.scalars.emplace_back("throughput_txn_s",
-                             stats.throughput_per_sec(o.duration));
+                             stats.throughput_per_sec(rp.duration));
     run.scalars.emplace_back("p50_latency_us",
                              stats.commit_latency_us.percentile(50));
     run.scalars.emplace_back("p99_latency_us",
                              stats.commit_latency_us.percentile(99));
     if (!report.write(o.report_out)) rc = 1;
   }
-  if (!o.trace_out.empty()) {
-    std::FILE* f = std::fopen(o.trace_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "trace: cannot write %s\n", o.trace_out.c_str());
+  auto dump = [&rc](const char* what, const std::string& path, auto json) {
+    if (path.empty()) return;
+    if (!write_file(path, json())) {
       rc = 1;
     } else {
-      const std::string json = cluster.trace_json();
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("trace: wrote %s\n", o.trace_out.c_str());
+      std::printf("%s: wrote %s\n", what, path.c_str());
     }
-  }
-  if (!o.spans_out.empty()) {
-    std::FILE* f = std::fopen(o.spans_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "spans: cannot write %s\n", o.spans_out.c_str());
-      rc = 1;
-    } else {
-      const std::string json = cluster.spans_chrome_json();
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("spans: wrote %s\n", o.spans_out.c_str());
-    }
-  }
+  };
+  dump("trace", o.trace_out, [&] { return cluster.trace_json(); });
+  dump("spans", o.spans_out, [&] { return cluster.spans_chrome_json(); });
   return rc;
 }

@@ -20,12 +20,11 @@
 //   ddbs_soak --cells=mark-all,spooler --rounds=20 --rss-limit-mb=512
 //   ddbs_soak --watchdog --telemetry-out=soak_tel
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/telemetry.h"
+#include "workload/cli.h"
 #include "workload/soak.h"
 #include "workload/sweep.h"
 
@@ -38,208 +37,99 @@ struct CliOptions {
   std::vector<std::string> cells{"mark-all", "vcmp", "fail-lock",
                                  "missing-list", "spooler"};
   uint64_t seed = 1;
-  int threads = 1;
+  int jobs = 1;
   SoakOptions soak; // per-cell knobs (cfg/seed filled per cell)
-  int64_t rss_limit_kb = 0; // 0 = no ceiling
+  int64_t rss_limit_mb = 0; // 0 = no ceiling
   std::string out;          // "" = no report file
   std::string telemetry_prefix; // per-cell JSONL: PREFIX.<cell>.jsonl
   std::string bundle_prefix;    // per-cell stall bundle: PREFIX.<cell>.json
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::printf(
-      "usage: %s [flags]\n"
-      "  --cells=A,B,..        mark-all|vcmp|fail-lock|missing-list|spooler\n"
-      "                        (default: all five)\n"
-      "  --rounds=N            crash/recover/load rounds per cell\n"
-      "  --round-ms=N          load window per round (sim ms)\n"
-      "  --crash-ms=N          crash offset within a round (-1 disables)\n"
-      "  --recover-ms=N        recover offset within a round\n"
-      "  --target-committed=N  stop a cell once N txns committed\n"
-      "  --clients=N --ops=N --reads=F --zipf=F\n"
-      "  --sites=N --items=N --degree=N\n"
-      "  --storage-engine=in-memory|durable (default in-memory)\n"
-      "  --checkpoint-interval=N --disk-latency-us=N --disk-bw-mbps=N\n"
-      "  --disk-queue-depth=N  durable-engine device knobs\n"
-      "  --seed=N              base seed (cell index is mixed in)\n"
-      "  --threads=N           worker threads per cluster (N>1 selects the\n"
-      "                        site-parallel backend inside each cell)\n"
-      "  -j N, --jobs=N        cells run in parallel\n"
-      "  --rss-limit-mb=N      fail (exit 3) if process VmHWM exceeds this;\n"
-      "                        sampled on the telemetry tick inside rounds\n"
-      "  --out=PATH            write the aggregate JSON report here\n"
-      "  --telemetry           buffer per-cell telemetry JSONL\n"
-      "  --telemetry-out=PFX   write it to PFX.<cell>.jsonl per cell\n"
-      "  --telemetry-interval-ms=N  tick period (default 250)\n"
-      "  --watchdog            abort a stalling cell (exit 4)\n"
-      "  --watchdog-no-commit-ms=N --watchdog-recovery-ms=N\n"
-      "  --watchdog-retries=N  stall budgets (common/telemetry.h)\n"
-      "  --bundle-out=PFX      stall bundles to PFX.<cell>.json\n",
-      argv0);
-  std::exit(2);
-}
-
-bool parse_kv(const char* arg, const char* key, std::string* out) {
-  const size_t len = std::strlen(key);
-  if (std::strncmp(arg, key, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-std::vector<std::string> split_commas(const std::string& v) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= v.size()) {
-    const size_t comma = v.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(v.substr(start));
-      break;
-    }
-    out.push_back(v.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
+// A cell is an outdated strategy under session vectors, or the spooler.
 bool apply_cell(Config& cfg, const std::string& cell) {
   if (cell == "spooler") {
     cfg.recovery_scheme = RecoveryScheme::kSpooler;
     return true;
   }
   cfg.recovery_scheme = RecoveryScheme::kSessionVector;
-  if (cell == "mark-all") {
-    cfg.outdated_strategy = OutdatedStrategy::kMarkAll;
-  } else if (cell == "vcmp") {
-    cfg.outdated_strategy = OutdatedStrategy::kMarkAllVersionCmp;
-  } else if (cell == "fail-lock") {
-    cfg.outdated_strategy = OutdatedStrategy::kFailLock;
-  } else if (cell == "missing-list") {
-    cfg.outdated_strategy = OutdatedStrategy::kMissingList;
-  } else {
-    return false;
-  }
-  return true;
+  return parse_enum(cell, &cfg.outdated_strategy);
 }
 
 CliOptions parse(int argc, char** argv) {
   CliOptions o;
-  o.soak.rounds = 50;
-  for (int i = 1; i < argc; ++i) {
-    std::string v;
-    if (parse_kv(argv[i], "--cells", &v)) {
-      o.cells = split_commas(v);
-    } else if (parse_kv(argv[i], "--rounds", &v)) {
-      o.soak.rounds = std::stoi(v);
-    } else if (parse_kv(argv[i], "--round-ms", &v)) {
-      o.soak.round_duration = std::stoll(v) * 1000;
-    } else if (parse_kv(argv[i], "--crash-ms", &v)) {
-      o.soak.crash_at = std::stoll(v) * 1000;
-    } else if (parse_kv(argv[i], "--recover-ms", &v)) {
-      o.soak.recover_at = std::stoll(v) * 1000;
-    } else if (parse_kv(argv[i], "--target-committed", &v)) {
-      o.soak.target_committed = std::stoull(v);
-    } else if (parse_kv(argv[i], "--clients", &v)) {
-      o.soak.clients_per_site = std::stoi(v);
-    } else if (parse_kv(argv[i], "--ops", &v)) {
-      o.soak.workload.ops_per_txn = std::stoi(v);
-    } else if (parse_kv(argv[i], "--reads", &v)) {
-      o.soak.workload.read_fraction = std::stod(v);
-    } else if (parse_kv(argv[i], "--zipf", &v)) {
-      o.soak.workload.zipf_theta = std::stod(v);
-    } else if (parse_kv(argv[i], "--sites", &v)) {
-      o.base.n_sites = std::stoi(v);
-    } else if (parse_kv(argv[i], "--items", &v)) {
-      o.base.n_items = std::stoll(v);
-    } else if (parse_kv(argv[i], "--degree", &v)) {
-      o.base.replication_degree = std::stoi(v);
-    } else if (parse_kv(argv[i], "--storage-engine", &v)) {
-      if (!parse_storage_engine(v, &o.base.storage_engine)) usage(argv[0]);
-    } else if (parse_kv(argv[i], "--checkpoint-interval", &v)) {
-      o.base.checkpoint_interval = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-latency-us", &v)) {
-      o.base.disk_latency_us = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-bw-mbps", &v)) {
-      o.base.disk_bandwidth_mbps = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-queue-depth", &v)) {
-      o.base.disk_queue_depth = std::stoi(v);
-    } else if (parse_kv(argv[i], "--seed", &v)) {
-      o.seed = std::stoull(v);
-    } else if (parse_kv(argv[i], "--threads", &v)) {
-      o.base.n_threads = std::stoi(v);
-    } else if (parse_kv(argv[i], "--jobs", &v)) {
-      o.threads = std::stoi(v);
-    } else if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc) {
-      o.threads = std::stoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "-j", 2) == 0 && argv[i][2] != '\0') {
-      o.threads = std::stoi(argv[i] + 2);
-    } else if (parse_kv(argv[i], "--rss-limit-mb", &v)) {
-      o.rss_limit_kb = std::stoll(v) * 1024;
-    } else if (parse_kv(argv[i], "--out", &v)) {
-      o.out = v;
-    } else if (std::strcmp(argv[i], "--telemetry") == 0) {
-      o.soak.enable_telemetry = true;
-    } else if (parse_kv(argv[i], "--telemetry-out", &v)) {
-      o.telemetry_prefix = v;
-      o.soak.enable_telemetry = true;
-    } else if (parse_kv(argv[i], "--telemetry-interval-ms", &v)) {
-      o.soak.telemetry.interval = std::stoll(v) * 1000;
-    } else if (std::strcmp(argv[i], "--watchdog") == 0) {
-      o.soak.telemetry.watchdog = true;
-    } else if (parse_kv(argv[i], "--watchdog-no-commit-ms", &v)) {
-      o.soak.telemetry.no_commit_budget = std::stoll(v) * 1000;
-    } else if (parse_kv(argv[i], "--watchdog-recovery-ms", &v)) {
-      o.soak.telemetry.recovery_phase_budget = std::stoll(v) * 1000;
-    } else if (parse_kv(argv[i], "--watchdog-retries", &v)) {
-      o.soak.telemetry.control_retry_budget = std::stoll(v);
-    } else if (parse_kv(argv[i], "--bundle-out", &v)) {
-      o.bundle_prefix = v;
-    } else {
-      usage(argv[0]);
-    }
-  }
-  if (o.soak.rounds < 1 || o.threads < 1 || o.base.n_threads < 1 ||
-      o.cells.empty()) {
-    usage(argv[0]);
-  }
+  TelemetryOptions& tel = o.soak.telemetry;
+  Cli cli(argv[0]);
+  cli.add("soak:",
+          {{"cells",
+            [&o](const std::string& v) {
+              o.cells = split_commas(v);
+              Config scratch;
+              for (const std::string& c : o.cells) {
+                if (!apply_cell(scratch, c)) return false;
+              }
+              return true;
+            },
+            "cells to run (default: all five)",
+            "mark-all|vcmp|fail-lock|missing-list|spooler,..."},
+           {"rounds", &o.soak.rounds, "crash/recover/load rounds per cell"},
+           {"round-ms", &o.soak.round_duration, "load window per round"},
+           {"crash-ms", &o.soak.crash_at,
+            "crash offset within a round (-1 disables)"},
+           {"recover-ms", &o.soak.recover_at,
+            "recover offset within a round"},
+           {"target-committed", &o.soak.target_committed,
+            "stop a cell once N txns committed (0 = off)"},
+           {"seed", &o.seed, "base seed (cell index is mixed in)"},
+           {"jobs", &o.jobs, "cells run in parallel (also -j N)"},
+           {"rss-limit-mb", &o.rss_limit_mb,
+            "exit 3 if VmHWM exceeds this (0 = off)"},
+           {"out", &o.out, "aggregate JSON report"},
+           {"telemetry", &o.soak.enable_telemetry,
+            "buffer per-cell telemetry JSONL"},
+           {"telemetry-out", &o.telemetry_prefix,
+            "write it to PATH.<cell>.jsonl (implies --telemetry)"},
+           {"telemetry-interval-ms", &tel.interval, "tick period"},
+           {"watchdog", &tel.watchdog, "abort a stalling cell (exit 4)"},
+           {"watchdog-no-commit-ms", &tel.no_commit_budget,
+            "no-commit budget"},
+           {"watchdog-recovery-ms", &tel.recovery_phase_budget,
+            "recovery-phase budget"},
+           {"watchdog-retries", &tel.control_retry_budget,
+            "type-1 retry budget"},
+           {"bundle-out", &o.bundle_prefix,
+            "stall bundles to PATH.<cell>.json"}});
+  cli.add_scenario(&o.soak.clients_per_site, &o.soak.workload);
+  cli.add_config(&o.base);
+  cli.parse(argc, argv);
+  if (o.soak.rounds < 1 || o.jobs < 1 || o.base.n_threads < 1) cli.usage(2);
+  if (!o.telemetry_prefix.empty()) o.soak.enable_telemetry = true;
   return o;
-}
-
-bool write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "ddbs_soak: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  return true;
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
   const CliOptions o = parse(argc, argv);
+  const int64_t rss_limit_kb = o.rss_limit_mb * 1024;
 
   std::vector<SoakOptions> cells(o.cells.size());
   for (size_t c = 0; c < o.cells.size(); ++c) {
     cells[c] = o.soak;
     cells[c].cfg = o.base;
     cells[c].seed = o.seed + c * 1000003;
-    cells[c].rss_limit_kb = o.rss_limit_kb;
-    if (!apply_cell(cells[c].cfg, o.cells[c])) usage(argv[0]);
+    cells[c].rss_limit_kb = rss_limit_kb;
+    apply_cell(cells[c].cfg, o.cells[c]);
   }
 
   std::printf(
       "ddbs_soak: %zu cell%s x %d rounds on %d job%s"
       " (%d cluster thread%s)\n",
-      cells.size(), cells.size() == 1 ? "" : "s", o.soak.rounds, o.threads,
-      o.threads == 1 ? "" : "s", o.base.n_threads,
+      cells.size(), cells.size() == 1 ? "" : "s", o.soak.rounds, o.jobs,
+      o.jobs == 1 ? "" : "s", o.base.n_threads,
       o.base.n_threads == 1 ? "" : "s");
 
   std::vector<SoakResult> results(cells.size());
-  run_parallel(cells.size(), o.threads,
+  run_parallel(cells.size(), o.jobs,
                [&](size_t c) { results[c] = run_soak(cells[c]); });
 
   int rc = 0;
@@ -282,7 +172,7 @@ int main(int argc, char** argv) {
                    "ddbs_soak: %s: RSS ceiling tripped mid-round "
                    "(limit %lld kB)\n",
                    o.cells[c].c_str(),
-                   static_cast<long long>(o.rss_limit_kb));
+                   static_cast<long long>(rss_limit_kb));
       rc = rc == 0 ? 3 : rc;
     }
     if (!o.telemetry_prefix.empty() && !r.telemetry_jsonl.empty()) {
@@ -295,10 +185,10 @@ int main(int argc, char** argv) {
               static_cast<long long>(total_committed),
               static_cast<unsigned long long>(total_verified),
               static_cast<long long>(rss));
-  if (o.rss_limit_kb > 0 && rss > o.rss_limit_kb) {
+  if (rss_limit_kb > 0 && rss > rss_limit_kb) {
     std::fprintf(stderr, "ddbs_soak: peak RSS %lld kB exceeds limit %lld kB\n",
                  static_cast<long long>(rss),
-                 static_cast<long long>(o.rss_limit_kb));
+                 static_cast<long long>(rss_limit_kb));
     rc = rc == 0 ? 3 : rc;
   }
 

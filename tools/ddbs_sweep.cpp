@@ -1,10 +1,11 @@
 // ddbs_sweep -- parallel (config x seed) sweep CLI.
 //
-// Builds a config matrix from comma-separated axis flags (cross product),
-// runs every cell against --seeds consecutive seeds on a -j thread pool,
-// and writes one aggregate JSON report (schema: EXPERIMENTS.md). Each run
-// is an independent single-threaded simulation, so per-seed results are
-// bit-identical to a serial sweep regardless of -j.
+// Builds a config matrix from the Config flags given comma lists (their
+// cross product; see build_cells for the labels), runs every cell against
+// --seeds consecutive seeds on a -j thread pool, and writes one aggregate
+// JSON report (schema: EXPERIMENTS.md). Each run is an independent
+// single-threaded simulation, so per-seed results are bit-identical to a
+// serial sweep regardless of -j.
 //
 // Examples:
 //   ddbs_sweep --strategy=mark-all,missing-list --seeds=8 -j 4
@@ -12,12 +13,11 @@
 //   ddbs_sweep --scheme=session-vector,spooler --copier=eager,on-demand
 //              --seeds=4 --duration-ms=2000 --per-run-dir=runs/
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "workload/cli.h"
 #include "workload/sweep.h"
 
 using namespace ddbs;
@@ -26,373 +26,86 @@ namespace {
 
 struct Options {
   Config base;
-  std::vector<std::string> schemes{"session-vector"};
-  std::vector<std::string> write_schemes{"rowaa"};
-  std::vector<std::string> strategies{"mark-all"};
-  std::vector<std::string> copiers{"eager"};
-  std::vector<std::string> policies{"block"};
-  std::vector<std::string> engines{"in-memory"};
-  std::vector<std::string> checkpoint_intervals{""}; // "" = config default
-  std::vector<std::string> degrees{""};              // "" = config default
-  std::vector<std::string> item_counts{""};          // "" = config default
-  std::vector<std::string> footprints{""};           // on|off; "" = default
-  uint64_t seed_base = 1;
-  int seeds = 4;
-  int threads = 1;
-  SimTime duration = 2'000'000;
-  int clients = 2;
-  int ops_per_txn = 3;
-  double read_fraction = 0.5;
-  double zipf = 0.0;
-  std::vector<FailureEvent> schedule;
+  std::vector<ConfigAxis> axes;
+  SweepSpec spec;
+  int jobs = 1;
   std::string out = "SWEEP_ddbs.json";
   std::string per_run_dir; // "" = don't write per-run reports
   std::string spans_dir;   // "" = don't write per-run span dumps
   std::string telemetry_dir; // "" = don't write per-run telemetry JSONL
-  SimTime telemetry_interval = 250'000;
-  bool fail_fast = false;
   bool no_oracles = false;
-  bool online_verify = false;
 };
-
-[[noreturn]] void usage(const char* argv0) {
-  std::printf(
-      "usage: %s [flags]\n"
-      "matrix axes (comma-separated values; cross product forms the cells):\n"
-      "  --scheme=A,B          session-vector|spooler\n"
-      "  --write-scheme=A,B    rowaa|rowa\n"
-      "  --strategy=A,B,..     mark-all|vcmp|fail-lock|missing-list\n"
-      "  --copier=A,B          eager|on-demand\n"
-      "  --policy=A,B          block|redirect\n"
-      "  --storage-engine=A,B  in-memory|durable\n"
-      "  --checkpoint-interval=N,M  redo records between fuzzy checkpoints\n"
-      "                        (durable engine; 0 = never)\n"
-      "  --degree=N,M          copies per item\n"
-      "  --items=N,M           number of logical items\n"
-      "  --footprint-ns=on,off host-set-only vs full-vector session reads\n"
-      "sweep control:\n"
-      "  --seeds=N             seeds per cell (default 4)\n"
-      "  --seed-base=N         first seed (default 1)\n"
-      "  -j N, --threads=N     worker threads (default 1)\n"
-      "  --cluster-threads=N   per-cluster worker threads; N>1 runs each\n"
-      "                        cell on the site-parallel backend\n"
-      "  --fail-fast           stop scheduling runs after the first failure\n"
-      "  --no-oracles          skip the quiescence invariant oracles\n"
-      "  --online-verify       record history and judge the quiescence\n"
-      "                        oracles with the incremental online verifier\n"
-      "  --planted-bug=NAME    protocol mutation for every cell\n"
-      "                        (none|skip-session-check|skip-mark)\n"
-      "  --out=PATH            aggregate JSON report (default SWEEP_ddbs.json)\n"
-      "  --per-run-dir=DIR     also write RUN_<cell>_seed<N>.json per run\n"
-      "  --spans-dir=DIR       also write SPANS_<cell>_seed<N>.json per run\n"
-      "                        (Chrome trace_event JSON of the causal spans)\n"
-      "  --telemetry-dir=DIR   also write TEL_<cell>_seed<N>.jsonl per run\n"
-      "                        (live telemetry stream; see EXPERIMENTS.md)\n"
-      "  --telemetry-interval-ms=N  telemetry tick period (default 250)\n"
-      "scenario (same meaning as ddbs_sim):\n"
-      "  --sites=N --loss=F\n"
-      "  --duration-ms=N --clients=N --ops=N --reads=F --zipf=F\n"
-      "  --crash=S@MS --recover=S@MS (repeatable)\n",
-      argv0);
-  std::exit(2);
-}
-
-bool parse_kv(const char* arg, const char* key, std::string* out) {
-  const size_t len = std::strlen(key);
-  if (std::strncmp(arg, key, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-std::vector<std::string> split_commas(const std::string& v) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= v.size()) {
-    const size_t comma = v.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(v.substr(start));
-      break;
-    }
-    out.push_back(v.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
-FailureEvent parse_event(const std::string& v, FailureEvent::What what,
-                         const char* argv0) {
-  const size_t at = v.find('@');
-  if (at == std::string::npos) usage(argv0);
-  FailureEvent ev;
-  ev.what = what;
-  ev.site = static_cast<SiteId>(std::stol(v.substr(0, at)));
-  ev.at = static_cast<SimTime>(std::stoll(v.substr(at + 1))) * 1000;
-  return ev;
-}
 
 Options parse(int argc, char** argv) {
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    std::string v;
-    if (parse_kv(argv[i], "--scheme", &v)) {
-      o.schemes = split_commas(v);
-    } else if (parse_kv(argv[i], "--write-scheme", &v)) {
-      o.write_schemes = split_commas(v);
-    } else if (parse_kv(argv[i], "--strategy", &v)) {
-      o.strategies = split_commas(v);
-    } else if (parse_kv(argv[i], "--copier", &v)) {
-      o.copiers = split_commas(v);
-    } else if (parse_kv(argv[i], "--policy", &v)) {
-      o.policies = split_commas(v);
-    } else if (parse_kv(argv[i], "--storage-engine", &v)) {
-      o.engines = split_commas(v);
-    } else if (parse_kv(argv[i], "--checkpoint-interval", &v)) {
-      o.checkpoint_intervals = split_commas(v);
-    } else if (parse_kv(argv[i], "--disk-latency-us", &v)) {
-      o.base.disk_latency_us = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-bw-mbps", &v)) {
-      o.base.disk_bandwidth_mbps = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-queue-depth", &v)) {
-      o.base.disk_queue_depth = std::stoi(v);
-    } else if (parse_kv(argv[i], "--seeds", &v)) {
-      o.seeds = std::stoi(v);
-    } else if (parse_kv(argv[i], "--seed-base", &v)) {
-      o.seed_base = std::stoull(v);
-    } else if (parse_kv(argv[i], "--threads", &v)) {
-      o.threads = std::stoi(v);
-    } else if (parse_kv(argv[i], "--cluster-threads", &v)) {
-      o.base.n_threads = std::stoi(v);
-    } else if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc) {
-      o.threads = std::stoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "-j", 2) == 0 && argv[i][2] != '\0') {
-      o.threads = std::stoi(argv[i] + 2);
-    } else if (parse_kv(argv[i], "--sites", &v)) {
-      o.base.n_sites = std::stoi(v);
-    } else if (parse_kv(argv[i], "--items", &v)) {
-      o.item_counts = split_commas(v);
-    } else if (parse_kv(argv[i], "--degree", &v)) {
-      o.degrees = split_commas(v);
-    } else if (parse_kv(argv[i], "--footprint-ns", &v)) {
-      o.footprints = split_commas(v);
-    } else if (parse_kv(argv[i], "--loss", &v)) {
-      o.base.msg_loss_prob = std::stod(v);
-    } else if (parse_kv(argv[i], "--duration-ms", &v)) {
-      o.duration = std::stoll(v) * 1000;
-    } else if (parse_kv(argv[i], "--clients", &v)) {
-      o.clients = std::stoi(v);
-    } else if (parse_kv(argv[i], "--ops", &v)) {
-      o.ops_per_txn = std::stoi(v);
-    } else if (parse_kv(argv[i], "--reads", &v)) {
-      o.read_fraction = std::stod(v);
-    } else if (parse_kv(argv[i], "--zipf", &v)) {
-      o.zipf = std::stod(v);
-    } else if (parse_kv(argv[i], "--crash", &v)) {
-      o.schedule.push_back(
-          parse_event(v, FailureEvent::What::kCrash, argv[0]));
-    } else if (parse_kv(argv[i], "--recover", &v)) {
-      o.schedule.push_back(
-          parse_event(v, FailureEvent::What::kRecover, argv[0]));
-    } else if (std::strcmp(argv[i], "--fail-fast") == 0) {
-      o.fail_fast = true;
-    } else if (std::strcmp(argv[i], "--no-oracles") == 0) {
-      o.no_oracles = true;
-    } else if (std::strcmp(argv[i], "--online-verify") == 0) {
-      o.online_verify = true;
-    } else if (parse_kv(argv[i], "--planted-bug", &v)) {
-      if (!parse_planted_bug(v, &o.base.planted_bug)) usage(argv[0]);
-    } else if (parse_kv(argv[i], "--out", &v)) {
-      o.out = v;
-    } else if (parse_kv(argv[i], "--per-run-dir", &v)) {
-      o.per_run_dir = v;
-    } else if (parse_kv(argv[i], "--spans-dir", &v)) {
-      o.spans_dir = v;
-    } else if (parse_kv(argv[i], "--telemetry-dir", &v)) {
-      o.telemetry_dir = v;
-    } else if (parse_kv(argv[i], "--telemetry-interval-ms", &v)) {
-      o.telemetry_interval = std::stoll(v) * 1000;
-    } else {
-      usage(argv[0]);
-    }
-  }
-  if (o.seeds < 1 || o.threads < 1) usage(argv[0]);
+  o.spec.seeds = 4;
+  o.spec.params.duration = 2'000'000;
+  o.spec.params.workload.ops_per_txn = 3;
+  Cli cli(argv[0]);
+  cli.add("sweep:",
+          {{"seeds", &o.spec.seeds, "seeds per cell"},
+           {"seed-base", &o.spec.seed_base, "first seed"},
+           {"jobs", &o.jobs, "worker pool size (also -j N)"},
+           {"fail-fast", &o.spec.fail_fast,
+            "stop scheduling runs after the first failure"},
+           {"no-oracles", &o.no_oracles,
+            "skip the quiescence invariant oracles"},
+           {"out", &o.out, "aggregate JSON report"},
+           {"per-run-dir", &o.per_run_dir,
+            "also write RUN_<cell>_seed<N>.json per run"},
+           {"spans-dir", &o.spans_dir,
+            "also write SPANS_<cell>_seed<N>.json per run"},
+           {"telemetry-dir", &o.telemetry_dir,
+            "also write TEL_<cell>_seed<N>.jsonl per run"},
+           {"telemetry-interval-ms", &o.spec.telemetry.interval,
+            "telemetry tick period"}});
+  cli.add_scenario(&o.spec.params.clients_per_site, &o.spec.params.workload,
+                   &o.spec.params.duration, &o.spec.params.schedule);
+  cli.add_config(&o.base, &o.axes);
+  cli.parse(argc, argv);
+  if (o.spec.seeds < 1 || o.jobs < 1) cli.usage(2);
   return o;
 }
 
-bool apply_axis(Config& cfg, const std::string& scheme,
-                const std::string& write_scheme, const std::string& strategy,
-                const std::string& copier, const std::string& policy,
-                const std::string& engine, const std::string& ckpt,
-                const std::string& degree, const std::string& items,
-                const std::string& footprint) {
-  if (!parse_storage_engine(engine, &cfg.storage_engine)) return false;
-  if (!ckpt.empty()) cfg.checkpoint_interval = std::stoll(ckpt);
-  if (!degree.empty()) cfg.replication_degree = std::stoi(degree);
-  if (!items.empty()) cfg.n_items = std::stoll(items);
-  if (!footprint.empty()) {
-    if (footprint == "on") {
-      cfg.footprint_ns = true;
-    } else if (footprint == "off") {
-      cfg.footprint_ns = false;
-    } else {
-      return false;
+// The cross product of the axes, first axis outermost. A cell's label
+// joins its axis values as typed; with no axes it is the strategy.
+void build_cells(const Options& o, SweepSpec* spec) {
+  std::vector<size_t> at(o.axes.size(), 0);
+  while (true) {
+    SweepCell cell{"", o.base};
+    for (size_t k = 0; k < o.axes.size(); ++k) {
+      const std::string& v = o.axes[k].values[at[k]];
+      set_config_field(*o.axes[k].field, v, &cell.cfg);
+      cell.label += (k == 0 ? "" : "+") + v;
     }
+    if (cell.label.empty()) cell.label = cli_name(cell.cfg.outdated_strategy);
+    // Perf runs carry no checker feed unless the online verifier is
+    // requested (it needs the history event stream as input).
+    cell.cfg.record_history = cell.cfg.online_verify;
+    spec->cells.push_back(std::move(cell));
+    size_t k = o.axes.size();
+    for (; k > 0 && ++at[k - 1] == o.axes[k - 1].values.size(); --k) {
+      at[k - 1] = 0;
+    }
+    if (k == 0) return;
   }
-  if (scheme == "session-vector") {
-    cfg.recovery_scheme = RecoveryScheme::kSessionVector;
-  } else if (scheme == "spooler") {
-    cfg.recovery_scheme = RecoveryScheme::kSpooler;
-  } else {
-    return false;
-  }
-  if (write_scheme == "rowaa") {
-    cfg.write_scheme = WriteScheme::kRowaa;
-  } else if (write_scheme == "rowa") {
-    cfg.write_scheme = WriteScheme::kRowaStrict;
-  } else {
-    return false;
-  }
-  if (strategy == "mark-all") {
-    cfg.outdated_strategy = OutdatedStrategy::kMarkAll;
-  } else if (strategy == "vcmp") {
-    cfg.outdated_strategy = OutdatedStrategy::kMarkAllVersionCmp;
-  } else if (strategy == "fail-lock") {
-    cfg.outdated_strategy = OutdatedStrategy::kFailLock;
-  } else if (strategy == "missing-list") {
-    cfg.outdated_strategy = OutdatedStrategy::kMissingList;
-  } else {
-    return false;
-  }
-  if (copier == "eager") {
-    cfg.copier_mode = CopierMode::kEager;
-  } else if (copier == "on-demand") {
-    cfg.copier_mode = CopierMode::kOnDemand;
-  } else {
-    return false;
-  }
-  if (policy == "block") {
-    cfg.unreadable_policy = UnreadablePolicy::kBlock;
-  } else if (policy == "redirect") {
-    cfg.unreadable_policy = UnreadablePolicy::kRedirect;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-// Label only from axes with >1 value, so single-axis sweeps stay readable.
-std::string cell_label(const Options& o, const std::string& scheme,
-                       const std::string& write_scheme,
-                       const std::string& strategy, const std::string& copier,
-                       const std::string& policy, const std::string& engine,
-                       const std::string& ckpt, const std::string& degree,
-                       const std::string& items, const std::string& footprint) {
-  std::string label;
-  auto add = [&label](const std::vector<std::string>& axis,
-                      const std::string& v) {
-    if (axis.size() <= 1) return;
-    if (!label.empty()) label += '+';
-    label += v;
-  };
-  add(o.schemes, scheme);
-  add(o.write_schemes, write_scheme);
-  add(o.strategies, strategy);
-  add(o.copiers, copier);
-  add(o.policies, policy);
-  add(o.engines, engine);
-  if (o.checkpoint_intervals.size() > 1) {
-    if (!label.empty()) label += '+';
-    label += "ckpt" + ckpt;
-  }
-  if (o.degrees.size() > 1) {
-    if (!label.empty()) label += '+';
-    label += "deg" + degree;
-  }
-  if (o.item_counts.size() > 1) {
-    if (!label.empty()) label += '+';
-    label += "items" + items;
-  }
-  if (o.footprints.size() > 1) {
-    if (!label.empty()) label += '+';
-    label += (footprint == "off") ? "dense-ns" : "sparse-ns";
-  }
-  return label.empty() ? strategy : label;
-}
-
-bool write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "ddbs_sweep: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  return true;
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
-
-  SweepSpec spec;
-  spec.seed_base = o.seed_base;
-  spec.seeds = o.seeds;
-  spec.params.clients_per_site = o.clients;
-  spec.params.duration = o.duration;
-  spec.params.workload.ops_per_txn = o.ops_per_txn;
-  spec.params.workload.read_fraction = o.read_fraction;
-  spec.params.workload.zipf_theta = o.zipf;
-  spec.params.schedule = o.schedule;
+  SweepSpec spec = o.spec;
   spec.capture_spans = !o.spans_dir.empty();
   spec.capture_telemetry = !o.telemetry_dir.empty();
-  spec.telemetry.interval = o.telemetry_interval;
   spec.check_oracles = !o.no_oracles;
-  spec.fail_fast = o.fail_fast;
-
-  for (const std::string& scheme : o.schemes) {
-    for (const std::string& ws : o.write_schemes) {
-      for (const std::string& strategy : o.strategies) {
-        for (const std::string& copier : o.copiers) {
-          for (const std::string& policy : o.policies) {
-            for (const std::string& engine : o.engines) {
-              for (const std::string& ckpt : o.checkpoint_intervals) {
-                for (const std::string& degree : o.degrees) {
-                  for (const std::string& items : o.item_counts) {
-                    for (const std::string& fp : o.footprints) {
-                      SweepCell cell;
-                      cell.cfg = o.base;
-                      // Perf runs carry no checker feed unless the online
-                      // verifier is requested (it needs the history event
-                      // stream as input).
-                      cell.cfg.record_history = o.online_verify;
-                      cell.cfg.online_verify = o.online_verify;
-                      if (!apply_axis(cell.cfg, scheme, ws, strategy, copier,
-                                      policy, engine, ckpt, degree, items,
-                                      fp)) {
-                        usage(argv[0]);
-                      }
-                      cell.label = cell_label(o, scheme, ws, strategy, copier,
-                                              policy, engine, ckpt, degree,
-                                              items, fp);
-                      spec.cells.push_back(std::move(cell));
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
+  build_cells(o, &spec);
 
   std::printf("ddbs_sweep: %zu cells x %d seeds = %zu runs on %d thread%s\n",
-              spec.cells.size(), o.seeds, spec.cells.size() * o.seeds,
-              o.threads, o.threads == 1 ? "" : "s");
+              spec.cells.size(), spec.seeds, spec.cells.size() * spec.seeds,
+              o.jobs, o.jobs == 1 ? "" : "s");
 
-  const SweepResult res = run_sweep(spec, o.threads);
+  const SweepResult res = run_sweep(spec, o.jobs);
 
   for (size_t c = 0; c < res.cells.size(); ++c) {
     const SweepCellSummary& cell = res.cells[c];
@@ -405,48 +118,38 @@ int main(int argc, char** argv) {
         std::printf(" commit %.1f%%", s.mean * 100.0);
       }
     }
-    std::printf(" converged %d/%d\n", cell.converged, o.seeds);
+    std::printf(" converged %d/%d\n", cell.converged, spec.seeds);
   }
   std::printf("wall %.2fs, %llu events, %.2fM events/s\n", res.wall_seconds,
               static_cast<unsigned long long>(res.events_executed),
               res.events_per_sec() / 1e6);
 
   int rc = 0;
-  for (const std::string& dir : {o.per_run_dir, o.spans_dir, o.telemetry_dir}) {
-    if (dir.empty()) continue;
+  const struct {
+    const std::string& dir;
+    const char* prefix;
+    const char* ext;
+    std::string SweepRun::*body;
+  } dumps[] = {{o.per_run_dir, "RUN_", ".json", &SweepRun::report_json},
+               {o.spans_dir, "SPANS_", ".json", &SweepRun::spans_json},
+               {o.telemetry_dir, "TEL_", ".jsonl", &SweepRun::telemetry_jsonl}};
+  for (const auto& d : dumps) {
+    if (d.dir.empty()) continue;
     std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
+    std::filesystem::create_directories(d.dir, ec);
     if (ec) {
-      std::fprintf(stderr, "ddbs_sweep: cannot create %s: %s\n", dir.c_str(),
-                   ec.message().c_str());
+      std::fprintf(stderr, "ddbs_sweep: cannot create %s: %s\n",
+                   d.dir.c_str(), ec.message().c_str());
       rc = 1;
     }
-  }
-  if (!o.per_run_dir.empty()) {
     for (const SweepRun& r : res.runs) {
-      const std::string path = o.per_run_dir + "/RUN_" +
+      const std::string path = d.dir + "/" + d.prefix +
                                spec.cells[r.cell].label + "_seed" +
-                               std::to_string(r.seed) + ".json";
-      if (!write_file(path, r.report_json)) rc = 1;
+                               std::to_string(r.seed) + d.ext;
+      if (!write_file(path, r.*d.body)) rc = 1;
     }
   }
-  if (!o.spans_dir.empty()) {
-    for (const SweepRun& r : res.runs) {
-      const std::string path = o.spans_dir + "/SPANS_" +
-                               spec.cells[r.cell].label + "_seed" +
-                               std::to_string(r.seed) + ".json";
-      if (!write_file(path, r.spans_json)) rc = 1;
-    }
-  }
-  if (!o.telemetry_dir.empty()) {
-    for (const SweepRun& r : res.runs) {
-      const std::string path = o.telemetry_dir + "/TEL_" +
-                               spec.cells[r.cell].label + "_seed" +
-                               std::to_string(r.seed) + ".jsonl";
-      if (!write_file(path, r.telemetry_jsonl)) rc = 1;
-    }
-  }
-  if (!write_file(o.out, sweep_report_json(spec, res, o.threads))) rc = 1;
+  if (!write_file(o.out, sweep_report_json(spec, res, o.jobs))) rc = 1;
   // A sweep fails (nonzero exit) when any completed run missed replica
   // convergence or tripped an invariant oracle. Runs skipped by
   // --fail-fast are reported but judged only by the runs that did execute.
@@ -471,10 +174,10 @@ int main(int argc, char** argv) {
                    cell.oracle_failures == 1 ? "" : "s");
       rc = 1;
     }
-    if (cell.completed != o.seeds) {
+    if (cell.completed != spec.seeds) {
       std::fprintf(stderr, "ddbs_sweep: cell %s: %d/%d runs skipped"
                    " (--fail-fast)\n",
-                   cell.label.c_str(), o.seeds - cell.completed, o.seeds);
+                   cell.label.c_str(), spec.seeds - cell.completed, spec.seeds);
     }
   }
   return rc;
