@@ -16,7 +16,7 @@ class ScheduleRun {
   ScheduleRun(const ExploreOptions& opts, const Schedule& schedule,
               uint64_t seed)
       : opts_(opts), schedule_(schedule), seed_(seed),
-        cluster_(make_runtime(force_history(opts.cfg, opts.verify), seed)),
+        cluster_(make_runtime(force_verifier(opts.cfg), seed)),
         rt_(*cluster_) {
     const int shards = rt_.config().shard_count();
     submitted_.assign(static_cast<size_t>(shards), 0);
@@ -45,7 +45,7 @@ class ScheduleRun {
          t += opts_.checkpoint_every) {
       const SimTime target = std::min(t, end_time_);
       rt_.run_until(target);
-      if (auto v = check_checkpoint()) {
+      if (auto v = rt_.online_verifier()->checkpoint(rt_)) {
         res.violations.push_back(*v);
         break;
       }
@@ -61,7 +61,7 @@ class ScheduleRun {
       rt_.run_until(rt_.now() +
                          4 * rt_.config().detector_interval);
       rt_.settle(opts_.settle_budget);
-      res.violations = check_quiescence();
+      res.violations = rt_.online_verifier()->quiescence(rt_);
     }
     res.violated = !res.violations.empty();
     for (int64_t n : submitted_) res.submitted += n;
@@ -76,24 +76,10 @@ class ScheduleRun {
   }
 
  private:
-  static Config force_history(Config cfg, VerifyMode verify) {
-    cfg.record_history = true; // one-sr + lost-write oracles need it
-    cfg.online_verify = verify == VerifyMode::kOnline;
+  static Config force_verifier(Config cfg) {
+    cfg.record_history = true;
+    cfg.online_verify = true;
     return cfg;
-  }
-
-  std::optional<Violation> check_checkpoint() {
-    if (OnlineVerifier* v = rt_.online_verifier(); v != nullptr) {
-      return v->checkpoint(rt_);
-    }
-    return checkpoint_.check(rt_);
-  }
-
-  std::vector<Violation> check_quiescence() {
-    if (OnlineVerifier* v = rt_.online_verifier(); v != nullptr) {
-      return v->quiescence(rt_);
-    }
-    return quiescence_oracles(rt_);
   }
 
   void arm_nemesis() {
@@ -267,7 +253,6 @@ class ScheduleRun {
   uint64_t seed_;
   std::unique_ptr<ClusterRuntime> cluster_;
   ClusterRuntime& rt_;
-  CheckpointOracle checkpoint_;
   SiteId isolated_ = kInvalidSite;
   SimTime end_time_ = 0;
   // Per-shard counters: client callbacks run on shard threads under the
@@ -279,80 +264,10 @@ class ScheduleRun {
 
 } // namespace
 
-const char* to_string(VerifyMode m) {
-  switch (m) {
-    case VerifyMode::kPostHoc: return "post-hoc";
-    case VerifyMode::kOnline: return "online";
-  }
-  return "?";
-}
-
-bool parse_verify_mode(std::string_view name, VerifyMode* out) {
-  if (name == "post-hoc") {
-    *out = VerifyMode::kPostHoc;
-    return true;
-  }
-  if (name == "online") {
-    *out = VerifyMode::kOnline;
-    return true;
-  }
-  return false;
-}
-
 ExploreRunResult run_schedule(const ExploreOptions& opts,
                               const Schedule& schedule, uint64_t seed) {
   ScheduleRun run(opts, schedule, seed);
   return run.run();
-}
-
-void write_explore_options(JsonWriter& w, const ExploreOptions& opts) {
-  w.begin_object();
-  w.kv("clients_per_site", opts.clients_per_site);
-  w.kv("think_time", static_cast<int64_t>(opts.think_time));
-  w.kv("horizon", static_cast<int64_t>(opts.horizon));
-  w.kv("checkpoint_every", static_cast<int64_t>(opts.checkpoint_every));
-  w.kv("settle_budget", static_cast<int64_t>(opts.settle_budget));
-  w.kv("verify", to_string(opts.verify));
-  w.key("workload");
-  w.begin_object();
-  w.kv("ops_per_txn", opts.workload.ops_per_txn);
-  w.kv("read_fraction", opts.workload.read_fraction);
-  w.kv("zipf_theta", opts.workload.zipf_theta);
-  w.kv("n_items", opts.workload.n_items);
-  w.end_object();
-  w.end_object();
-}
-
-bool parse_explore_options(const json::JsonValue& v, ExploreOptions* out) {
-  if (!v.is_object()) return false;
-  ExploreOptions o = *out; // keep caller-supplied Config
-  o.clients_per_site = static_cast<int>(
-      v.num_or("clients_per_site", o.clients_per_site));
-  o.think_time = static_cast<SimTime>(
-      v.num_or("think_time", static_cast<double>(o.think_time)));
-  o.horizon = static_cast<SimTime>(
-      v.num_or("horizon", static_cast<double>(o.horizon)));
-  o.checkpoint_every = static_cast<SimTime>(
-      v.num_or("checkpoint_every", static_cast<double>(o.checkpoint_every)));
-  o.settle_budget = static_cast<SimTime>(
-      v.num_or("settle_budget", static_cast<double>(o.settle_budget)));
-  if (const json::JsonValue* vm = v.get("verify"); vm != nullptr) {
-    if (!vm->is_string() || !parse_verify_mode(vm->str(), &o.verify)) {
-      return false;
-    }
-  }
-  if (const json::JsonValue* wl = v.get("workload"); wl != nullptr) {
-    if (!wl->is_object()) return false;
-    o.workload.ops_per_txn = static_cast<int>(
-        wl->num_or("ops_per_txn", o.workload.ops_per_txn));
-    o.workload.read_fraction =
-        wl->num_or("read_fraction", o.workload.read_fraction);
-    o.workload.zipf_theta = wl->num_or("zipf_theta", o.workload.zipf_theta);
-    o.workload.n_items = static_cast<int64_t>(
-        wl->num_or("n_items", static_cast<double>(o.workload.n_items)));
-  }
-  *out = o;
-  return true;
 }
 
 } // namespace ddbs

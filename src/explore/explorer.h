@@ -1,9 +1,9 @@
 // One adversarial exploration run: a nemesis applies a fault Schedule to
-// a deterministic Cluster while synthetic clients generate load; invariant
-// oracles run at fixed checkpoints and at quiescence. The entire run is a
-// pure function of (ExploreOptions, Schedule, seed) -- the returned report
-// string is byte-identical across replays, which is what makes shrunk
-// repro artifacts trustworthy.
+// a deterministic Cluster while synthetic clients generate load; the
+// cluster's OnlineVerifier judges fixed checkpoints and the quiesced end.
+// The entire run is a pure function of (ExploreOptions, Schedule, seed) --
+// the returned report string is byte-identical across replays, which is
+// what makes shrunk repro artifacts trustworthy.
 //
 // Two deliberate run-semantics choices keep the oracles sound under
 // *arbitrary* (shrunk, hand-edited) schedules:
@@ -29,26 +29,16 @@
 
 namespace ddbs {
 
-// Which verifier judges the run. kPostHoc is the legacy pair
-// (CheckpointOracle at checkpoints, quiescence_oracles at the end);
-// kOnline routes the same boundaries through the cluster's OnlineVerifier,
-// which maintains the 1-STG incrementally. The two must agree
-// byte-for-byte on every run report -- tests/test_online_differential.cpp
-// holds them to it.
-enum class VerifyMode : uint8_t { kPostHoc, kOnline };
-
-const char* to_string(VerifyMode m);
-bool parse_verify_mode(std::string_view name, VerifyMode* out);
-
 struct ExploreOptions {
-  Config cfg;                         // cfg.record_history is forced on
+  // cfg.record_history and cfg.online_verify are forced on: the cluster's
+  // OnlineVerifier judges every checkpoint and the quiescent end state.
+  Config cfg;
   int clients_per_site = 1;
   SimTime think_time = 2'000;
   WorkloadParams workload;
   SimTime horizon = 2'000'000;        // load + fault window
   SimTime checkpoint_every = 250'000; // mid-run oracle cadence
   SimTime settle_budget = 60'000'000; // quiescence bound after the horizon
-  VerifyMode verify = VerifyMode::kPostHoc;
   // Buffer the run's telemetry JSONL into ExploreRunResult. Deliberately
   // NOT part of the repro artifact round-trip: capturing telemetry does
   // not perturb the run, so replays stay byte-identical either way.
@@ -70,10 +60,5 @@ struct ExploreRunResult {
 // Deterministic and self-contained: safe to call from worker threads.
 ExploreRunResult run_schedule(const ExploreOptions& opts,
                               const Schedule& schedule, uint64_t seed);
-
-// JSON round-trip of the options an artifact needs to replay a run
-// (everything except Config, which travels via write_config).
-void write_explore_options(JsonWriter& w, const ExploreOptions& opts);
-bool parse_explore_options(const json::JsonValue& v, ExploreOptions* out);
 
 } // namespace ddbs

@@ -1,11 +1,10 @@
 #include "explore/oracles.h"
 
-#include <map>
+#include <optional>
 #include <sstream>
 
 #include "core/runtime.h"
 #include "replication/session.h"
-#include "verify/one_sr_checker.h"
 
 namespace ddbs {
 
@@ -14,8 +13,6 @@ std::string to_string(const Violation& v) {
   os << v.oracle << "@" << v.at / 1000 << "ms: " << v.detail;
   return os.str();
 }
-
-namespace {
 
 Violation make_violation(const ClusterRuntime& cluster, std::string oracle,
                          std::string detail) {
@@ -26,8 +23,9 @@ Violation make_violation(const ClusterRuntime& cluster, std::string oracle,
   return v;
 }
 
-} // namespace
+namespace {
 
+// nullopt == invariant holds.
 std::optional<Violation> check_convergence(ClusterRuntime& cluster) {
   std::string why;
   if (cluster.replicas_converged(&why)) return std::nullopt;
@@ -70,110 +68,17 @@ std::optional<Violation> check_ns_agreement(ClusterRuntime& cluster) {
   return std::nullopt;
 }
 
-std::optional<Violation> check_one_sr(ClusterRuntime& cluster) {
-  const CheckReport rep = check_one_sr_graph(cluster.history().view());
-  if (rep.ok) return std::nullopt;
-  return make_violation(cluster, "one-sr", rep.detail);
-}
-
-std::optional<Violation> check_lost_writes(ClusterRuntime& cluster) {
-  // The authoritative final value of each item: across all committed
-  // non-copier writes, the one with the highest version counter (writers
-  // of one item are serialized under strict 2PL, so counters are strictly
-  // increasing). Copier installs re-publish an existing version and are
-  // not independent writes.
-  struct Last {
-    uint64_t counter = 0;
-    Value value = 0;
-    TxnId writer = 0;
-  };
-  // Ordered map: the first violation reported must not depend on hash
-  // iteration order, or the online verifier (which walks items in
-  // ascending id) could disagree byte-for-byte on which witness it picks.
-  std::map<ItemId, Last> last;
-  for (const TxnRecord& t : cluster.history().view().txns) {
-    for (const WriteEvent& w : t.writes) {
-      if (!is_data_item(w.item) || w.copier_install) continue;
-      Last& l = last[w.item];
-      if (w.counter >= l.counter) {
-        l.counter = w.counter;
-        l.value = w.value;
-        l.writer = t.txn;
-      }
-    }
-  }
-  for (const auto& [item, l] : last) {
-    for (SiteId s : cluster.catalog().sites_of(item)) {
-      const Site& site = cluster.site(s);
-      if (!site.state().operational()) continue;
-      const Copy* c = site.stable().kv().find(item);
-      if (c == nullptr || c->unreadable) continue; // convergence's problem
-      if (c->version.counter < l.counter || c->value != l.value) {
-        std::ostringstream os;
-        os << "item " << item << " at site " << s << " holds value "
-           << c->value << " (counter " << c->version.counter
-           << ") but txn " << l.writer << " committed value " << l.value
-           << " (counter " << l.counter << ")";
-        return make_violation(cluster, "lost-write", os.str());
-      }
-    }
-  }
-  return std::nullopt;
-}
+} // namespace
 
 std::vector<Violation> quiescence_oracles(ClusterRuntime& cluster) {
   std::vector<Violation> out;
   if (auto v = check_convergence(cluster)) out.push_back(*v);
   // NS agreement is a session-vector invariant; the spooler baseline
-  // recovers without control transactions, so only the other oracles
-  // apply to it.
+  // recovers without control transactions, so only convergence applies.
   if (cluster.config().recovery_scheme == RecoveryScheme::kSessionVector) {
     if (auto v = check_ns_agreement(cluster)) out.push_back(*v);
   }
-  if (auto v = check_lost_writes(cluster)) out.push_back(*v);
-  if (auto v = check_one_sr(cluster)) out.push_back(*v);
   return out;
-}
-
-std::optional<Violation> CheckpointOracle::check(ClusterRuntime& cluster) {
-  if (max_session_.empty()) {
-    max_session_.assign(static_cast<size_t>(cluster.n_sites()), 0);
-  }
-  // Session numbers grow monotonically across incarnations (the paper's
-  // "never reused" requirement); a site observed with a session at or
-  // below a *previous* incarnation's would let stale-session writes slip
-  // the DM check.
-  for (SiteId s = 0; s < cluster.n_sites(); ++s) {
-    const SiteState& st = cluster.site(s).state();
-    if (!st.operational()) continue;
-    SessionNum& hi = max_session_[static_cast<size_t>(s)];
-    if (st.session < hi) {
-      std::ostringstream os;
-      os << "site " << s << " runs session " << st.session
-         << " after having reached " << hi;
-      return make_violation(cluster, "session-monotonic", os.str());
-    }
-    hi = st.session;
-  }
-  // Only control transactions may write NS items (Section 3.1). History
-  // is scanned incrementally: committed records are ordered by commit
-  // time, which only grows, so the scanned prefix is stable.
-  const History& h = cluster.history().view();
-  for (; scanned_txns_ < h.txns.size(); ++scanned_txns_) {
-    const TxnRecord& t = h.txns[scanned_txns_];
-    if (t.kind == TxnKind::kControlUp || t.kind == TxnKind::kControlDown) {
-      continue;
-    }
-    for (const WriteEvent& w : t.writes) {
-      if (is_ns_item(w.item)) {
-        std::ostringstream os;
-        os << to_string(t.kind) << " txn " << t.txn << " wrote NS["
-           << ns_site(w.item) << "]";
-        return make_violation(cluster, "ns-write-discipline", os.str());
-      }
-    }
-  }
-  return std::nullopt;
 }
 
 } // namespace ddbs

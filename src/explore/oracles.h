@@ -1,26 +1,19 @@
-// Invariant oracles for the adversarial explorer. Each oracle inspects a
-// quiesced (or checkpointed) Cluster from outside the protocol -- the same
-// omniscient-observer stance as verify/ -- and reports the first violation
-// it can prove, with enough detail to act on.
+// Invariant oracles over cluster state. Each oracle inspects a quiesced
+// Cluster from outside the protocol -- the same omniscient-observer stance
+// as verify/ -- and reports the first violation it can prove, with enough
+// detail to act on.
 //
-// Quiescence oracles (all faults healed, settle() done):
 //   - convergence:   every readable copy of every item identical; no copy
 //                    still unreadable at an up site (Section 3.2's goal).
 //   - ns-agreement:  operational sites agree on NS, and NS matches the
 //                    actual sessions (up sites carry their own session,
 //                    down sites carry 0) -- Section 3.1.
-//   - one-sr:        the recorded history passes the revised 1-STG
-//                    acyclicity test (Section 4, Theorem 3 corollary).
-//   - lost-write:    the last committed user write of every item is the
-//                    value every readable copy holds ("no committed write
-//                    lost" -- what session numbers exist to guarantee).
 //
-// Checkpoint oracles (safe to evaluate mid-run, between fault actions):
-//   - session monotonicity per site (Lemma: sessions never reused);
-//   - only control transactions ever write NS items.
+// The history-based verdicts (1-SR, lost writes, session monotonicity,
+// NS-write discipline) belong to OnlineVerifier, whose quiescence() runs
+// these two first and then appends its own.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,27 +31,12 @@ struct Violation {
 
 std::string to_string(const Violation& v);
 
-// Individual quiescence oracles; nullopt == invariant holds.
-std::optional<Violation> check_convergence(ClusterRuntime& cluster);
-std::optional<Violation> check_ns_agreement(ClusterRuntime& cluster);
-std::optional<Violation> check_one_sr(ClusterRuntime& cluster);
-std::optional<Violation> check_lost_writes(ClusterRuntime& cluster);
+// A violation stamped with the cluster's current sim time.
+Violation make_violation(const ClusterRuntime& cluster, std::string oracle,
+                         std::string detail);
 
-// Run every quiescence oracle, cheapest first; returns all violations
-// found (empty == clean run).
+// Convergence, then NS agreement under the session-vector scheme; returns
+// all violations found (empty == clean).
 std::vector<Violation> quiescence_oracles(ClusterRuntime& cluster);
-
-// Stateful oracle evaluated repeatedly during a run. Tracks per-site
-// session high-water marks (monotonicity) and the length of history
-// already scanned (NS write discipline), so each check() is incremental.
-class CheckpointOracle {
- public:
-  // First check() against a cluster initializes the session marks.
-  std::optional<Violation> check(ClusterRuntime& cluster);
-
- private:
-  std::vector<SessionNum> max_session_;
-  size_t scanned_txns_ = 0;
-};
 
 } // namespace ddbs

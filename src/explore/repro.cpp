@@ -74,6 +74,63 @@ bool parse_config(const json::JsonValue& v, Config* out, std::string* error) {
   return true;
 }
 
+void write_explore_options(JsonWriter& w, const ExploreOptions& opts) {
+  w.begin_object();
+  w.kv("clients_per_site", opts.clients_per_site);
+  w.kv("think_time", static_cast<int64_t>(opts.think_time));
+  w.kv("horizon", static_cast<int64_t>(opts.horizon));
+  w.kv("checkpoint_every", static_cast<int64_t>(opts.checkpoint_every));
+  w.kv("settle_budget", static_cast<int64_t>(opts.settle_budget));
+  w.key("workload");
+  w.begin_object();
+  w.kv("ops_per_txn", opts.workload.ops_per_txn);
+  w.kv("read_fraction", opts.workload.read_fraction);
+  w.kv("zipf_theta", opts.workload.zipf_theta);
+  w.kv("n_items", opts.workload.n_items);
+  w.end_object();
+  w.end_object();
+}
+
+// Inverse of write_explore_options, with parse_config's rule: absent keys
+// keep their defaults, a present key must be a number its member holds
+// exactly and no smaller than the row's floor. The horizon and checkpoint
+// cadence must be positive (a zero cadence never reaches the horizon).
+// The "verify" key older artifacts carry is ignored.
+bool parse_explore_options(const json::JsonValue& v, ExploreOptions* out,
+                           std::string* error) {
+  std::string bad;
+  ExploreOptions o = *out; // keep caller-supplied Config
+  auto read = [&bad](const json::JsonValue& obj, const char* prefix,
+                     const char* key, auto* member, double floor) {
+    const json::JsonValue* f = obj.get(key);
+    if (f == nullptr || !bad.empty()) return;
+    if (!read_number(*f, member) || static_cast<double>(*member) < floor) {
+      bad = std::string(prefix) + key;
+    }
+  };
+  constexpr double kAny = -std::numeric_limits<double>::infinity();
+  if (!v.is_object()) bad = "options";
+  read(v, "options.", "clients_per_site", &o.clients_per_site, 0);
+  read(v, "options.", "think_time", &o.think_time, 0);
+  read(v, "options.", "horizon", &o.horizon, 1);
+  read(v, "options.", "checkpoint_every", &o.checkpoint_every, 1);
+  read(v, "options.", "settle_budget", &o.settle_budget, 0);
+  if (const json::JsonValue* wl = v.get("workload"); wl != nullptr) {
+    if (!wl->is_object() && bad.empty()) bad = "options.workload";
+    const char* pre = "options.workload.";
+    read(*wl, pre, "ops_per_txn", &o.workload.ops_per_txn, 1);
+    read(*wl, pre, "read_fraction", &o.workload.read_fraction, kAny);
+    read(*wl, pre, "zipf_theta", &o.workload.zipf_theta, kAny);
+    read(*wl, pre, "n_items", &o.workload.n_items, 0);
+  }
+  if (!bad.empty()) {
+    if (error != nullptr) *error = "bad value for " + bad;
+    return false;
+  }
+  *out = o;
+  return true;
+}
+
 } // namespace
 
 std::string to_json(const ReproArtifact& a) {
@@ -113,17 +170,18 @@ bool parse_repro(std::string_view text, ReproArtifact* out,
     return false;
   }
   ReproArtifact a;
-  a.seed = static_cast<uint64_t>(doc.num_or("seed", 0));
+  if (const json::JsonValue* seed = doc.get("seed");
+      seed != nullptr && !read_number(*seed, &a.seed)) {
+    if (error != nullptr) *error = "bad value for seed";
+    return false;
+  }
   const json::JsonValue* cfg = doc.get("config");
   if (cfg == nullptr || !parse_config(*cfg, &a.opts.cfg, error)) {
     if (error != nullptr && error->empty()) *error = "missing config";
     return false;
   }
   if (const json::JsonValue* opts = doc.get("options"); opts != nullptr) {
-    if (!parse_explore_options(*opts, &a.opts)) {
-      if (error != nullptr) *error = "malformed options";
-      return false;
-    }
+    if (!parse_explore_options(*opts, &a.opts, error)) return false;
   }
   const json::JsonValue* sched = doc.get("schedule");
   if (sched == nullptr || !parse_schedule(*sched, &a.schedule)) {

@@ -37,6 +37,15 @@ struct TxnRecord {
   std::vector<WriteEvent> writes;
 };
 
+// Copiers and control transactions are not part of the one-copy serial
+// history (Section 4.1): with respect to DB, control transactions perform
+// no data-item operations at all, and copiers only re-publish a version
+// some other transaction wrote.
+inline bool is_copierish(TxnKind kind) {
+  return kind == TxnKind::kCopier || kind == TxnKind::kControlUp ||
+         kind == TxnKind::kControlDown;
+}
+
 struct History {
   std::vector<TxnRecord> txns; // committed only, by commit time
 };
@@ -46,8 +55,8 @@ struct History {
 // already-committed record afterwards (participant applies, WAL redo after
 // recovery, spool replay) arrive as on_late_*. A sink sees exactly the
 // same events a post-hoc pass over view() would, just incrementally --
-// which is what lets OnlineVerifier mirror the offline checkers while the
-// consumed prefix is pruned away.
+// which is what lets OnlineVerifier keep judging while the consumed prefix
+// is pruned away, and lets a recorded History be replayed through it.
 class HistorySink {
  public:
   virtual ~HistorySink() = default;
@@ -94,7 +103,7 @@ class HistoryRecorder {
 
   // Drops the first `n` records of view() (the prefix an online checker
   // has fully consumed and acknowledged), bounding memory over long runs.
-  // Offline checkers that later call view() see only the retained suffix,
+  // Checkers that later call view() see only the retained suffix,
   // so callers must prune only prefixes whose verdicts are already banked.
   void prune_committed_prefix(size_t n);
 

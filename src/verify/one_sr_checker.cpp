@@ -5,94 +5,26 @@
 #include <set>
 #include <sstream>
 
+#include "verify/online_verifier.h"
+
 namespace ddbs {
 
-namespace {
-
-bool is_copierish(const TxnRecord& t) {
-  // Copiers and control transactions: with respect to DB, control
-  // transactions perform no data-item operations at all, and copiers are
-  // excluded from the one-copy serial history by definition (Section 4.1).
-  return t.kind == TxnKind::kCopier || t.kind == TxnKind::kControlUp ||
-         t.kind == TxnKind::kControlDown;
-}
-
-struct LogicalItemInfo {
-  // Non-copier writers of this logical item ordered by version counter.
-  std::map<uint64_t, TxnId> writers;
-  // Data reads: (observed counter, observed writer, reader).
-  struct R {
-    uint64_t counter;
-    TxnId from;
-    TxnId reader;
-  };
-  std::vector<R> reads;
-};
-
-std::map<ItemId, LogicalItemInfo> collect(const History& h) {
-  std::map<ItemId, LogicalItemInfo> items;
-  for (const TxnRecord& t : h.txns) {
-    const bool copierish = is_copierish(t);
-    for (const WriteEvent& w : t.writes) {
-      if (!is_data_item(w.item)) continue;
-      if (copierish || w.copier_install) continue; // not a logical writer
-      items[w.item].writers.emplace(w.counter, t.txn);
-    }
-    for (const ReadEvent& r : t.reads) {
-      if (!is_data_item(r.item)) continue;
-      if (copierish) continue; // copier reads resolve via version tags
-      items[r.item].reads.push_back(
-          LogicalItemInfo::R{r.from_counter, r.from_writer, t.txn});
-    }
-  }
-  return items;
-}
-
-} // namespace
-
-Digraph build_one_sr_graph(const History& h) {
-  Digraph g;
-  for (const TxnRecord& t : h.txns) {
-    if (!is_copierish(t)) g.add_node(t.txn);
-  }
-  for (auto& [item, info] : collect(h)) {
-    // (ii) write-order: chain of non-copier writers by counter.
-    TxnId prev = 0;
-    bool have_prev = false;
-    for (const auto& [ctr, w] : info.writers) {
-      if (have_prev && prev != w) g.add_edge(prev, w);
-      prev = w;
-      have_prev = true;
-    }
-    for (const auto& r : info.reads) {
-      // (i) READ-FROM: original writer -> reader (0 = initial txn).
-      if (r.from != 0 && r.from != r.reader) g.add_edge(r.from, r.reader);
-      // (iii) read-before: reader -> first writer ordered after the one it
-      // read from (write-order chain covers the rest).
-      auto nit = info.writers.upper_bound(r.counter);
-      if (nit != info.writers.end() && nit->second != r.reader) {
-        g.add_edge(r.reader, nit->second);
-      }
-    }
-  }
-  return g;
-}
-
 CheckReport check_one_sr_graph(const History& h) {
-  const Digraph g = build_one_sr_graph(h);
+  OnlineVerifier v{Config{}};
+  for (const TxnRecord& t : h.txns) v.on_commit(t);
   CheckReport rep;
-  rep.nodes = g.node_count();
-  rep.edges = g.edge_count();
-  if (auto cyc = g.find_cycle()) {
-    rep.ok = false;
-    std::ostringstream os;
-    os << "1-STG cycle:";
-    for (TxnId t : *cyc) os << " " << t;
-    rep.detail = os.str();
-  } else {
-    rep.ok = true;
-  }
+  rep.ok = !v.graph_has_cycle();
+  rep.nodes = v.graph_node_count();
+  rep.edges = v.graph_edge_count();
+  if (!rep.ok) rep.detail = describe_cycle(v.cycle_witness());
   return rep;
+}
+
+std::string describe_cycle(const std::vector<TxnId>& cycle) {
+  std::ostringstream os;
+  os << "1-STG cycle:";
+  for (TxnId t : cycle) os << " " << t;
+  return os.str();
 }
 
 BruteForceReport check_one_sr_bruteforce(const History& h, size_t max_txns) {
@@ -106,7 +38,7 @@ BruteForceReport check_one_sr_bruteforce(const History& h, size_t max_txns) {
   std::vector<Logical> txns;
   std::map<ItemId, std::pair<uint64_t, TxnId>> final_writer; // max counter
   for (const TxnRecord& t : h.txns) {
-    if (is_copierish(t)) continue;
+    if (is_copierish(t.kind)) continue;
     Logical l;
     l.txn = t.txn;
     std::set<std::pair<ItemId, TxnId>> seen;

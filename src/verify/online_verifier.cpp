@@ -8,27 +8,7 @@
 
 namespace ddbs {
 
-namespace {
-
-bool is_copierish(TxnKind kind) {
-  // Same exclusion as the offline checker: copiers and control
-  // transactions are not part of the one-copy serial history (Section 4.1).
-  return kind == TxnKind::kCopier || kind == TxnKind::kControlUp ||
-         kind == TxnKind::kControlDown;
-}
-
-Violation make_violation(const ClusterRuntime& cluster, std::string oracle,
-                         std::string detail) {
-  Violation v;
-  v.oracle = std::move(oracle);
-  v.detail = std::move(detail);
-  v.at = cluster.now();
-  return v;
-}
-
-} // namespace
-
-OnlineVerifier::OnlineVerifier(const Config& cfg) : cfg_(cfg) {}
+OnlineVerifier::OnlineVerifier(const Config& /*cfg*/) {}
 
 void OnlineVerifier::ingest_read(TxnId txn, const ReadEvent& r) {
   if (!is_data_item(r.item)) return;
@@ -97,7 +77,7 @@ void OnlineVerifier::on_commit(const TxnRecord& rec) {
   graph_.add_node(rec.txn);
   // Writes before reads, so a transaction's own installed version is in
   // the writer chain before its reads look up their read-before target
-  // (the self-edge skip then matches the offline builder).
+  // (and the self-edge skip drops it).
   for (const WriteEvent& w : rec.writes) ingest_write(rec.txn, w);
   for (const ReadEvent& r : rec.reads) ingest_read(rec.txn, r);
 }
@@ -117,7 +97,10 @@ std::optional<Violation> OnlineVerifier::checkpoint(ClusterRuntime& cluster) {
   if (max_session_.empty()) {
     max_session_.assign(static_cast<size_t>(cluster.n_sites()), 0);
   }
-  // Session monotonicity, same scan as CheckpointOracle.
+  // Session numbers grow monotonically across incarnations (the paper's
+  // "never reused" requirement); a site observed with a session below a
+  // previous incarnation's would let stale-session writes slip the DM
+  // check.
   for (SiteId s = 0; s < cluster.n_sites(); ++s) {
     const SiteState& st = cluster.site(s).state();
     if (!st.operational()) continue;
@@ -131,9 +114,9 @@ std::optional<Violation> OnlineVerifier::checkpoint(ClusterRuntime& cluster) {
     }
     hi = st.session;
   }
-  // NS-write discipline from the event stream. Candidates are ordered the
-  // way the offline scan would meet them (commit time, then txn id) so the
-  // first reported witness matches CheckpointOracle's.
+  // Only control transactions may write NS items (Section 3.1). The
+  // witness is the earliest offender by (commit time, txn id), wherever
+  // in the stream its NS write arrived.
   if (!ns_candidates_.empty()) {
     std::sort(ns_candidates_.begin(), ns_candidates_.end(),
               [](const NsCandidate& a, const NsCandidate& b) {
@@ -151,11 +134,12 @@ std::optional<Violation> OnlineVerifier::checkpoint(ClusterRuntime& cluster) {
   return std::nullopt;
 }
 
-std::optional<Violation> OnlineVerifier::check_lost_writes_online(
+std::optional<Violation> OnlineVerifier::find_lost_write(
     ClusterRuntime& cluster) const {
-  // Same judgement as check_lost_writes, but against the incrementally
-  // maintained per-item maxima -- which survive pruning, so the oracle
-  // still covers the whole run after the records are gone.
+  // The authoritative final value of each item is its highest-counter
+  // non-copier write (writers of one item are serialized under strict
+  // 2PL). The per-item maxima survive pruning, so this covers the whole
+  // run after the records are gone; items are walked in ascending id.
   for (const auto& [item, l] : last_write_) {
     for (SiteId s : cluster.catalog().sites_of(item)) {
       const Site& site = cluster.site(s);
@@ -176,35 +160,11 @@ std::optional<Violation> OnlineVerifier::check_lost_writes_online(
 }
 
 std::vector<Violation> OnlineVerifier::quiescence(ClusterRuntime& cluster) {
-  std::vector<Violation> out;
-  if (auto v = check_convergence(cluster)) out.push_back(*v);
-  if (cfg_.recovery_scheme == RecoveryScheme::kSessionVector) {
-    if (auto v = check_ns_agreement(cluster)) out.push_back(*v);
-  }
-  if (auto v = check_lost_writes_online(cluster)) out.push_back(*v);
-  const bool inc_cycle = graph_.has_cycle();
-  if (!pruned_any_) {
-    // Full history still present: judge 1-SR with the canonical offline
-    // rebuild (byte-identical detail) and cross-check the incremental
-    // verdict against it. Divergence means one of the two is wrong.
-    const CheckReport rep = check_one_sr_graph(cluster.history().view());
-    if (!rep.ok) {
-      out.push_back(make_violation(cluster, "one-sr", rep.detail));
-    }
-    if (rep.ok == inc_cycle) {
-      std::ostringstream os;
-      os << "incremental 1-STG " << (inc_cycle ? "cyclic" : "acyclic")
-         << " but offline rebuild " << (rep.ok ? "acyclic" : "cyclic")
-         << " (" << graph_.node_count() << " nodes, "
-         << graph_.edge_count() << " edges vs " << rep.nodes << "/"
-         << rep.edges << ")";
-      out.push_back(make_violation(cluster, "verifier-divergence", os.str()));
-    }
-  } else if (inc_cycle) {
-    std::ostringstream os;
-    os << "1-STG cycle:";
-    for (TxnId t : graph_.cycle()) os << " " << t;
-    out.push_back(make_violation(cluster, "one-sr", os.str()));
+  std::vector<Violation> out = quiescence_oracles(cluster);
+  if (auto v = find_lost_write(cluster)) out.push_back(*v);
+  if (graph_.has_cycle()) {
+    out.push_back(
+        make_violation(cluster, "one-sr", describe_cycle(graph_.cycle())));
   }
   if (!out.empty()) violated_ = true;
   return out;

@@ -17,10 +17,10 @@
 // transitively implied by the refreshed ones, so cycle-equivalence with a
 // from-scratch build is preserved.
 //
-// Checkpoint/quiescence entry points mirror CheckpointOracle and
-// quiescence_oracles verdict-for-verdict (byte-identical details while
-// the history is unpruned -- the differential harness in
-// tests/test_online_differential.cpp enforces this).
+// This is the one 1-STG builder: check_one_sr_graph judges a recorded
+// History by replaying it through a fresh OnlineVerifier, and the
+// exponential check_one_sr_bruteforce is the reference both are tested
+// against (tests/test_online_verifier.cpp).
 //
 // maybe_prune() bounds memory over arbitrarily long runs: at a settled,
 // all-sites-up, converged, violation-free boundary every copy of item i
@@ -47,6 +47,8 @@ class ClusterRuntime;
 
 class OnlineVerifier : public HistorySink {
  public:
+  // Nothing is taken from cfg: every verdict reads the judged cluster's
+  // own Config.
   explicit OnlineVerifier(const Config& cfg);
 
   // HistorySink: the recorder calls these; never call directly in
@@ -60,11 +62,9 @@ class OnlineVerifier : public HistorySink {
   // records are not missed). First violation or nullopt.
   std::optional<Violation> checkpoint(ClusterRuntime& cluster);
 
-  // Quiesced-cluster verdicts in quiescence_oracles order: convergence,
-  // NS agreement (session-vector scheme only), lost writes, 1-SR. Also
-  // cross-checks the incremental cycle verdict against a full
-  // check_one_sr_graph rebuild while the history is unpruned; a mismatch
-  // surfaces as a "verifier-divergence" violation.
+  // Quiesced-cluster verdicts: quiescence_oracles (convergence, NS
+  // agreement under the session-vector scheme), then lost writes against
+  // the streamed per-item maxima, then 1-SR from the incremental graph.
   std::vector<Violation> quiescence(ClusterRuntime& cluster);
 
   // O(1) view of the incremental 1-SR verdict, usable at any boundary.
@@ -106,9 +106,8 @@ class OnlineVerifier : public HistorySink {
   void ingest_read(TxnId txn, const ReadEvent& r);
   void ingest_write(TxnId txn, const WriteEvent& w);
   void note_ns_write(const TxnRecord& rec, const WriteEvent& w);
-  std::optional<Violation> check_lost_writes_online(ClusterRuntime& cluster) const;
+  std::optional<Violation> find_lost_write(ClusterRuntime& cluster) const;
 
-  Config cfg_;
   IncrementalDigraph graph_;
   std::map<ItemId, ItemState> items_;
   // Authoritative last committed non-copier write per item. Survives

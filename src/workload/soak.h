@@ -3,7 +3,7 @@
 // ends at a settled boundary where the verifier's checkpoint and
 // quiescence oracles are consulted and the consumed history prefix is
 // pruned -- so a soak of tens of millions of committed transactions runs
-// in bounded memory, which the post-hoc checkers (O(history) per pass)
+// in bounded memory, which a whole-history check (O(history) per pass)
 // cannot do. This is the payoff of the online verifier: the explorer
 // shakes out short adversarial interleavings, the soak shakes out rare
 // ones that only show up at scale.

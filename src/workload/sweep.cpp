@@ -74,9 +74,9 @@ SweepRun run_one(const SweepSpec& spec, size_t cell, uint64_t seed,
     cluster.run_until(cluster.now() +
                       4 * spec.cells[cell].cfg.detector_interval);
     cluster.settle();
-    // Cells configured with online_verify route the same quiescence
-    // verdicts through the incremental verifier instead of the post-hoc
-    // scan; the two are byte-identical by the differential contract.
+    // Cells configured with online_verify record history and get the
+    // verifier's full verdict; the rest (history off) get the
+    // cluster-state oracles alone.
     OnlineVerifier* verifier = cluster.online_verifier();
     const std::vector<Violation> violations =
         verifier != nullptr ? verifier->quiescence(cluster)

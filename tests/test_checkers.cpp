@@ -162,9 +162,16 @@ TEST(OneSr, ReadBeforeEdgeOrdersReaderBeforeLaterWriter) {
   auto w = txn(2);
   w.writes = {wr(0, X, 1, 5)};
   h.txns = {r, w};
-  const Digraph g = build_one_sr_graph(h);
-  EXPECT_TRUE(g.has_edge(1, 2));
-  EXPECT_TRUE(check_one_sr_graph(h).ok);
+  const CheckReport rep = check_one_sr_graph(h);
+  EXPECT_TRUE(rep.ok);
+  EXPECT_EQ(rep.nodes, 2u);
+  EXPECT_EQ(rep.edges, 1u); // R -> W, the only edge
+  // Direction: if R also read Y from W (W -> R), the read-before edge
+  // R -> W closes a cycle.
+  const ItemId Y = 200;
+  h.txns[1].writes.push_back(wr(0, Y, 1, 6));
+  h.txns[0].reads.push_back(rd(0, Y, 2, 1));
+  EXPECT_FALSE(check_one_sr_graph(h).ok);
 }
 
 TEST(OneSr, NonOneSrButCopySerializableCase) {
@@ -225,9 +232,9 @@ TEST(OneSr, ControlTransactionsIgnored) {
   ctl.writes = {wr(0, ns_item(1), 1, 5)};
   ctl.reads = {rd(0, ns_item(0), 0, 0)};
   h.txns = {w, ctl};
-  const Digraph g = build_one_sr_graph(h);
-  EXPECT_EQ(g.node_count(), 1u); // only the user txn
-  EXPECT_TRUE(check_one_sr_graph(h).ok);
+  const CheckReport rep = check_one_sr_graph(h);
+  EXPECT_EQ(rep.nodes, 1u); // only the user txn
+  EXPECT_TRUE(rep.ok);
 }
 
 TEST(SrOracle, SerialPhysicalHistoryAccepted) {

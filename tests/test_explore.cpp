@@ -215,6 +215,49 @@ TEST(Explore, ReproParserRejectsGarbage) {
     EXPECT_FALSE(parse_repro(doc, &a, &err)) << doc;
     EXPECT_EQ(err, std::string("bad value for config.") + key) << doc;
   }
+  // Explorer options follow the same rule, and the horizon and checkpoint
+  // cadence must be positive (a zero cadence would never reach the end).
+  const std::pair<const char*, const char*> bad_opts[] = {
+      {"clients_per_site", R"("3")"}, {"clients_per_site", "3e10"},
+      {"think_time", "true"},         {"horizon", "0"},
+      {"horizon", "-1500000"},        {"checkpoint_every", "0"},
+      {"checkpoint_every", "-250000"}, {"settle_budget", "2.5"},
+  };
+  for (const auto& [key, value] : bad_opts) {
+    err.clear();
+    const std::string doc =
+        std::string(R"({"kind": "repro", "config": {}, "options": {")") +
+        key + "\": " + value + R"(}, "schedule": []})";
+    EXPECT_FALSE(parse_repro(doc, &a, &err)) << doc;
+    EXPECT_EQ(err, std::string("bad value for options.") + key) << doc;
+  }
+  const std::pair<const char*, const char*> bad_workload[] = {
+      {"ops_per_txn", "1e12"}, {"ops_per_txn", "0"},
+      {"read_fraction", R"("half")"}, {"n_items", "-1"},
+  };
+  for (const auto& [key, value] : bad_workload) {
+    err.clear();
+    const std::string doc = std::string(R"({"kind": "repro", "config": {},)"
+                                        R"( "options": {"workload": {")") +
+                            key + "\": " + value + R"(}}, "schedule": []})";
+    EXPECT_FALSE(parse_repro(doc, &a, &err)) << doc;
+    EXPECT_EQ(err, std::string("bad value for options.workload.") + key)
+        << doc;
+  }
+  err.clear();
+  EXPECT_FALSE(parse_repro(
+      R"({"kind": "repro", "seed": -1, "config": {}, "schedule": []})", &a,
+      &err));
+  EXPECT_EQ(err, "bad value for seed");
+  // The legacy "verify" key of older artifacts is ignored.
+  EXPECT_TRUE(parse_repro(
+      R"({"kind": "repro", "seed": 2, "config": {},
+          "options": {"verify": "post-hoc", "horizon": 1500000},
+          "schedule": []})",
+      &a, &err))
+      << err;
+  EXPECT_EQ(a.seed, 2u);
+  EXPECT_EQ(a.opts.horizon, 1'500'000);
 }
 
 TEST(RunParallel, DeterministicAcrossThreadCounts) {

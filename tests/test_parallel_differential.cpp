@@ -333,11 +333,10 @@ TEST(ParallelDifferential, DurableEngineIdenticalState) {
 // byte-for-byte across backends: render_report is a deterministic
 // function of the execution, so report equality is execution equality.
 void expect_reports_identical(Config cfg, const Schedule& schedule,
-                              uint64_t seed, VerifyMode verify) {
+                              uint64_t seed) {
   ExploreOptions opts;
   opts.cfg = cfg;
   opts.horizon = 1'200'000;
-  opts.verify = verify;
   const ExploreRunResult par = run_schedule(opts, schedule, seed);
   opts.cfg = des_twin(cfg);
   const ExploreRunResult des = run_schedule(opts, schedule, seed);
@@ -360,10 +359,7 @@ TEST(ParallelDifferential, ExplorerCrashRebootReportByteIdentical) {
       {200'000, NemesisKind::kCrash, 1, 0, 0.0, 1.0},
       {700'000, NemesisKind::kReboot, 1, 0, 0.0, 1.0},
   };
-  expect_reports_identical(explorer_cfg(), schedule, 31,
-                           VerifyMode::kPostHoc);
-  expect_reports_identical(explorer_cfg(), schedule, 31,
-                           VerifyMode::kOnline);
+  expect_reports_identical(explorer_cfg(), schedule, 31);
 }
 
 TEST(ParallelDifferential, ExplorerFaultMixReportByteIdentical) {
@@ -373,8 +369,7 @@ TEST(ParallelDifferential, ExplorerFaultMixReportByteIdentical) {
       {450'000, NemesisKind::kCrash, 2, 0, 0.0, 1.0},
       {900'000, NemesisKind::kReboot, 2, 0, 0.0, 1.0},
   };
-  expect_reports_identical(explorer_cfg(), schedule, 33,
-                           VerifyMode::kPostHoc);
+  expect_reports_identical(explorer_cfg(), schedule, 33);
 }
 
 TEST(ParallelDifferential, ExplorerPartitionReportByteIdentical) {
@@ -382,8 +377,7 @@ TEST(ParallelDifferential, ExplorerPartitionReportByteIdentical) {
       {150'000, NemesisKind::kPartition, 3, 0, 0.0, 1.0},
       {650'000, NemesisKind::kHeal, kInvalidSite, 0, 0.0, 1.0},
   };
-  expect_reports_identical(explorer_cfg(), schedule, 35,
-                           VerifyMode::kPostHoc);
+  expect_reports_identical(explorer_cfg(), schedule, 35);
 }
 
 TEST(ParallelDifferential, ExplorerDurableCrashRebootReportByteIdentical) {
@@ -394,7 +388,7 @@ TEST(ParallelDifferential, ExplorerDurableCrashRebootReportByteIdentical) {
       {200'000, NemesisKind::kCrash, 1, 0, 0.0, 1.0},
       {700'000, NemesisKind::kReboot, 1, 0, 0.0, 1.0},
   };
-  expect_reports_identical(cfg, schedule, 39, VerifyMode::kPostHoc);
+  expect_reports_identical(cfg, schedule, 39);
 }
 
 TEST(ParallelDifferential, ExplorerSpoolerReportByteIdentical) {
@@ -404,14 +398,11 @@ TEST(ParallelDifferential, ExplorerSpoolerReportByteIdentical) {
       {200'000, NemesisKind::kCrash, 1, 0, 0.0, 1.0},
       {700'000, NemesisKind::kReboot, 1, 0, 0.0, 1.0},
   };
-  expect_reports_identical(cfg, schedule, 37, VerifyMode::kPostHoc);
+  expect_reports_identical(cfg, schedule, 37);
 }
 
 // A planted protocol bug must be caught -- or missed -- identically on
-// both backends: the verdicts are compared as oracle-name sets (witness
-// details may legally differ in text only across verifier modes, so the
-// byte-identical report comparison above is the stronger check when the
-// run is clean; here the run violates).
+// both backends: the same report bytes and the same violated oracles.
 TEST(ParallelDifferential, PlantedBugVerdictsAgreeAcrossBackends) {
   Config cfg = explorer_cfg();
   ASSERT_TRUE(parse_enum("skip-mark", &cfg.planted_bug));

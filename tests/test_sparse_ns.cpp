@@ -9,7 +9,7 @@
 // protocols must reach the same oracle verdict. A clean run must stay
 // clean (which includes the replica-convergence and NS-agreement oracles
 // at quiescence), under crash/reboot, partition and drop-burst nemesis
-// schedules, in both verify modes, on both cluster backends.
+// schedules, on both cluster backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -96,10 +96,9 @@ TEST(SparseNs, DifferentialDropBurstNemesis) {
   }
 }
 
-// Under sparse NS the online incremental verifier must still agree with
-// the post-hoc oracles byte-for-byte: render_report is a pure function of
-// the execution, and the verify mode is not allowed to perturb it.
-TEST(SparseNs, OnlineAndPostHocVerifyAgreeUnderSparseNs) {
+// Under sparse NS the online verifier judges nemesis runs with partitions
+// clean.
+TEST(SparseNs, OnlineVerifierCleanUnderSparseNs) {
   ExploreOptions opts = base_options();
   opts.cfg.footprint_ns = true;
   ScheduleParams params;
@@ -108,13 +107,9 @@ TEST(SparseNs, OnlineAndPostHocVerifyAgreeUnderSparseNs) {
   params.partitions = true;
   for (uint64_t sched_seed = 1; sched_seed <= 3; ++sched_seed) {
     const Schedule schedule = generate_schedule(params, sched_seed);
-    opts.verify = VerifyMode::kPostHoc;
-    const ExploreRunResult post_hoc = run_schedule(opts, schedule, sched_seed);
-    opts.verify = VerifyMode::kOnline;
-    const ExploreRunResult online = run_schedule(opts, schedule, sched_seed);
-    EXPECT_EQ(post_hoc.report, online.report)
-        << "schedule seed " << sched_seed;
-    EXPECT_FALSE(post_hoc.violated) << post_hoc.report;
+    const ExploreRunResult r = run_schedule(opts, schedule, sched_seed);
+    EXPECT_FALSE(r.violated) << "schedule seed " << sched_seed << ": "
+                             << r.report;
   }
 }
 

@@ -2,8 +2,8 @@
 //
 // Generates seed-deterministic nemesis schedules (crashes, reboots,
 // partitions, drop bursts, detector-timeout skew), fans (schedule x seed)
-// runs across the run_parallel worker pool, checks invariant oracles at
-// checkpoints and quiescence, delta-debugs every failing schedule to a
+// runs across the run_parallel worker pool, judges each run with the
+// online verifier at checkpoints and quiescence, delta-debugs every failing schedule to a
 // minimal action list, verifies each minimized repro replays
 // byte-identically, and writes the repro artifacts into a corpus
 // directory (schema: EXPERIMENTS.md).
@@ -72,13 +72,7 @@ Options parse(int argc, char** argv) {
            {"no-drop-bursts", &no_drop_bursts,
             "exclude message-drop bursts"},
            {"no-skew", &no_skew, "exclude latency-skew windows"},
-           {"horizon-ms", &o.run.horizon, "load+fault window"},
-           {"verify",
-            [&o](const std::string& v) {
-              return parse_verify_mode(v, &o.run.verify);
-            },
-            "post-hoc, or online: the incremental 1-STG verifier",
-            "post-hoc|online"}});
+           {"horizon-ms", &o.run.horizon, "load+fault window"}});
   cli.add("driver:",
           {{"jobs", &o.jobs, "worker pool size (also -j N)"},
            {"fail-fast", &o.fail_fast,
@@ -103,7 +97,6 @@ Options parse(int argc, char** argv) {
   o.sched.n_sites = o.run.cfg.n_sites;
   o.sched.horizon = o.run.horizon;
   o.run.capture_telemetry = !o.telemetry_dir.empty();
-  if (o.run.cfg.online_verify) o.run.verify = VerifyMode::kOnline;
   return o;
 }
 

@@ -13,7 +13,8 @@
 //   ddbs_sim --scheme=spooler --crash=3@800 --recover=3@3000
 //   ddbs_sim --telemetry-out=tel.jsonl --watchdog --bundle-out=stall.json
 //
-// Exit codes: 0 clean, 1 divergence/verify failure, 2 usage, 4 watchdog
+// Exit codes: 0 clean, 1 divergence/verify failure (--verify or
+// --online-verify), 2 usage, 4 watchdog
 // stall (diagnostic bundle written when --bundle-out is given).
 #include <cstdio>
 #include <fstream>
@@ -24,6 +25,7 @@
 #include "common/telemetry.h"
 #include "core/runtime.h"
 #include "verify/one_sr_checker.h"
+#include "verify/online_verifier.h"
 #include "workload/cli.h"
 #include "workload/runner.h"
 #include "workload/stats.h"
@@ -213,11 +215,29 @@ int main(int argc, char** argv) {
                 ms.type2_rounds);
   }
 
+  int rc = 0;
+  if (OnlineVerifier* verifier = cluster.online_verifier()) {
+    // Settle the way ddbs_sweep does: give the failure detector time to
+    // declare an end-of-window crash (NS reflects it only once a type-2
+    // commits), then judge the quiesced cluster.
+    cluster.run_until(cluster.now() + 4 * cfg.detector_interval);
+    cluster.settle();
+    std::vector<Violation> found;
+    if (auto v = verifier->checkpoint(cluster)) found.push_back(*v);
+    for (Violation& v : verifier->quiescence(cluster)) found.push_back(v);
+    std::printf("online verifier: %s (%llu commits seen)\n",
+                found.empty() ? "clean" : "VIOLATED",
+                static_cast<unsigned long long>(verifier->commits_seen()));
+    for (const Violation& v : found) {
+      std::printf("  violation: %s\n", to_string(v).c_str());
+    }
+    if (!found.empty()) rc = 1;
+  }
+
   std::string why;
   const bool conv = cluster.replicas_converged(&why);
   std::printf("replicas converged: %s\n", conv ? "yes" : why.c_str());
-
-  int rc = conv ? 0 : 1;
+  if (!conv) rc = 1;
   if (o.verify) {
     const History& h = cluster.history().view();
     const auto cg = check_conflict_graph(h);
