@@ -216,7 +216,8 @@ BENCHMARK(BM_EventQueue_TimeoutChurn);
 void BM_Network_SendDeliver(benchmark::State& state) {
   Config cfg;
   Scheduler sched;
-  Network net(sched, cfg, 3);
+  Network net({&sched}, std::vector<int>(static_cast<size_t>(cfg.n_sites)),
+              cfg, 3);
   uint64_t delivered = 0;
   net.register_site(0, [](const Envelope&) {});
   net.register_site(1, [&delivered](const Envelope&) { ++delivered; });
@@ -240,7 +241,8 @@ BENCHMARK(BM_Network_SendDeliver);
 void BM_Rpc_RequestResponse(benchmark::State& state) {
   Config cfg;
   Scheduler sched;
-  Network net(sched, cfg, 4);
+  Network net({&sched}, std::vector<int>(static_cast<size_t>(cfg.n_sites)),
+              cfg, 4);
   RpcEndpoint a(0, net, sched);
   RpcEndpoint b(1, net, sched);
   a.start([](const Envelope&) {});

@@ -1,9 +1,7 @@
 #include "core/parallel_cluster.h"
 
 #include <algorithm>
-#include <cassert>
 
-#include "common/logging.h"
 #include "core/cluster.h"
 
 namespace ddbs {
@@ -18,76 +16,28 @@ Config normalized(Config cfg) {
   return cfg;
 }
 
-std::vector<int> make_site_shard(const Config& cfg) {
-  std::vector<int> out(static_cast<size_t>(cfg.n_sites), 0);
-  for (SiteId s = 0; s < cfg.n_sites; ++s)
-    out[static_cast<size_t>(s)] = cfg.shard_of(s);
-  return out;
-}
-
-// Earliest observed timestamp of an episode, for the cross-shard merge
-// order (each shard's tracker only saw its own sites' events).
-SimTime episode_key(const RecoveryEpisode& e) {
-  if (e.crash_at != kNoTime) return e.crash_at;
-  if (e.declared_down_at != kNoTime) return e.declared_down_at;
-  if (e.reboot_at != kNoTime) return e.reboot_at;
-  return e.nominally_up_at;
-}
+// Heap order for the pending global actions: earliest (at, seq) on top.
+constexpr auto gop_after = [](const auto& a, const auto& b) {
+  return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+};
 
 } // namespace
 
 ParallelCluster::ParallelCluster(Config cfg, uint64_t seed)
-    : cfg_(normalized(std::move(cfg))),
-      n_shards_(cfg_.shard_count()),
-      site_shard_(make_site_shard(cfg_)),
-      shard_scheds_(build_shards()),
-      net_(shard_scheds_, cfg_, seed, this),
-      cat_(Catalog::make(cfg_)) {
-  recorder_.set_enabled(cfg_.record_history);
-  recorder_.set_thread_safe(n_shards_ > 1);
-  if (cfg_.record_history && cfg_.online_verify) {
-    verifier_ = std::make_unique<OnlineVerifier>(cfg_);
-    recorder_.set_sink(verifier_.get());
-  }
-  for (int k = 0; k < n_shards_; ++k) {
-    Shard& sh = *shards_[static_cast<size_t>(k)];
-    sh.tracer.add_sink(&sh.episodes);
-    sh.tracer.add_sink(&sh.series);
-    // Shard-local span ids, globally unique: offset + 1 + i * n_shards.
-    sh.spans.set_id_stride(static_cast<SpanId>(n_shards_),
-                           static_cast<SpanId>(k));
-  }
-  rings_.reserve(static_cast<size_t>(n_shards_) *
-                 static_cast<size_t>(n_shards_));
-  for (int i = 0; i < n_shards_ * n_shards_; ++i)
+    : ClusterRuntime(normalized(std::move(cfg)), seed, this) {
+  const int n = shard_count();
+  rings_.reserve(static_cast<size_t>(n) * static_cast<size_t>(n));
+  for (int i = 0; i < n * n; ++i)
     rings_.push_back(std::make_unique<SpscRing<RemoteMsg>>(4096));
-  sites_.reserve(static_cast<size_t>(cfg_.n_sites));
-  for (SiteId s = 0; s < cfg_.n_sites; ++s) {
-    Shard& sh = *shards_[static_cast<size_t>(shard_of_site(s))];
-    sites_.push_back(std::make_unique<Site>(
-        s, cfg_, sh.sched, net_, cat_, sh.metrics,
-        cfg_.record_history ? &recorder_ : nullptr, &sh.tracer, &sh.spans));
+  for (auto& sh : shards_) {
+    trace_bufs_.push_back(std::make_unique<TraceBuffer>(*this, sh->sched));
+    sh->tracer.add_sink(trace_bufs_.back().get());
   }
-  if (n_shards_ > 1) {
-    threads_.reserve(static_cast<size_t>(n_shards_));
-    for (int k = 0; k < n_shards_; ++k)
+  if (n > 1) {
+    threads_.reserve(static_cast<size_t>(n));
+    for (int k = 0; k < n; ++k)
       threads_.emplace_back([this, k] { worker_loop(k); });
   }
-}
-
-std::vector<Scheduler*> ParallelCluster::build_shards() {
-  std::vector<Scheduler*> scheds;
-  shards_.reserve(static_cast<size_t>(n_shards_));
-  scheds.reserve(static_cast<size_t>(n_shards_));
-  SiteId s = 0;
-  for (int k = 0; k < n_shards_; ++k) {
-    const SiteId first = s;
-    while (s < cfg_.n_sites && site_shard_[static_cast<size_t>(s)] == k) ++s;
-    shards_.push_back(std::make_unique<Shard>(cfg_, first, s));
-    shards_.back()->sched.enable_site_keys(cfg_.n_sites);
-    scheds.push_back(&shards_.back()->sched);
-  }
-  return scheds;
 }
 
 ParallelCluster::~ParallelCluster() {
@@ -101,27 +51,55 @@ ParallelCluster::~ParallelCluster() {
   }
 }
 
+void ParallelCluster::TraceBuffer::on_trace(const TraceEvent& e) {
+  if (owner.in_window_) {
+    events.emplace_back(sched.current_key(), e);
+  } else {
+    owner.fold_trace(e);
+  }
+}
+
+void ParallelCluster::fold_traces() {
+  // k-way merge: each buffer is already in its shard's (time, key) fire
+  // order, and a key names one event, so the merge is the DES order.
+  while (true) {
+    TraceBuffer* best = nullptr;
+    for (auto& buf : trace_bufs_) {
+      if (buf->next == buf->events.size()) continue;
+      if (best == nullptr) {
+        best = buf.get();
+        continue;
+      }
+      const auto& [ka, a] = buf->events[buf->next];
+      const auto& [kb, b] = best->events[best->next];
+      if (event_before(a.at, ka, b.at, kb)) best = buf.get();
+    }
+    if (best == nullptr) break;
+    fold_trace(best->events[best->next++].second);
+  }
+  for (auto& buf : trace_bufs_) {
+    buf->events.clear();
+    buf->next = 0;
+  }
+}
+
 void ParallelCluster::forward(int src_shard, int dst_shard, RemoteMsg msg) {
-  rings_[static_cast<size_t>(src_shard) * static_cast<size_t>(n_shards_) +
-         static_cast<size_t>(dst_shard)]
-      ->push(std::move(msg));
+  rings_[static_cast<size_t>(src_shard * shard_count() + dst_shard)]->push(
+      std::move(msg));
 }
 
 void ParallelCluster::drain_rings() {
-  for (int dst = 0; dst < n_shards_; ++dst) {
-    Shard& sh = *shards_[static_cast<size_t>(dst)];
-    sh.inbox.clear();
-    for (int src = 0; src < n_shards_; ++src) {
-      rings_[static_cast<size_t>(src) * static_cast<size_t>(n_shards_) +
-             static_cast<size_t>(dst)]
-          ->drain(sh.inbox);
-    }
+  const int n = shard_count();
+  for (int dst = 0; dst < n; ++dst) {
+    inbox_.clear();
+    for (int src = 0; src < n; ++src)
+      rings_[static_cast<size_t>(src * n + dst)]->drain(inbox_);
     // Order within the inbox is irrelevant: every message carries its own
     // (arrival, key) and the destination event queue restores the total
     // deterministic order.
-    for (RemoteMsg& m : sh.inbox) net_.enqueue_remote(dst, std::move(m));
-    sh.inbox.clear();
+    for (RemoteMsg& m : inbox_) network().enqueue_remote(dst, std::move(m));
   }
+  inbox_.clear();
 }
 
 SimTime ParallelCluster::next_time_global() const {
@@ -137,11 +115,14 @@ SimTime ParallelCluster::next_time_global() const {
   return lo;
 }
 
+SimTime ParallelCluster::next_event_time() {
+  drain_rings();
+  return next_time_global();
+}
+
 void ParallelCluster::run_gops_through(SimTime t) {
   while (!gops_.empty() && gops_.front().at <= t) {
-    std::pop_heap(gops_.begin(), gops_.end(), [](const Gop& a, const Gop& b) {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    });
+    std::pop_heap(gops_.begin(), gops_.end(), gop_after);
     Gop g = std::move(gops_.back());
     gops_.pop_back();
     // The action observes every shard clock at its own time, exactly like
@@ -181,7 +162,7 @@ void ParallelCluster::run_window(SimTime end) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     win_end_ = end;
-    running_ = n_shards_;
+    running_ = shard_count();
     ++epoch_;
   }
   cv_work_.notify_all();
@@ -219,12 +200,15 @@ void ParallelCluster::run_until(SimTime target) {
     // Conservative lookahead: any cross-site message sent inside
     // [start, end) arrives at >= start + W >= end, so a window never
     // misses a delivery from a concurrent shard.
-    SimTime w = net_.latency().floor_min();
+    SimTime w = network().latency().floor_min();
     if (w < 1) w = 1;
     SimTime end = start + w;
     if (!gops_.empty() && gops_.front().at < end) end = gops_.front().at;
     if (end > target + 1) end = target + 1;
+    in_window_ = true;
     run_window(end);
+    in_window_ = false;
+    fold_traces();
     const SimTime reached = std::min(end, target);
     for (auto& sh : shards_) sh->sched.advance_to(reached);
     if (now_ < reached) now_ = reached;
@@ -233,276 +217,9 @@ void ParallelCluster::run_until(SimTime target) {
   if (now_ < target) now_ = target;
 }
 
-void ParallelCluster::bootstrap(Value initial_value) {
-  for (auto& site : sites_) {
-    Scheduler& sch = shards_[static_cast<size_t>(shard_of_site(site->id()))]
-                         ->sched;
-    sch.set_context_site(site->id());
-    site->bootstrap_up(initial_value);
-    sch.set_context_free();
-  }
-}
-
-void ParallelCluster::submit(SiteId origin, std::vector<LogicalOp> ops,
-                             CoordinatorBase::DoneFn done) {
-  Scheduler& sch =
-      shards_[static_cast<size_t>(shard_of_site(origin))]->sched;
-  const bool external = sch.context_lane() < 2;
-  if (external) sch.set_context_site(origin);
-  TxnSpec spec;
-  spec.origin = origin;
-  spec.ops = std::move(ops);
-  sites_[static_cast<size_t>(origin)]->tm().submit_user(std::move(spec),
-                                                        std::move(done));
-  if (external) sch.set_context_free();
-}
-
-TxnResult ParallelCluster::run_txn(SiteId origin, std::vector<LogicalOp> ops) {
-  TxnResult result;
-  bool finished = false;
-  submit(origin, std::move(ops), [&](const TxnResult& r) {
-    result = r;
-    finished = true;
-  });
-  const SimTime deadline = now_ + 2 * cfg_.txn_timeout;
-  while (!finished && now_ < deadline) {
-    drain_rings();
-    const SimTime lo = next_time_global();
-    if (lo == kNoTime) break;
-    run_until(std::min(lo, deadline));
-  }
-  assert(finished && "run_txn: transaction never completed");
-  return result;
-}
-
-bool ParallelCluster::crash_site(SiteId s) {
-  if (!valid_site(s)) {
-    DDBS_WARN << "crash_site: site " << s << " out of range [0, "
-              << cfg_.n_sites << "); ignored";
-    return false;
-  }
-  if (sites_[static_cast<size_t>(s)]->state().mode == SiteMode::kDown) {
-    return false;
-  }
-  Scheduler& sch = shards_[static_cast<size_t>(shard_of_site(s))]->sched;
-  const bool external = sch.context_lane() < 2;
-  if (external) sch.set_context_site(s);
-  sites_[static_cast<size_t>(s)]->crash();
-  if (external) sch.set_context_free();
-  return true;
-}
-
-bool ParallelCluster::recover_site(SiteId s) {
-  if (!valid_site(s)) {
-    DDBS_WARN << "recover_site: site " << s << " out of range [0, "
-              << cfg_.n_sites << "); ignored";
-    return false;
-  }
-  if (sites_[static_cast<size_t>(s)]->state().mode != SiteMode::kDown) {
-    return false;
-  }
-  Scheduler& sch = shards_[static_cast<size_t>(shard_of_site(s))]->sched;
-  const bool external = sch.context_lane() < 2;
-  if (external) sch.set_context_site(s);
-  sites_[static_cast<size_t>(s)]->recover();
-  if (external) sch.set_context_free();
-  return true;
-}
-
-void ParallelCluster::crash_site_at(SimTime t, SiteId s) {
-  schedule_global(t, [this, s]() { crash_site(s); });
-}
-
-void ParallelCluster::recover_site_at(SimTime t, SiteId s) {
-  schedule_global(t, [this, s]() { recover_site(s); });
-}
-
-EventId ParallelCluster::post(SiteId site, SimTime at, EventFn fn) {
-  Scheduler& sch =
-      shards_[static_cast<size_t>(shard_of_site(site))]->sched;
-  return sch.at_keyed(at, sch.mint_key(lane_of_site(site)), std::move(fn));
-}
-
-EventId ParallelCluster::post_after(SiteId site, SimTime delay, EventFn fn) {
-  Scheduler& sch =
-      shards_[static_cast<size_t>(shard_of_site(site))]->sched;
-  return sch.at_keyed(sch.now() + delay, sch.mint_key(lane_of_site(site)),
-                      std::move(fn));
-}
-
-bool ParallelCluster::cancel(SiteId site, EventId id) {
-  return shards_[static_cast<size_t>(shard_of_site(site))]->sched.cancel(id);
-}
-
 void ParallelCluster::schedule_global(SimTime at, EventFn fn) {
   gops_.push_back(Gop{at, gop_seq_++, std::move(fn)});
-  std::push_heap(gops_.begin(), gops_.end(), [](const Gop& a, const Gop& b) {
-    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-  });
-}
-
-Metrics& ParallelCluster::metrics() {
-  agg_metrics_.clear();
-  for (const auto& sh : shards_) agg_metrics_.merge_from(sh->metrics);
-  return agg_metrics_;
-}
-
-RunReport::Run& ParallelCluster::report_run(RunReport& report,
-                                            std::string label) const {
-  RunReport::Run& run = report.add_run(std::move(label), cfg_);
-  Metrics agg;
-  for (const auto& sh : shards_) agg.merge_from(sh->metrics);
-  RunReport::capture_counters(run, agg);
-  RunReport::capture_histograms(run, agg);
-  run.recoveries = recovery_timelines();
-
-  std::vector<RecoveryEpisode> eps;
-  for (const auto& sh : shards_) {
-    std::vector<RecoveryEpisode> e = sh->episodes.episodes();
-    eps.insert(eps.end(), e.begin(), e.end());
-  }
-  std::stable_sort(eps.begin(), eps.end(),
-                   [](const RecoveryEpisode& a, const RecoveryEpisode& b) {
-                     const SimTime ka = episode_key(a), kb = episode_key(b);
-                     if (ka != kb) return ka < kb;
-                     return a.site < b.site;
-                   });
-  run.episodes = std::move(eps);
-
-  // Merge the per-shard availability curves. Counts sum directly; each
-  // shard's sites_up baseline counts ALL sites as up (only its own sites'
-  // transitions arrive at it), so the merged curve subtracts the
-  // (n_shards - 1) duplicate baselines.
-  TimeSeriesData merged;
-  merged.bucket_width = cfg_.timeseries_bucket;
-  if (merged.bucket_width > 0) {
-    std::vector<TimeSeriesData> datas;
-    size_t n = 0;
-    for (const auto& sh : shards_) {
-      datas.push_back(sh->series.data(now_));
-      n = std::max(n, datas.back().sites_up.size());
-    }
-    merged.commits.assign(n, 0);
-    merged.aborts.assign(n, 0);
-    merged.session_rejects.assign(n, 0);
-    merged.sites_up.assign(n, 0);
-    for (const TimeSeriesData& d : datas) {
-      for (size_t b = 0; b < n; ++b) {
-        if (b < d.commits.size()) merged.commits[b] += d.commits[b];
-        if (b < d.aborts.size()) merged.aborts[b] += d.aborts[b];
-        if (b < d.session_rejects.size())
-          merged.session_rejects[b] += d.session_rejects[b];
-        // A shard's short curve holds its last value through the tail.
-        merged.sites_up[b] +=
-            b < d.sites_up.size()
-                ? d.sites_up[b]
-                : (d.sites_up.empty() ? cfg_.n_sites : d.sites_up.back());
-      }
-    }
-    const int64_t dup =
-        static_cast<int64_t>(n_shards_ - 1) * cfg_.n_sites;
-    for (size_t b = 0; b < n; ++b) merged.sites_up[b] -= dup;
-  }
-  run.series = std::move(merged);
-
-  int64_t tr = 0, td = 0, sr = 0, sd = 0;
-  for (const auto& sh : shards_) {
-    tr += static_cast<int64_t>(sh->tracer.recorded());
-    td += static_cast<int64_t>(sh->tracer.dropped());
-    sr += static_cast<int64_t>(sh->spans.recorded());
-    sd += static_cast<int64_t>(sh->spans.dropped());
-  }
-  run.trace_recorded = tr;
-  run.trace_dropped = td;
-  run.span_recorded = sr;
-  run.span_dropped = sd;
-  return run;
-}
-
-uint64_t ParallelCluster::events_executed() const {
-  uint64_t n = 0;
-  for (const auto& sh : shards_) n += sh->sched.executed();
-  return n;
-}
-
-double ParallelCluster::events_per_sec() const {
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start_)
-          .count();
-  return secs > 0 ? static_cast<double>(events_executed()) / secs : 0.0;
-}
-
-void ParallelCluster::add_perf_scalars(RunReport::Run& run) const {
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start_)
-          .count();
-  const double executed = static_cast<double>(events_executed());
-  run.scalars.emplace_back("events_per_sec",
-                           secs > 0 ? executed / secs : 0.0);
-  run.scalars.emplace_back("events_executed", executed);
-  run.scalars.emplace_back("wall_ms", secs * 1e3);
-  int64_t committed = 0;
-  for (const auto& sh : shards_)
-    committed += sh->metrics.get(sh->metrics.id.txn_committed);
-  run.scalars.emplace_back(
-      "commits_per_sec",
-      secs > 0 ? static_cast<double>(committed) / secs : 0.0);
-  run.scalars.emplace_back("catalog_bytes",
-                           static_cast<double>(cat_.bytes()));
-}
-
-std::string ParallelCluster::spans_chrome_json() const {
-  // Splice the shards' traceEvents arrays into one document; event order
-  // within a shard is ring order, shards are concatenated in shard order.
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const std::string open_tag = "\"traceEvents\":[";
-  for (const auto& sh : shards_) {
-    const std::string one = sh->spans.to_chrome_json(&sh->tracer);
-    const size_t open = one.find(open_tag);
-    const size_t close = one.rfind(']');
-    if (open == std::string::npos || close == std::string::npos) continue;
-    const size_t begin = open + open_tag.size();
-    if (close <= begin) continue;
-    std::string body = one.substr(begin, close - begin);
-    // Trim the trailing newline to_chrome_json leaves before its ']'.
-    while (!body.empty() && (body.back() == '\n' || body.back() == ' ')) {
-      body.pop_back();
-    }
-    if (body.empty()) continue;
-    if (!first) out += ',';
-    first = false;
-    out += body;
-  }
-  out += "\n]}\n";
-  return out;
-}
-
-std::string ParallelCluster::trace_json() const {
-  std::string out = "[";
-  bool first = true;
-  for (const auto& sh : shards_) {
-    std::string one = sh->tracer.to_json();
-    // Strip "[" ... "]\n" and keep the element list.
-    const size_t open = one.find('[');
-    const size_t close = one.rfind(']');
-    if (open == std::string::npos || close == std::string::npos ||
-        close <= open + 1) {
-      continue;
-    }
-    std::string body = one.substr(open + 1, close - open - 1);
-    while (!body.empty() && (body.back() == '\n' || body.back() == ' ')) {
-      body.pop_back();
-    }
-    if (body.empty()) continue;
-    if (!first) out += ',';
-    first = false;
-    out += body;
-  }
-  out += "\n]\n";
-  return out;
+  std::push_heap(gops_.begin(), gops_.end(), gop_after);
 }
 
 uint64_t ParallelCluster::pending_site_events() const {
@@ -513,34 +230,6 @@ uint64_t ParallelCluster::pending_site_events() const {
   for (const auto& sh : shards_) n += sh->sched.pending();
   for (const auto& r : rings_) n += r->size();
   return n;
-}
-
-std::vector<TraceEvent> ParallelCluster::trace_tail(size_t n) const {
-  std::vector<TraceEvent> all;
-  for (const auto& sh : shards_) {
-    std::vector<TraceEvent> one = sh->tracer.snapshot();
-    all.insert(all.end(), one.begin(), one.end());
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.at < b.at;
-                   });
-  if (all.size() > n) all.erase(all.begin(), all.end() - static_cast<long>(n));
-  return all;
-}
-
-std::vector<SpanEvent> ParallelCluster::span_tail(size_t n) const {
-  std::vector<SpanEvent> all;
-  for (const auto& sh : shards_) {
-    std::vector<SpanEvent> one = sh->spans.snapshot();
-    all.insert(all.end(), one.begin(), one.end());
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const SpanEvent& a, const SpanEvent& b) {
-                     return a.at < b.at;
-                   });
-  if (all.size() > n) all.erase(all.begin(), all.end() - static_cast<long>(n));
-  return all;
 }
 
 std::unique_ptr<ClusterRuntime> make_runtime(const Config& cfg,

@@ -1,11 +1,10 @@
 // Site-parallel execution backend: the cluster's sites are split into
 // contiguous shards (Config::shard_count), each shard runs on its own
-// worker thread with a private Scheduler, Metrics, Tracer, SpanLog,
-// EpisodeTracker and TimeSeries -- the per-event hot path touches no
-// shared mutable state at all. Cross-shard messages travel through one
-// SPSC mailbox ring per (src, dst) shard pair and are re-injected into
-// the destination shard's event queue by the driving thread while every
-// worker is parked.
+// worker thread with a private Scheduler, Metrics, Tracer and SpanLog --
+// the per-event hot path touches no shared mutable state at all.
+// Cross-shard messages travel through one SPSC mailbox ring per
+// (src, dst) shard pair and are re-injected into the destination shard's
+// event queue by the driving thread while every worker is parked.
 //
 // Synchronization is conservative PDES with time windows: the driving
 // thread repeatedly computes the global next-event time `start`, executes
@@ -24,120 +23,52 @@
 // is what makes the two backends produce identical per-site event
 // sequences (tests/test_parallel_differential.cpp).
 //
+// Recovery episodes and the time series cross shards (site d crashes on
+// one shard, another shard's site runs d's type-2), so they are folded
+// once, not per shard: each shard buffers the trace events of a window,
+// stamped with the key of the event that emitted them, and the driving
+// thread merges the buffers in (time, key) order -- the DES's fire order
+// -- at the barrier. Trace events emitted on the driving thread itself
+// (global actions, direct calls) fold as they happen.
+//
 // Threading contract: all ClusterRuntime methods must be called from the
 // driving thread (between windows, workers parked) or from inside a
 // simulation event on a shard thread -- and in the latter case must only
 // touch that shard's sites (Runner restricts its workload accordingly).
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "common/config.h"
-#include "common/metrics.h"
-#include "common/report.h"
-#include "common/timeseries.h"
 #include "core/runtime.h"
-#include "core/site.h"
-#include "net/network.h"
-#include "recovery/episode.h"
-#include "replication/catalog.h"
-#include "sim/scheduler.h"
-#include "sim/span.h"
 #include "sim/spsc_ring.h"
-#include "sim/trace.h"
-#include "verify/history.h"
-#include "verify/online_verifier.h"
 
 namespace ddbs {
 
-class ParallelCluster : public ClusterRuntime, private CrossShardSink {
+class ParallelCluster : private CrossShardSink, public ClusterRuntime {
  public:
   // Forces cfg.site_ordered_events (keyed order is what makes parallel
   // execution deterministic); shard count is cfg.shard_count().
   ParallelCluster(Config cfg, uint64_t seed);
   ~ParallelCluster() override;
 
-  // ---- ClusterRuntime ----
-  const Config& config() const override { return cfg_; }
-  const Catalog& catalog() const override { return cat_; }
-  Site& site(SiteId s) override { return *sites_[static_cast<size_t>(s)]; }
-  using ClusterRuntime::site;
-  Network& network() override { return net_; }
-  Metrics& metrics() override;
-  HistoryRecorder& history() override { return recorder_; }
-  using ClusterRuntime::history;
-  OnlineVerifier* online_verifier() override { return verifier_.get(); }
-
-  void bootstrap(Value initial_value = 0) override;
-  void submit(SiteId origin, std::vector<LogicalOp> ops,
-              CoordinatorBase::DoneFn done) override;
-  TxnResult run_txn(SiteId origin, std::vector<LogicalOp> ops) override;
-  bool crash_site(SiteId s) override;
-  bool recover_site(SiteId s) override;
-  void crash_site_at(SimTime t, SiteId s) override;
-  void recover_site_at(SimTime t, SiteId s) override;
-
   SimTime now() const override { return now_; }
-  SimTime local_now(SiteId s) const override {
-    return shards_[static_cast<size_t>(shard_of_site(s))]->sched.now();
-  }
   void run_until(SimTime t) override;
-  void settle(SimTime max_time = 60'000'000) override {
-    runtime_impl::settle(*this, max_time);
-  }
-
-  EventId post(SiteId site, SimTime at, EventFn fn) override;
-  EventId post_after(SiteId site, SimTime delay, EventFn fn) override;
-  bool cancel(SiteId site, EventId id) override;
   void schedule_global(SimTime at, EventFn fn) override;
-
-  std::vector<RecoveryTimeline> recovery_timelines() const override {
-    return runtime_impl::recovery_timelines(*this);
-  }
-  RunReport::Run& report_run(RunReport& report,
-                             std::string label) const override;
-  uint64_t events_executed() const override;
-  double events_per_sec() const override;
-  void add_perf_scalars(RunReport::Run& run) const override;
-  bool replicas_converged(std::string* why = nullptr) const override {
-    return runtime_impl::replicas_converged(*this, why);
-  }
-  std::string spans_chrome_json() const override;
-  std::string trace_json() const override;
-
   // Shard queue depths plus undrained mailbox-ring messages: the parallel
   // mirror of the DES's (pending - queued globals). Driving thread only.
   uint64_t pending_site_events() const override;
-  std::vector<TraceEvent> trace_tail(size_t n) const override;
-  std::vector<SpanEvent> span_tail(size_t n) const override;
 
-  int shard_count() const { return n_shards_; }
+  int shard_count() const { return static_cast<int>(shards_.size()); }
+
+ protected:
+  SimTime next_event_time() override;
 
  private:
-  // Everything one worker thread owns, cacheline-separated from its
-  // neighbours by the unique_ptr indirection.
-  struct Shard {
-    Shard(const Config& cfg, SiteId first, SiteId end)
-        : first_site(first), end_site(end), tracer(sched, cfg.trace_capacity),
-          spans(sched, cfg.span_capacity), episodes(cfg.n_sites),
-          series(cfg.timeseries_bucket, cfg.n_sites) {}
-    SiteId first_site;
-    SiteId end_site; // exclusive
-    Scheduler sched;
-    Metrics metrics;
-    Tracer tracer;
-    SpanLog spans;
-    EpisodeTracker episodes;
-    TimeSeries series;
-    // Drain scratch, reused across windows.
-    std::vector<RemoteMsg> inbox;
-  };
-
   // A pending global control action (DES lane-0 event): runs on the
   // driving thread at a window boundary, ordered by (time, insertion).
   struct Gop {
@@ -146,14 +77,17 @@ class ParallelCluster : public ClusterRuntime, private CrossShardSink {
     EventFn fn;
   };
 
-  int shard_of_site(SiteId s) const {
-    return site_shard_[static_cast<size_t>(s)];
-  }
-
-  // Populate shards_ (contiguous site ranges, keyed schedulers) and return
-  // the scheduler list the Network's sharded constructor needs. Runs in
-  // the member-init list, after site_shard_ and before net_.
-  std::vector<Scheduler*> build_shards();
+  // One shard's trace events of the current window, each stamped with the
+  // key of the event that emitted it; outside a window it folds directly.
+  struct TraceBuffer final : TraceSink {
+    TraceBuffer(ParallelCluster& owner, const Scheduler& sched)
+        : owner(owner), sched(sched) {}
+    void on_trace(const TraceEvent& e) override;
+    ParallelCluster& owner;
+    const Scheduler& sched;
+    std::vector<std::pair<EventKey, TraceEvent>> events;
+    size_t next = 0; // merge cursor
+  };
 
   // CrossShardSink: producer side of the mailbox rings (called by the
   // Network on a shard thread mid-window, or on the driving thread while
@@ -172,27 +106,25 @@ class ParallelCluster : public ClusterRuntime, private CrossShardSink {
   // block until all of them finish it.
   void run_window(SimTime end);
 
+  // Fold the window's buffered trace events in (time, key) order and
+  // empty the buffers. Driving thread only, workers parked.
+  void fold_traces();
+
   // Global next-event time across shard queues and pending gops (rings
   // must be drained first); kNoTime when fully idle.
   SimTime next_time_global() const;
 
   void worker_loop(int shard);
 
-  Config cfg_;
-  std::chrono::steady_clock::time_point wall_start_ =
-      std::chrono::steady_clock::now();
-  int n_shards_;
-  std::vector<int> site_shard_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<Scheduler*> shard_scheds_;
-  HistoryRecorder recorder_;
-  std::unique_ptr<OnlineVerifier> verifier_;
-  Network net_;
-  Catalog cat_;
-  std::vector<std::unique_ptr<Site>> sites_;
-
-  // (src, dst) mailbox rings, row-major [src * n_shards_ + dst].
+  // (src, dst) mailbox rings, row-major [src * n_shards + dst].
   std::vector<std::unique_ptr<SpscRing<RemoteMsg>>> rings_;
+  // Drain scratch, reused across windows.
+  std::vector<RemoteMsg> inbox_;
+
+  std::vector<std::unique_ptr<TraceBuffer>> trace_bufs_;
+  // Set by the driving thread around each window; shard threads read it
+  // only inside the window.
+  bool in_window_ = false;
 
   // Min-heap of pending global actions by (at, seq).
   std::vector<Gop> gops_;
@@ -210,9 +142,6 @@ class ParallelCluster : public ClusterRuntime, private CrossShardSink {
   int running_ = 0;
   bool quit_ = false;
   std::vector<std::thread> threads_;
-
-  // Aggregated-metrics cache rebuilt by metrics().
-  Metrics agg_metrics_;
 };
 
 } // namespace ddbs

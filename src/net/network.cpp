@@ -6,36 +6,21 @@
 
 namespace ddbs {
 
-Network::Network(Scheduler& sched, const Config& cfg, uint64_t seed)
-    : latency_(cfg.net_latency_min, cfg.net_latency_max, seed ^ 0xabcdef),
-      loss_rng_(seed ^ 0x1234567),
-      loss_seed_(seed ^ 0x1234567),
-      loss_prob_(cfg.msg_loss_prob),
-      det_(cfg.site_ordered_events) {
-  shards_.resize(1);
-  shards_[0].sched = &sched;
-  sites_.resize(static_cast<size_t>(cfg.n_sites));
-  site_shard_.assign(static_cast<size_t>(cfg.n_sites), 0);
-}
-
 Network::Network(const std::vector<Scheduler*>& shard_scheds,
-                 const Config& cfg, uint64_t seed, CrossShardSink* sink)
+                 std::vector<int> site_shard, const Config& cfg,
+                 uint64_t seed, CrossShardSink* sink)
     : latency_(cfg.net_latency_min, cfg.net_latency_max, seed ^ 0xabcdef),
       loss_rng_(seed ^ 0x1234567),
       loss_seed_(seed ^ 0x1234567),
       loss_prob_(cfg.msg_loss_prob),
       det_(cfg.site_ordered_events),
-      sink_(sink) {
-  assert(static_cast<int>(shard_scheds.size()) == cfg.shard_count());
-  shards_.resize(shard_scheds.size());
-  for (size_t i = 0; i < shard_scheds.size(); ++i) {
+      sink_(sink),
+      shards_(shard_scheds.size()),
+      site_shard_(std::move(site_shard)),
+      sites_(static_cast<size_t>(cfg.n_sites)) {
+  assert(site_shard_.size() == sites_.size());
+  for (size_t i = 0; i < shard_scheds.size(); ++i)
     shards_[i].sched = shard_scheds[i];
-  }
-  sites_.resize(static_cast<size_t>(cfg.n_sites));
-  site_shard_.resize(static_cast<size_t>(cfg.n_sites));
-  for (SiteId s = 0; s < cfg.n_sites; ++s) {
-    site_shard_[static_cast<size_t>(s)] = cfg.shard_of(s);
-  }
 }
 
 void Network::register_site(SiteId id, Handler handler) {

@@ -46,12 +46,11 @@ class Network {
  public:
   using Handler = std::function<void(const Envelope&)>;
 
-  // Single-shard (classic DES) construction.
-  Network(Scheduler& sched, const Config& cfg, uint64_t seed);
-  // Sharded construction: one scheduler per site shard, sites mapped to
-  // shards by cfg.shard_of. `sink` receives cross-shard sends.
-  Network(const std::vector<Scheduler*>& shard_scheds, const Config& cfg,
-          uint64_t seed, CrossShardSink* sink);
+  // One scheduler per site shard; site s lives on shard site_shard[s].
+  // `sink` receives cross-shard sends (unused with a single shard).
+  Network(const std::vector<Scheduler*>& shard_scheds,
+          std::vector<int> site_shard, const Config& cfg, uint64_t seed,
+          CrossShardSink* sink = nullptr);
 
   void register_site(SiteId id, Handler handler);
 

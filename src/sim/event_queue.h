@@ -66,6 +66,19 @@ constexpr EventKey make_event_key(uint32_t lane, uint32_t counter) {
   return (static_cast<EventKey>(lane) << 32) | counter;
 }
 
+// The fire order: (time, lane, counter).
+constexpr bool event_before(SimTime ta, EventKey ka, SimTime tb,
+                            EventKey kb) {
+  if (ta != tb) return ta < tb;
+  const uint32_t la = static_cast<uint32_t>(ka >> 32);
+  const uint32_t lb = static_cast<uint32_t>(kb >> 32);
+  if (la != lb) return la < lb;
+  // The lane counter wraps at 2^32; same-time same-lane events are never
+  // 2^31 mints apart, so a signed difference orders them across the wrap.
+  return static_cast<int32_t>(static_cast<uint32_t>(ka) -
+                              static_cast<uint32_t>(kb)) < 0;
+}
+
 class EventQueue {
  public:
   // Distinct timer delays that get their own list; timers of any further
@@ -262,14 +275,7 @@ class EventQueue {
   }
 
   bool before(const Entry& a, const Entry& b) const {
-    if (a.time != b.time) return a.time < b.time;
-    const uint32_t la = static_cast<uint32_t>(a.key >> 32);
-    const uint32_t lb = static_cast<uint32_t>(b.key >> 32);
-    if (la != lb) return la < lb;
-    // The lane counter wraps at 2^32; same-time same-lane events are never
-    // 2^31 mints apart, so a signed difference orders them across the wrap.
-    return static_cast<int32_t>(static_cast<uint32_t>(a.key) -
-                                static_cast<uint32_t>(b.key)) < 0;
+    return event_before(a.time, a.key, b.time, b.key);
   }
 
   const Entry& head_entry() const {

@@ -44,6 +44,7 @@ void Scheduler::enable_site_keys(int n_sites) {
 
 void Scheduler::fire(EventQueue::Fired& fired) {
   now_ = fired.time;
+  current_key_ = fired.key;
   if (site_keys_) {
     // Inherit the origin lane of the fired event; site lanes carry over
     // (a site's timer schedules more work for that site), anything else

@@ -77,6 +77,8 @@ class Scheduler {
   // Ambient origin lane for key minting. Execution sets it from the fired
   // event's key; Network::deliver overrides it to the destination site.
   uint32_t context_lane() const { return context_lane_; }
+  // Key of the event firing now (of the last one fired, between events).
+  EventKey current_key() const { return current_key_; }
   void set_context_site(SiteId s) { context_lane_ = lane_of_site(s); }
   void set_context_lane(uint32_t lane) { context_lane_ = lane; }
   void set_context_free() { context_lane_ = kLaneExternal; }
@@ -110,6 +112,7 @@ class Scheduler {
   uint64_t executed_ = 0;
   bool site_keys_ = false;
   uint32_t context_lane_ = kLaneExternal;
+  EventKey current_key_ = 0;
   std::vector<uint32_t> lane_counters_;
 };
 

@@ -80,7 +80,24 @@ void append_i64(std::string& s, int64_t v) { s += std::to_string(v); }
 
 } // namespace
 
-std::string SpanLog::to_chrome_json(const Tracer* tracer) const {
+std::string SpanLog::to_chrome_json(const std::vector<const SpanLog*>& logs,
+                                    const std::vector<const Tracer*>& tracers) {
+  size_t events = 0;
+  for (const SpanLog* log : logs) events += log->size();
+  std::string out;
+  out.reserve(256 + events * 96);
+  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  bool first = true;
+  for (size_t i = 0; i < logs.size(); ++i) {
+    logs[i]->append_chrome(out, first,
+                           i < tracers.size() ? tracers[i] : nullptr);
+  }
+  out += "\n]}\n";
+  return out;
+}
+
+void SpanLog::append_chrome(std::string& out, bool& first,
+                            const Tracer* tracer) const {
   // First pass: index begins and ends so begin/end pairs can be stitched
   // into "X" complete events. A begin whose end fell off the ring (or
   // never happened) is closed at the current sim time; an end whose begin
@@ -108,10 +125,6 @@ std::string SpanLog::to_chrome_json(const Tracer* tracer) const {
     return cur;
   };
 
-  std::string out;
-  out.reserve(256 + size() * 96);
-  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
   auto event_head = [&](const char* name, const char* cat, const char* ph,
                         SimTime ts, SiteId site, SpanId tid) {
     if (!first) out += ',';
@@ -176,9 +189,6 @@ std::string SpanLog::to_chrome_json(const Tracer* tracer) const {
       out += "}}";
     });
   }
-
-  out += "\n]}\n";
-  return out;
 }
 
 } // namespace ddbs

@@ -117,15 +117,22 @@ class SpanLog {
   void clear();
 
   // Chrome trace_event JSON (the "JSON Array Format" with a traceEvents
-  // wrapper), loadable in Perfetto / chrome://tracing. Begin/end pairs
-  // become "X" complete events (pid = site, tid = root span of the causal
-  // tree); instants become "i" events. When `tracer` is given its retained
-  // flat trace events are folded in as additional instants so one file
-  // carries the whole picture. Output is deterministic for a fixed seed.
-  std::string to_chrome_json(const Tracer* tracer = nullptr) const;
+  // wrapper) of `logs`, log by log, loadable in Perfetto /
+  // chrome://tracing. Begin/end pairs become "X" complete events (pid =
+  // site, tid = root span of the causal tree within that log); instants
+  // become "i" events. Each log's events are followed by the retained flat
+  // trace events of tracers[i], when given, as additional instants so one
+  // file carries the whole picture. Output is deterministic for a fixed
+  // seed.
+  static std::string to_chrome_json(
+      const std::vector<const SpanLog*>& logs,
+      const std::vector<const Tracer*>& tracers = {});
 
  private:
   friend struct SpanScope;
+  // Append this log's events (and `tracer`'s) to a to_chrome_json body.
+  void append_chrome(std::string& out, bool& first,
+                     const Tracer* tracer) const;
   void record(const SpanEvent& e) { ring_[next_ % ring_.size()] = e; ++next_; }
 
   Scheduler& sched_;

@@ -42,20 +42,22 @@ std::vector<TraceEvent> Tracer::snapshot() const {
   return out;
 }
 
-std::string Tracer::to_json() const {
+std::string Tracer::to_json(const std::vector<const Tracer*>& tracers) {
   std::ostringstream os;
   os << "[";
   bool first = true;
-  for_each([&](const TraceEvent& e) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n  {\"at\":" << e.at << ",\"kind\":\"" << to_string(e.kind)
-       << "\",\"site\":" << e.site;
-    if (e.txn != 0) os << ",\"txn\":" << e.txn;
-    if (e.a != 0) os << ",\"a\":" << e.a;
-    if (e.b != 0) os << ",\"b\":" << e.b;
-    os << "}";
-  });
+  for (const Tracer* t : tracers) {
+    t->for_each([&](const TraceEvent& e) {
+      if (!first) os << ",";
+      first = false;
+      os << "\n  {\"at\":" << e.at << ",\"kind\":\"" << to_string(e.kind)
+         << "\",\"site\":" << e.site;
+      if (e.txn != 0) os << ",\"txn\":" << e.txn;
+      if (e.a != 0) os << ",\"a\":" << e.a;
+      if (e.b != 0) os << ",\"b\":" << e.b;
+      os << "}";
+    });
+  }
   os << "\n]\n";
   return os.str();
 }

@@ -105,8 +105,9 @@ class Tracer {
 
   void clear() { next_ = 0; }
 
-  // Serialize the retained events as a JSON array (one object per event).
-  std::string to_json() const;
+  // Serialize the retained events of `tracers` as one JSON array (one
+  // object per event), tracer by tracer.
+  static std::string to_json(const std::vector<const Tracer*>& tracers);
 
  private:
   Scheduler& sched_;

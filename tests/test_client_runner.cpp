@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "core/client.h"
+#include "core/cluster.h"
 #include "workload/runner.h"
 
 namespace ddbs {
@@ -12,52 +12,6 @@ Config cfg4() {
   cfg.n_items = 30;
   cfg.replication_degree = 3;
   return cfg;
-}
-
-TEST(Client, RetriesAbortedTransactions) {
-  Cluster cluster(cfg4(), 61);
-  cluster.bootstrap();
-  Client client(cluster, 0, 1);
-  // Crash the home site mid-flight repeatedly is hard to stage; instead
-  // exercise the retry path by submitting against a down home with
-  // failover disabled first, then enabled.
-  cluster.crash_site(0);
-  cluster.run_until(cluster.now() + 400'000);
-
-  bool done = false;
-  TxnResult final_res;
-  int attempts_used = 0;
-  Client::Options opts;
-  opts.max_retries = 2;
-  opts.failover = false;
-  client.submit({{OpKind::kWrite, 1, 5}}, opts,
-                [&](const TxnResult& r, int attempts) {
-                  final_res = r;
-                  attempts_used = attempts;
-                  done = true;
-                });
-  cluster.run_until(cluster.now() + 1'000'000);
-  ASSERT_TRUE(done);
-  EXPECT_FALSE(final_res.committed);
-  EXPECT_EQ(attempts_used, 3); // 1 + 2 retries
-}
-
-TEST(Client, FailsOverToOperationalSite) {
-  Cluster cluster(cfg4(), 63);
-  cluster.bootstrap();
-  Client client(cluster, 0, 2);
-  cluster.crash_site(0);
-  cluster.run_until(cluster.now() + 400'000);
-  bool done = false;
-  TxnResult final_res;
-  client.submit({{OpKind::kWrite, 1, 5}}, Client::Options{},
-                [&](const TxnResult& r, int) {
-                  final_res = r;
-                  done = true;
-                });
-  cluster.run_until(cluster.now() + 1'000'000);
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(final_res.committed) << to_string(final_res.reason);
 }
 
 TEST(Runner, CollectsThroughputAndLatency) {

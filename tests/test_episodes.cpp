@@ -611,7 +611,7 @@ TEST(EpisodeReport, ChromeSpanExportIsStructurallyValid) {
   run_quiet_recovery(cluster);
 
   const JsonValue doc =
-      parse_checked(cluster.spans().to_chrome_json(&cluster.tracer()));
+      parse_checked(cluster.spans_chrome_json());
   ASSERT_TRUE(doc.is_object());
   const JsonArray& events = doc.obj().at("traceEvents").arr();
   ASSERT_FALSE(events.empty());
@@ -647,7 +647,7 @@ TEST(EpisodeReport, FixedSeedReplayIsByteIdentical) {
     RunReport report("determinism");
     cluster.report_run(report, "quiet");
     return std::make_pair(report.to_json(),
-                          cluster.spans().to_chrome_json(&cluster.tracer()));
+                          cluster.spans_chrome_json());
   };
   const auto first = render();
   const auto second = render();

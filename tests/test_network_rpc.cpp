@@ -15,7 +15,9 @@ struct NetFixture : public ::testing::Test {
     cfg.n_sites = 3;
     cfg.net_latency_min = 100;
     cfg.net_latency_max = 200;
-    net = std::make_unique<Network>(sched, cfg, 99);
+    net = std::make_unique<Network>(
+        std::vector<Scheduler*>{&sched},
+        std::vector<int>(static_cast<size_t>(cfg.n_sites)), cfg, 99);
     for (SiteId s = 0; s < 3; ++s) net->set_alive(s, true);
   }
 };

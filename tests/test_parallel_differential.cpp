@@ -17,6 +17,7 @@
 #include <sstream>
 #include <thread>
 
+#include "core/cluster.h"
 #include "core/parallel_cluster.h"
 #include "core/runtime.h"
 #include "explore/explorer.h"
@@ -185,6 +186,28 @@ TEST(ParallelRuntime, PerfScalarsIncludeCommitsPerSec) {
   }
 }
 
+// A transaction whose origin crashes mid-flight never finishes -- the
+// crash drops its coordinator, so the done callback never fires. run_txn
+// must report the outcome as unknown (kTimeout), not as an abort with
+// reason kOk.
+TEST(ParallelRuntime, RunTxnLostToOriginCrashReportsTimeout) {
+  for (int threads : {1, 2}) {
+    Config cfg;
+    cfg.n_sites = 4;
+    cfg.n_items = 30;
+    cfg.replication_degree = 3;
+    cfg.n_threads = threads;
+    auto rt = make_runtime(cfg, 5);
+    rt->bootstrap();
+    rt->crash_site_at(rt->now() + 600, 0);
+    const TxnResult res =
+        rt->run_txn(0, {{OpKind::kWrite, 1, 7}, {OpKind::kWrite, 2, 8}});
+    EXPECT_FALSE(res.committed) << threads << " threads";
+    EXPECT_EQ(res.reason, Code::kTimeout)
+        << threads << " threads: " << to_string(res.reason);
+  }
+}
+
 // ------------------------------------------------- direct differential
 
 // The DES twin of a parallel config: same shard map and event order,
@@ -325,6 +348,81 @@ TEST(ParallelDifferential, DurableEngineIdenticalState) {
   cfg.checkpoint_interval = 64; // checkpoints fire mid-scenario
   cfg.n_threads = 4;
   expect_backends_identical(cfg, 24);
+}
+
+// ----------------------------------------------- run-report differential
+
+// Sees whether some site ran a type-2 control transaction declaring a
+// site of another shard down.
+struct CrossShardType2 final : TraceSink {
+  explicit CrossShardType2(const Config& cfg) : cfg(cfg) {}
+  void on_trace(const TraceEvent& e) override {
+    if (e.kind == TraceKind::kControlDownStart &&
+        cfg.shard_of(e.site) != cfg.shard_of(static_cast<SiteId>(e.a))) {
+      seen = true;
+    }
+  }
+  const Config& cfg;
+  bool seen = false;
+};
+
+std::string run_report_json(ClusterRuntime& rt,
+                            const std::vector<FailureEvent>& schedule,
+                            uint64_t seed) {
+  rt.bootstrap();
+  RunnerParams rp;
+  rp.duration = 1'500'000;
+  rp.schedule = schedule;
+  Runner runner(rt, rp, seed);
+  runner.run();
+  rt.settle();
+  RunReport report("differential");
+  // The thread count in the config echo is the one intended difference.
+  rt.report_run(report, "run").cfg.n_threads = 1;
+  return report.to_json();
+}
+
+// The whole run report -- counters, recovery timelines, episodes and the
+// time series -- is byte-identical across backends. Episodes cross
+// shards: a site crashes on one shard while a site of another shard runs
+// its type-2, so they must be folded once, in the DES's order.
+TEST(ParallelDifferential, RunReportByteIdentical) {
+  using W = FailureEvent::What;
+  const std::vector<std::vector<FailureEvent>> schedules = {
+      // Two overlapping recoveries on different shards.
+      {{200'000, W::kCrash, 1},
+       {260'000, W::kCrash, 6},
+       {700'000, W::kRecover, 6},
+       {760'000, W::kRecover, 1}},
+      // One clean crash/recover cycle.
+      {{300'000, W::kCrash, 3}, {900'000, W::kRecover, 3}},
+      // A second crash while the first recovery is still in flight.
+      {{150'000, W::kCrash, 5},
+       {500'000, W::kRecover, 5},
+       {520'000, W::kCrash, 5},
+       {1'000'000, W::kRecover, 5}},
+  };
+  bool cross_shard_type2 = false;
+  for (int k : {2, 4}) {
+    for (size_t i = 0; i < schedules.size(); ++i) {
+      Config cfg;
+      cfg.n_sites = 8;
+      cfg.n_items = 80;
+      cfg.replication_degree = 3;
+      cfg.n_threads = k;
+      cfg.workload_shards = k;
+      ParallelCluster par(cfg, 11);
+      Cluster des(des_twin(cfg), 11);
+      CrossShardType2 probe(des.config());
+      des.tracer().add_sink(&probe);
+      const std::string par_json = run_report_json(par, schedules[i], 11);
+      const std::string des_json = run_report_json(des, schedules[i], 11);
+      EXPECT_EQ(par_json, des_json) << "K=" << k << ", schedule " << i;
+      EXPECT_FALSE(des.episodes().episodes().empty());
+      cross_shard_type2 = cross_shard_type2 || probe.seen;
+    }
+  }
+  EXPECT_TRUE(cross_shard_type2);
 }
 
 // ----------------------------------------------- explorer differential

@@ -93,7 +93,7 @@ TEST(Tracer, JsonRoundTripsEventsOldestFirst) {
     tracer.record(TraceKind::kDetectorDeclare, static_cast<SiteId>(i % 3),
                   /*txn=*/1'000 + i, /*a=*/i, /*b=*/-i);
   }
-  const JsonValue doc = parse_checked(tracer.to_json());
+  const JsonValue doc = parse_checked(Tracer::to_json({&tracer}));
   ASSERT_TRUE(doc.is_array());
   ASSERT_EQ(doc.arr().size(), 4u); // retained only
   int64_t prev_a = -1;

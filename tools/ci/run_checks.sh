@@ -209,5 +209,26 @@ python3 "$repo/tools/ddbs_trace.py" "$tmp/telemetry.jsonl" --tail 8 >/dev/null
 # A report must never regress against itself.
 python3 "$repo/tools/compare_reports.py" \
   --scalar throughput_txn_s "$tmp/report.json" "$tmp/report.json" >/dev/null
+# Site 2's crash and recovery fold into exactly one complete episode, on
+# either backend (the type-2 may run on another shard than site 2).
+expect_one_episode() {
+  python3 -c '
+import json, sys
+eps = json.load(open(sys.argv[1]))["runs"][0]["episodes"]
+assert len(eps) == 1 and eps[0]["site"] == 2 and eps[0]["complete"], eps
+' "$1"
+}
+expect_one_episode "$tmp/report.json"
+
+step "observability smoke, parallel backend (--threads=4)"
+"$repo/build/tools/ddbs_sim" --threads=4 \
+  --duration-ms=3000 --crash=2@600 --recover=2@1500 \
+  --report-out="$tmp/report4.json" --spans-out="$tmp/spans4.json" \
+  --trace-out="$tmp/trace4.json" \
+  --telemetry-out="$tmp/telemetry4.jsonl" >/dev/null
+python3 "$repo/tools/ddbs_trace.py" "$tmp/report4.json" >/dev/null
+python3 "$repo/tools/ddbs_trace.py" "$tmp/spans4.json" >/dev/null
+python3 "$repo/tools/ddbs_trace.py" "$tmp/telemetry4.jsonl" --tail 8 >/dev/null
+expect_one_episode "$tmp/report4.json"
 
 step "all checks passed"
