@@ -4,7 +4,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "replication/session.h"
+#include "storage/kv_store.h"
 
 namespace ddbs {
 
@@ -47,7 +47,8 @@ void FailureDetector::start() {
   for (const auto& [s, span] : verifying_) SpanLog::close(env_.spans, span);
   verifying_.clear();
   last_pong_.clear();
-  started_at_ = env_.sched->now(); // silence is measured from here at first
+  window_.clear();
+  walk_ring(); // every window member's silence clock starts now
   declare_inflight_ = false;
   const uint64_t epoch = epoch_;
   env_.sched->after(jittered_interval(), [this, epoch]() {
@@ -61,15 +62,71 @@ void FailureDetector::stop() {
   ++epoch_;
 }
 
+bool FailureDetector::nominally_up(SiteId s) const {
+  const Copy* c = env_.stable->kv().find(ns_item(s));
+  return c != nullptr && c->value != 0;
+}
+
+bool FailureDetector::in_window(SiteId s) const {
+  return std::any_of(window_.begin(), window_.end(),
+                     [s](const WindowSlot& w) { return w.site == s; });
+}
+
+void FailureDetector::unwatch(SiteId s) {
+  misses_.erase(s);
+  last_pong_.erase(s);
+}
+
+void FailureDetector::walk_ring() {
+  // Walk forward from ourselves until kRingSuccessors nominally-up sites
+  // are found, reading one NS entry per step: O(k + gap), not O(n). The
+  // reads are hints only; the declaration itself is a locked control
+  // transaction.
+  const int n = env_.cfg->n_sites;
+  next_window_.clear();
+  int up = 0;
+  for (SiteId s = (env_.self + 1) % n; s != env_.self && up < kRingSuccessors;
+       s = (s + 1) % n) {
+    const bool is_up = nominally_up(s);
+    next_window_.push_back({s, is_up});
+    up += is_up ? 1 : 0;
+  }
+  // Ascending site order, so a window holding every other site pings in
+  // the same order as a full scan.
+  std::sort(next_window_.begin(), next_window_.end(),
+            [](const WindowSlot& a, const WindowSlot& b) {
+              return a.site < b.site;
+            });
+  // A site that enters starts its silence clock on entry; one that leaves
+  // drops its misses (declare() would otherwise batch it as a stale
+  // suspect) and, unless a verify chain still owns it, its clock.
+  const SimTime now = env_.sched->now();
+  auto old = window_.begin();
+  auto cur = next_window_.begin();
+  while (old != window_.end() || cur != next_window_.end()) {
+    if (cur == next_window_.end() ||
+        (old != window_.end() && old->site < cur->site)) {
+      misses_.erase(old->site);
+      if (!verifying_.count(old->site)) last_pong_.erase(old->site);
+      ++old;
+    } else if (old == window_.end() || cur->site < old->site) {
+      last_pong_.emplace(cur->site, now);
+      ++cur;
+    } else {
+      ++old;
+      ++cur;
+    }
+  }
+  window_.swap(next_window_);
+}
+
 void FailureDetector::tick() {
-  // Ping every site our local NS copy says is nominally up. The peek is a
-  // hint only; the declaration itself is a locked control transaction.
-  const SessionVector ns = peek_ns_vector(env_.stable->kv(), env_.cfg->n_sites);
   const uint64_t epoch = epoch_;
   ++tick_count_;
-  for (SiteId s = 0; s < env_.cfg->n_sites; ++s) {
-    if (s == env_.self) continue;
-    if (ns[static_cast<size_t>(s)] == 0) {
+  walk_ring();
+  for (const WindowSlot& w : window_) {
+    const SiteId s = w.site;
+    if (!w.up) {
       // Reconciliation probe (every 4th tick): a nominally-down site that
       // answers "operational" was falsely declared -- tell it to restart
       // and re-integrate through normal recovery (Section 6's
@@ -98,6 +155,7 @@ void FailureDetector::tick() {
         s, Ping{}, env_.cfg->rpc_timeout,
         [this, s, epoch](Code code, const Payload*) {
           if (epoch != epoch_ || !running_) return;
+          if (!in_window(s)) return; // left the window meanwhile
           if (code == Code::kOk) {
             misses_[s] = 0;
             last_pong_[s] = env_.sched->now();
@@ -164,8 +222,7 @@ void FailureDetector::verify_dead(const CoordinatorEnv& env,
 void FailureDetector::suspect(SiteId s) {
   if (!running_ || s == env_.self) return;
   if (declaring_.count(s)) return;
-  const SessionVector ns = peek_ns_vector(env_.stable->kv(), env_.cfg->n_sites);
-  if (ns[static_cast<size_t>(s)] == 0) return; // already nominally down
+  if (!nominally_up(s)) return; // already nominally down
   begin_verify(s, 3);
 }
 
@@ -200,23 +257,42 @@ void FailureDetector::verify(SiteId s, int attempts_left) {
       s, Ping{}, env_.cfg->rpc_timeout,
       [this, s, attempts_left, epoch](Code code, const Payload*) {
         if (epoch != epoch_ || !running_) return;
+        const SimTime now = env_.sched->now();
         if (code == Code::kOk) {
-          misses_[s] = 0;
-          last_pong_[s] = env_.sched->now();
           resolve_verify(s); // chain resolved: alive after all
+          if (!in_window(s)) {
+            unwatch(s);
+            return;
+          }
+          misses_[s] = 0;
+          last_pong_[s] = now;
           return;
         }
         if (attempts_left > 1) {
           verify(s, attempts_left - 1);
           return;
         }
-        resolve_verify(s); // chain resolved
-        SimTime last_alive = started_at_;
-        if (const auto pong = last_pong_.find(s); pong != last_pong_.end()) {
-          last_alive = std::max(last_alive, pong->second);
+        // A suspect outside the window has no silence clock until its
+        // first burst has failed: only then does our watch of it begin.
+        const SimTime last_alive = last_pong_.emplace(s, now).first->second;
+        const bool silent =
+            now - last_alive >= kSilenceToDeclare * env_.cfg->detector_interval;
+        const bool watched = in_window(s);
+        if (!watched && !silent) {
+          // No periodic ping watches this site, so the chain keeps pinging
+          // it once per detector interval (this ping went out rpc_timeout
+          // ago) until it answers or the silence bound is reached.
+          const SimTime gap = std::max<SimTime>(
+              0, env_.cfg->detector_interval - env_.cfg->rpc_timeout);
+          env_.sched->after(gap, [this, s, epoch]() {
+            if (epoch != epoch_ || !running_) return;
+            continue_verify(s);
+          });
+          return;
         }
-        if (env_.sched->now() - last_alive <
-            kSilenceToDeclare * env_.cfg->detector_interval) {
+        resolve_verify(s); // chain resolved
+        if (!watched) unwatch(s);
+        if (!silent) {
           // The site answered a ping recently: alive, the chain's timeouts
           // were loss. Not *sure* => no type-2 yet. Leave the accumulated
           // misses so the next timed-out periodic ping restarts the chain;
@@ -225,6 +301,19 @@ void FailureDetector::verify(SiteId s, int attempts_left) {
         }
         declare(s);
       });
+}
+
+void FailureDetector::continue_verify(SiteId s) {
+  const auto chain = verifying_.find(s);
+  if (chain == verifying_.end()) return;
+  if (declaring_.count(s) || !nominally_up(s)) {
+    // Declared meanwhile (by its ring predecessor, most likely).
+    resolve_verify(s);
+    if (!in_window(s)) unwatch(s);
+    return;
+  }
+  SpanScope scope(env_.spans, chain->second);
+  verify(s, 1);
 }
 
 void FailureDetector::declare(SiteId s) {

@@ -13,9 +13,13 @@
 // (3) The failure detector keeps at most one verify chain in flight per
 //     suspect, and its proof-of-life silence gate stops false declarations
 //     of healthy sites (the restart-storm feedback loop).
+// (4) Each detector probes only its ring window, so idle probe traffic per
+//     site does not grow with the cluster, and the window extends past
+//     declared sites so a failure with no live watcher is still detected.
 #include <gtest/gtest.h>
 
 #include "core/cluster.h"
+#include "replication/session.h"
 #include "workload/runner.h"
 
 namespace ddbs {
@@ -292,6 +296,91 @@ TEST(FailureDetector, NoFalseDeclarationsOnHealthyCluster) {
   EXPECT_EQ(cluster.metrics().get("fd.declared_down"), 0);
   std::string why;
   EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
+}
+
+// Probe messages per site over one idle simulated second.
+double idle_messages_per_site(int n_sites) {
+  Config cfg;
+  cfg.n_sites = n_sites;
+  cfg.n_items = 4 * n_sites;
+  cfg.replication_degree = 3;
+  Cluster cluster(cfg, 76);
+  cluster.bootstrap();
+  const uint64_t before = cluster.network().messages_sent();
+  cluster.run_until(cluster.now() + 1'000'000);
+  return static_cast<double>(cluster.network().messages_sent() - before) /
+         n_sites;
+}
+
+TEST(FailureDetector, IdleProbeTrafficIsLinearInSites) {
+  const double small = idle_messages_per_site(16);
+  const double large = idle_messages_per_site(64);
+  EXPECT_NEAR(large, small, 0.1 * small);
+  // At most a ping and a pong per window member per tick, and ticks are at
+  // least one detector interval apart.
+  const double max_ticks = 1'000'000.0 / Config{}.detector_interval;
+  EXPECT_LE(large, 2 * FailureDetector::kRingSuccessors * max_ticks);
+  EXPECT_GT(large, 0.0);
+}
+
+bool ns_down_everywhere(Cluster& cluster, const std::vector<SiteId>& down) {
+  for (SiteId s = 0; s < cluster.n_sites(); ++s) {
+    if (cluster.site(s).state().mode != SiteMode::kUp) continue;
+    const SessionVector ns =
+        peek_ns_vector(cluster.site(s).stable().kv(), cluster.n_sites());
+    for (SiteId d : down) {
+      if (ns[static_cast<size_t>(d)] != 0) return false;
+    }
+  }
+  return true;
+}
+
+TEST(FailureDetector, RingShiftsPastAWholeDeadWindow) {
+  Config cfg;
+  cfg.n_sites = 10;
+  cfg.n_items = 60;
+  cfg.replication_degree = 3;
+  Cluster cluster(cfg, 77);
+  cluster.bootstrap();
+  // Sites 1-3 are site 0's whole window.
+  for (SiteId s : {1, 2, 3}) cluster.crash_site(s);
+  cluster.run_until(cluster.now() + 3'000'000);
+  ASSERT_TRUE(ns_down_everywhere(cluster, {1, 2, 3}));
+  // Site 4's three ring predecessors are dead, so only a window that walks
+  // past them -- site 0's -- watches it now.
+  cluster.crash_site(4);
+  cluster.run_until(cluster.now() + 3'000'000);
+  EXPECT_TRUE(ns_down_everywhere(cluster, {1, 2, 3, 4}));
+
+  for (SiteId s : {1, 2, 3, 4}) cluster.recover_site(s);
+  cluster.settle();
+  for (SiteId s = 0; s < cfg.n_sites; ++s) {
+    EXPECT_EQ(cluster.site(s).state().mode, SiteMode::kUp) << "site " << s;
+  }
+  std::string why;
+  EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
+  EXPECT_EQ(cluster.metrics().get("site.false_declaration_restart"), 0);
+}
+
+TEST(FailureDetector, NoFalseDeclarationsOnLossyRing) {
+  // The silence gate with ring windows: a window member that enters late,
+  // or a suspect outside every window, must not be declared on a burst of
+  // lost pings.
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Config cfg;
+    cfg.n_sites = 12;
+    cfg.n_items = 120;
+    cfg.replication_degree = 3;
+    cfg.msg_loss_prob = 0.05;
+    Cluster cluster(cfg, seed);
+    cluster.bootstrap();
+    RunnerParams rp;
+    rp.clients_per_site = 2;
+    rp.duration = 10'000'000;
+    Runner runner(cluster, rp, seed);
+    runner.run();
+    EXPECT_EQ(cluster.metrics().get("fd.declared_down"), 0) << "seed " << seed;
+  }
 }
 
 } // namespace

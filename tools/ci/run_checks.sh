@@ -96,6 +96,19 @@ step "footprint-NS scale smoke (128 sites x 100k items, oracles on)"
   --crash=5@150 --recover=5@300 \
   --out="$repo/build/SWEEP_scale_smoke.json" >/dev/null
 
+step "idle detector cost (256 sites, no clients, <= 200k events)"
+# Each failure detector probes only its ring window, so an idle cluster's
+# event count grows with n, not n^2 (a full probe mesh executes ~4.8M
+# events here). The count is deterministic for a fixed seed.
+"$repo/build/tools/ddbs_sweep" \
+  --sites=256 --items=10240 --clients=0 --duration-ms=2000 --seeds=1 -j1 \
+  --out="$repo/build/SWEEP_idle_detector.json" >/dev/null
+python3 -c '
+import json, sys
+events = json.load(open(sys.argv[1]))["host"]["events_executed"]
+assert events <= 200000, f"idle 256-site run executed {events} events (> 200000)"
+' "$repo/build/SWEEP_idle_detector.json"
+
 step "watchdog self-test (planted NS-lock stall caught, clean run quiet)"
 # Self-validation of the no-progress watchdog. --planted-stall restores
 # the historical fixed type-1 retry backoff + permanent give-up; with the
