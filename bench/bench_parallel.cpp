@@ -5,9 +5,10 @@
 // (under $DDBS_REPORT_DIR when set) for the perf-CI comparison gate.
 //
 // The speedup column is only meaningful when the host actually has cores
-// to scale onto: the report records host_cores and EXPERIMENTS.md explains
-// how to read a single-core run (threads time-slice one core, so speedup
-// pins near 1x and the barrier overhead shows up as a small regression).
+// to scale onto: the report records host_cores, and EXPERIMENTS.md records
+// a 4-core curve and explains how to read a single-core run (threads
+// time-slice one core, so speedup pins near 1x and the barrier overhead
+// shows up as a small regression).
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -124,9 +125,11 @@ int main() {
   std::printf(
       "\nExpected shape on a multi-core host: commits/s grows with\n"
       "threads until shards run out of per-window work (window = min\n"
-      "cross-site latency); 32+ sites at 8 threads is the headline cell.\n"
-      "On a single-core host every cell time-slices one CPU and speedup\n"
-      "stays near 1x -- compare across hosts, not within one.\n");
+      "cross-site latency), so only the large cells gain: 128 sites at\n"
+      "one thread per core is the headline cell, and 8-32 sites lose to\n"
+      "the epoch barrier at every thread count. On a single-core host\n"
+      "every cell time-slices one CPU and speedup stays near 1x --\n"
+      "compare across hosts, not within one.\n");
   report.write();
   return 0;
 }

@@ -3,6 +3,7 @@
 // the RPC pending-request table: keys are monotonically-increasing ids,
 // the live set is small and churns fast, and std::unordered_map's
 // node-per-entry allocation plus bucket chasing dominated the profile.
+// KvStore also uses it to index each site's hosted copies.
 #pragma once
 
 #include <cassert>

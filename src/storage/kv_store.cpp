@@ -1,86 +1,77 @@
 #include "storage/kv_store.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "storage/storage_sink.h"
 
 namespace ddbs {
 
-const KvStore::Slot* KvStore::slot_of(ItemId item) const {
-  if (is_data_item(item)) {
-    const size_t i = static_cast<size_t>(item);
-    if (i >= data_.size() || !data_[i].present) return nullptr;
-    return &data_[i];
-  }
+const Copy* KvStore::find(ItemId item) const {
   if (is_ns_item(item)) {
     const size_t i = static_cast<size_t>(item - kNsBase);
-    if (i >= ns_.size() || !ns_[i].present) return nullptr;
-    return &ns_[i];
+    return i < ns_.size() && ns_[i].item == item ? &ns_[i].copy : nullptr;
   }
-  auto it = other_.find(item);
-  return it == other_.end() ? nullptr : &it->second;
+  const uint32_t* pos = index_.find(static_cast<uint64_t>(item) + 1);
+  return pos == nullptr ? nullptr : &data_[*pos].copy;
 }
 
-KvStore::Slot& KvStore::ensure_slot(ItemId item, bool* created) {
-  Slot* s;
-  if (is_data_item(item)) {
-    const size_t i = static_cast<size_t>(item);
-    if (i >= data_.size()) data_.resize(i + 1);
-    s = &data_[i];
-  } else if (is_ns_item(item)) {
+Copy& KvStore::ensure_copy(ItemId item, bool* created) {
+  if (is_ns_item(item)) {
     const size_t i = static_cast<size_t>(item - kNsBase);
     if (i >= ns_.size()) ns_.resize(i + 1);
-    s = &ns_[i];
-  } else {
-    s = &other_[item];
+    Entry& e = ns_[i];
+    *created = e.item != item;
+    if (*created) {
+      e.item = item;
+      ++ns_count_;
+    }
+    return e.copy;
   }
-  *created = !s->present;
-  if (!s->present) {
-    s->present = true;
-    ++size_;
+  assert(is_data_item(item) && "the store holds data and NS copies only");
+  const uint64_t key = static_cast<uint64_t>(item) + 1;
+  if (const uint32_t* pos = index_.find(key)) {
+    *created = false;
+    return data_[*pos].copy;
   }
-  return *s;
+  *created = true;
+  index_.insert(key, static_cast<uint32_t>(data_.size()));
+  data_.push_back(Entry{item, Copy{}});
+  return data_.back().copy;
 }
 
 void KvStore::create(ItemId item, Value initial) {
   bool created;
-  Slot& s = ensure_slot(item, &created);
+  Copy& c = ensure_copy(item, &created);
   assert(created && "create() of an existing copy");
   (void)created;
-  s.copy = Copy{initial, Version{}, false};
+  c = Copy{initial, Version{}, false};
   if (sink_ != nullptr) sink_->on_kv_create(item, initial);
-}
-
-const Copy* KvStore::find(ItemId item) const {
-  const Slot* s = slot_of(item);
-  return s == nullptr ? nullptr : &s->copy;
 }
 
 void KvStore::install(ItemId item, Value value, Version version) {
   bool created;
-  Slot& s = ensure_slot(item, &created);
-  if (!created && s.copy.unreadable) --unreadable_count_;
-  s.copy.value = value;
-  s.copy.version = version;
-  s.copy.unreadable = false;
+  Copy& c = ensure_copy(item, &created);
+  if (!created && c.unreadable) --unreadable_count_;
+  c = Copy{value, version, false};
   if (sink_ != nullptr) sink_->on_kv_install(item, value, version);
 }
 
 void KvStore::mark_unreadable(ItemId item) {
-  Slot* s = const_cast<Slot*>(slot_of(item));
-  assert(s != nullptr);
-  if (!s->copy.unreadable) {
-    s->copy.unreadable = true;
+  Copy* c = const_cast<Copy*>(find(item));
+  assert(c != nullptr);
+  if (!c->unreadable) {
+    c->unreadable = true;
     ++unreadable_count_;
     if (sink_ != nullptr) sink_->on_kv_mark(item);
   }
 }
 
 void KvStore::clear_mark(ItemId item) {
-  Slot* s = const_cast<Slot*>(slot_of(item));
-  assert(s != nullptr);
-  if (s->copy.unreadable) {
-    s->copy.unreadable = false;
+  Copy* c = const_cast<Copy*>(find(item));
+  assert(c != nullptr);
+  if (c->unreadable) {
+    c->unreadable = false;
     --unreadable_count_;
     if (sink_ != nullptr) sink_->on_kv_clear_mark(item);
   }
@@ -88,39 +79,21 @@ void KvStore::clear_mark(ItemId item) {
 
 void KvStore::wipe() {
   data_.clear();
+  index_.clear();
   ns_.clear();
-  other_.clear();
-  size_ = 0;
+  ns_count_ = 0;
   unreadable_count_ = 0;
-}
-
-std::vector<ItemId> KvStore::items() const {
-  std::vector<ItemId> out;
-  out.reserve(size_);
-  for (size_t i = 0; i < data_.size(); ++i) {
-    if (data_[i].present) out.push_back(static_cast<ItemId>(i));
-  }
-  for (size_t i = 0; i < ns_.size(); ++i) {
-    if (ns_[i].present) out.push_back(kNsBase + static_cast<ItemId>(i));
-  }
-  for (const auto& [id, s] : other_) out.push_back(id);
-  return out;
 }
 
 std::vector<ItemId> KvStore::unreadable_items() const {
   std::vector<ItemId> out;
-  for (size_t i = 0; i < data_.size(); ++i) {
-    if (data_[i].present && data_[i].copy.unreadable) {
-      out.push_back(static_cast<ItemId>(i));
-    }
+  for (const Entry& e : data_) {
+    if (e.copy.unreadable) out.push_back(e.item);
   }
-  for (size_t i = 0; i < ns_.size(); ++i) {
-    if (ns_[i].present && ns_[i].copy.unreadable) {
-      out.push_back(kNsBase + static_cast<ItemId>(i));
-    }
-  }
-  for (const auto& [id, s] : other_) {
-    if (s.copy.unreadable) out.push_back(id);
+  std::sort(out.begin(), out.end());
+  // NS ids all exceed every data id, so appending them keeps the order.
+  for (const Entry& e : ns_) {
+    if (e.item != 0 && e.copy.unreadable) out.push_back(e.item);
   }
   return out;
 }

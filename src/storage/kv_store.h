@@ -4,21 +4,22 @@
 // is lost). The unreadable mark of paper Section 3.2 lives here too, so a
 // crash during refresh can only leave copies pessimistically marked.
 //
-// Data items occupy the dense range [0, n_items), so their copies live in a
-// direct-indexed vector: the per-operation access on the DM hot path is one
-// bounds check and one array load, no hashing. NS copies (kNsBase + site)
-// get a small side vector indexed by site; anything else (nothing today)
-// falls back to an ordered map. Pointers returned by find() are invalidated
-// by create()/install() of a previously-absent item -- no caller holds one
-// across an install (they re-find after staging).
+// Like site k in the paper (Section 3.1), the store holds only the copies
+// x_k of the items the site hosts, plus its copy of every NS[j]. Data copies
+// sit in a vector in creation order, reached through an open-addressed
+// index keyed by item + 1 (key 0 is the table's empty marker), so the store
+// costs O(hosted copies) rather than O(n_items). NS copies (kNsBase + site)
+// get a small side vector indexed by site: every site holds every NS[j], so
+// it is already tight. Status-table items are lock-only and never reach the
+// store. Pointers returned by find() are invalidated by create()/install()
+// of a previously-absent item -- no caller holds one across an install
+// (they re-find after staging).
 #pragma once
 
-#include <map>
-#include <optional>
 #include <vector>
 
-#include "common/result.h"
 #include "common/types.h"
+#include "common/u64_table.h"
 
 namespace ddbs {
 
@@ -46,10 +47,9 @@ class KvStore {
   void mark_unreadable(ItemId item);
   void clear_mark(ItemId item);
 
-  std::vector<ItemId> items() const;            // ascending
   std::vector<ItemId> unreadable_items() const; // ascending
   size_t unreadable_count() const { return unreadable_count_; }
-  size_t size() const { return size_; }
+  size_t size() const { return data_.size() + ns_count_; }
 
   // Mutation observer (durable engine); null = no notifications.
   void set_sink(StorageSink* sink) { sink_ = sink; }
@@ -58,20 +58,19 @@ class KvStore {
   void wipe();
 
  private:
-  struct Slot {
+  struct Entry {
+    ItemId item = 0; // an NS slot is present iff it carries its item id
     Copy copy;
-    bool present = false;
   };
 
-  const Slot* slot_of(ItemId item) const;
-  // Returns the slot for `item`, materializing storage for it (grows the
-  // dense arrays; never shrinks). Sets *created when the slot was absent.
-  Slot& ensure_slot(ItemId item, bool* created);
+  // Returns the copy of `item` (a data or NS id), creating it when absent.
+  // Sets *created when it was.
+  Copy& ensure_copy(ItemId item, bool* created);
 
-  std::vector<Slot> data_;          // data items, direct-indexed
-  std::vector<Slot> ns_;            // NS copies, indexed by site
-  std::map<ItemId, Slot> other_;    // anything outside the two dense ranges
-  size_t size_ = 0;
+  std::vector<Entry> data_;      // hosted data copies, creation order
+  U64Table<uint32_t> index_;     // item + 1 -> position in data_
+  std::vector<Entry> ns_;        // NS copies, indexed by site
+  size_t ns_count_ = 0;
   size_t unreadable_count_ = 0;
   StorageSink* sink_ = nullptr;
 };

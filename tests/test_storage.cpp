@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/spooler.h"
+#include "core/cluster.h"
 #include "recovery/status_tables.h"
 #include "storage/stable_storage.h"
 
@@ -47,6 +50,77 @@ TEST(KvStore, UnreadableInventory) {
   EXPECT_EQ(kv.unreadable_items(), (std::vector<ItemId>{1, 3}));
   kv.clear_mark(1);
   EXPECT_EQ(kv.unreadable_count(), 1u);
+}
+
+TEST(KvStore, SparseIdsOutOfOrder) {
+  KvStore kv;
+  kv.create(70000, 1);
+  kv.create(3, 2);
+  kv.create(512, 3);
+  kv.create(ns_item(0), 1);
+  kv.create(ns_item(5), 1);
+  EXPECT_EQ(kv.size(), 5u);
+  EXPECT_EQ(kv.find(4), nullptr);
+  EXPECT_EQ(kv.find(69999), nullptr);
+  EXPECT_EQ(kv.find(ns_item(1)), nullptr);
+  EXPECT_EQ(kv.find(70000)->value, 1);
+  EXPECT_EQ(kv.find(3)->value, 2);
+  EXPECT_EQ(kv.find(512)->value, 3);
+  kv.mark_unreadable(70000);
+  kv.mark_unreadable(3);
+  EXPECT_EQ(kv.unreadable_items(), (std::vector<ItemId>{3, 70000}));
+  // A copier materializes a copy the site never initialized.
+  kv.install(100000, 9, Version{2, 8});
+  EXPECT_EQ(kv.size(), 6u);
+  EXPECT_EQ(kv.find(100000)->value, 9);
+  EXPECT_EQ(kv.find(512)->value, 3);
+  EXPECT_TRUE(kv.find(70000)->unreadable);
+  EXPECT_EQ(kv.find(ns_item(5))->value, 1);
+}
+
+TEST(KvStore, CopyIsAnIndependentSnapshot) {
+  KvStore kv;
+  kv.create(7, 70);
+  kv.create(2, 20);
+  kv.create(ns_item(1), 1);
+  const KvStore snap = kv; // what a checkpoint image takes
+  kv.install(7, 71, Version{1, 5});
+  kv.mark_unreadable(2);
+  kv.create(11, 110);
+  EXPECT_EQ(snap.size(), 3u);
+  EXPECT_EQ(snap.find(7)->value, 70);
+  EXPECT_EQ(snap.find(7)->version, Version{});
+  EXPECT_FALSE(snap.find(2)->unreadable);
+  EXPECT_EQ(snap.find(11), nullptr);
+  EXPECT_EQ(snap.unreadable_count(), 0u);
+  kv.wipe();
+  EXPECT_EQ(kv.size(), 0u);
+  EXPECT_EQ(kv.unreadable_count(), 0u);
+  EXPECT_EQ(kv.find(7), nullptr);
+  EXPECT_EQ(kv.find(ns_item(1)), nullptr);
+  kv.create(7, 72);
+  EXPECT_EQ(kv.size(), 1u);
+  EXPECT_EQ(kv.find(7)->value, 72);
+}
+
+// Each site stores only the copies it hosts plus every NS[k].
+TEST(KvStore, SiteHoldsOnlyHostedCopies) {
+  Config cfg;
+  cfg.n_sites = 16;
+  cfg.n_items = 640;
+  Cluster cluster(cfg, 1);
+  cluster.bootstrap();
+  for (SiteId s = 0; s < cfg.n_sites; ++s) {
+    const KvStore& kv = cluster.site(s).stable().kv();
+    EXPECT_EQ(kv.size(), cluster.catalog().items_at(s).size() +
+                             static_cast<size_t>(cfg.n_sites));
+    for (ItemId x = 0; x < cfg.n_items; ++x) {
+      const auto sites = cluster.catalog().sites_of(x);
+      if (std::find(sites.begin(), sites.end(), s) == sites.end()) {
+        EXPECT_EQ(kv.find(x), nullptr) << "site " << s << " item " << x;
+      }
+    }
+  }
 }
 
 TEST(VersionOrdering, LexicographicOnCounterThenWriter) {

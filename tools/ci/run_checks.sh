@@ -109,6 +109,16 @@ events = json.load(open(sys.argv[1]))["host"]["events_executed"]
 assert events <= 200000, f"idle 256-site run executed {events} events (> 200000)"
 ' "$repo/build/SWEEP_idle_detector.json"
 
+step "256-site memory (compact copy store, peak RSS <= 100 MB)"
+# Each site stores only the copies it hosts plus the NS vector, so 256
+# sites x 10240 items peak near 55 MB. A store that reserves a slot per
+# item at every site (O(sites x items)) peaks above 150 MB and trips the
+# ceiling: ddbs_soak exits 3.
+"$repo/build/tools/ddbs_soak" \
+  --cells=mark-all --rounds=1 --round-ms=300 --sites=256 --items=10240 \
+  --clients=1 --rss-limit-mb=100 --out="$repo/build/SOAK_memory_256.json" \
+  >/dev/null
+
 step "watchdog self-test (planted NS-lock stall caught, clean run quiet)"
 # Self-validation of the no-progress watchdog. --planted-stall restores
 # the historical fixed type-1 retry backoff + permanent give-up; with the
