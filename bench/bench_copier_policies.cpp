@@ -61,13 +61,14 @@ Row run_case(CopierMode mode, UnreadablePolicy policy, uint64_t seed,
   const RunnerStats stats = runner.run();
   cluster.settle();
 
-  const auto& ms = cluster.site(2).rm().milestones();
+  const RecoveryEpisode ep = cluster.episodes().latest(2);
   Row row;
   row.p50 = stats.commit_latency_us.percentile(50);
   row.p99 = stats.commit_latency_us.percentile(99);
   row.commit_ratio = stats.commit_ratio();
   row.copiers = cluster.metrics().get("copier.started");
-  row.refresh = ms.fully_current == kNoTime ? 0 : ms.fully_current - t0;
+  row.refresh =
+      ep.fully_current_at == kNoTime ? 0 : ep.fully_current_at - t0;
   row.leftover = cluster.site(2).stable().kv().unreadable_count();
 
   RunReport::Run& run = cluster.report_run(

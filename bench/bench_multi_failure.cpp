@@ -6,8 +6,9 @@
 // newly-crashed site.
 //
 // Scenario: site 1 starts recovering; k additional sites crash while its
-// type-1 is in flight. Measured: did recovery complete, how many type-1
-// attempts / type-2 rounds it took, and the time to operational.
+// type-1 is in flight. Measured from site 1's recovery episode: did
+// recovery complete, its type-1 attempts, the type-2 rounds that set out
+// to exclude site 1 itself, and the time to operational.
 #include <cstdio>
 #include <string>
 
@@ -21,8 +22,8 @@ namespace {
 
 struct Row {
   bool recovered = false;
-  int type1_attempts = 0;
-  int type2_rounds = 0;
+  int64_t type1_attempts = 0;
+  int64_t type2_rounds = 0;
   SimTime to_operational = 0;
 };
 
@@ -47,13 +48,13 @@ Row run_case(int extra_crashes, uint64_t seed, RunReport& report) {
                           static_cast<SiteId>(2 + k));
   }
   cluster.settle(120'000'000);
-  const auto& ms = cluster.site(1).rm().milestones();
+  const RecoveryEpisode ep = cluster.episodes().latest(1);
   Row row;
   row.recovered = cluster.site(1).state().mode == SiteMode::kUp;
-  row.type1_attempts = ms.type1_attempts;
-  row.type2_rounds = ms.type2_rounds;
+  row.type1_attempts = ep.type1_attempts;
+  row.type2_rounds = ep.type2_rounds;
   row.to_operational =
-      ms.nominally_up == kNoTime ? 0 : ms.nominally_up - t0;
+      ep.nominally_up_at == kNoTime ? 0 : ep.nominally_up_at - t0;
 
   RunReport::Run& run = cluster.report_run(
       report, "extra_crashes" + std::to_string(extra_crashes));
@@ -78,7 +79,7 @@ int main() {
   RunReport report("multi_failure");
   TablePrinter table("Table 6: recovery under interfering failures");
   table.set_header({"extra crashes", "recovered", "type-1 attempts",
-                    "type-2 rounds", "time to operational"});
+                    "type-2 rounds on site 1", "time to operational"});
   for (int k : {0, 1, 2, 3}) {
     const Row row = run_case(k, 600 + static_cast<uint64_t>(k), report);
     table.add_row(
@@ -93,8 +94,9 @@ int main() {
   std::printf(
       "\nExpected shape: recovery completes in every row (at least one\n"
       "site stays up); each interfering crash costs extra type-1 attempts\n"
-      "and/or type-2 rounds and delays -- but never prevents -- the\n"
-      "recovering site's return to operation.\n");
+      "(each retry waits on a type-2 that excludes the newly-crashed site)\n"
+      "and delays -- but never prevents -- the recovering site's return to\n"
+      "operation.\n");
   report.write();
   return 0;
 }

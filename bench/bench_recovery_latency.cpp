@@ -47,20 +47,19 @@ Point run_case(RecoveryScheme scheme, StorageEngineKind engine,
   const SimTime t0 = cluster.now();
   cluster.recover_site(2);
   cluster.settle();
-  const auto& ms = cluster.site(2).rm().milestones();
+  const RecoveryEpisode ep = cluster.episodes().latest(2);
   Point p;
-  p.to_operational = ms.nominally_up - t0;
-  p.to_current = (scheme == RecoveryScheme::kSpooler ? ms.nominally_up
-                                                     : ms.fully_current) -
+  p.to_operational = ep.nominally_up_at - t0;
+  p.to_current = (scheme == RecoveryScheme::kSpooler ? ep.nominally_up_at
+                                                     : ep.fully_current_at) -
                  t0;
-  p.work_items = scheme == RecoveryScheme::kSpooler ? ms.spool_replayed
-                                                    : ms.marked_unreadable;
-  for (const RecoveryEpisode& ep : cluster.episodes().episodes()) {
-    if (ep.site == 2 && ep.reboot_at != kNoTime &&
-        ep.replay_done_at != kNoTime) {
-      p.reboot_replay = ep.replay_done_at - ep.reboot_at;
-      p.replay_records = ep.replay_records;
-    }
+  p.work_items = static_cast<size_t>(
+      scheme == RecoveryScheme::kSpooler
+          ? cluster.metrics().get("rm.spool_prefetched")
+          : ep.marked_unreadable);
+  if (ep.reboot_at != kNoTime && ep.replay_done_at != kNoTime) {
+    p.reboot_replay = ep.replay_done_at - ep.reboot_at;
+    p.replay_records = ep.replay_records;
   }
 
   RunReport::Run& run = cluster.report_run(

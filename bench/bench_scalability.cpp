@@ -55,8 +55,7 @@ Row run_case(int sites, uint64_t seed, RunReport& report) {
   cluster.recover_site(1);
   cluster.settle();
   Row row;
-  const auto& ms = cluster.site(1).rm().milestones();
-  row.to_operational = ms.nominally_up - t0;
+  row.to_operational = cluster.episodes().latest(1).nominally_up_at - t0;
   row.recovery_msgs = cluster.network().messages_sent() - msgs_before;
   row.tput = stats.throughput_per_sec(rp.duration);
   row.p50 = stats.commit_latency_us.percentile(50);

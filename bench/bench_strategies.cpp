@@ -23,7 +23,7 @@ using namespace ddbs;
 namespace {
 
 struct Row {
-  size_t marked = 0;
+  int64_t marked = 0;
   int64_t copier_runs = 0;
   int64_t payloads = 0;
   SimTime refresh_time = 0;
@@ -66,14 +66,15 @@ Row run_case(OutdatedStrategy strategy, int64_t updated_items, uint64_t seed,
   const SimTime t0 = cluster.now();
   cluster.recover_site(3);
   cluster.settle();
-  const auto& ms = cluster.site(3).rm().milestones();
+  const RecoveryEpisode ep = cluster.episodes().latest(3);
   Row row;
-  row.marked = ms.marked_unreadable;
+  row.marked = ep.marked_unreadable;
   row.copier_runs = cluster.metrics().get("copier.started") - runs_before;
   row.payloads =
       cluster.metrics().get("copier.payload_copies") - payload_before;
   row.refresh_time =
-      (ms.fully_current == kNoTime ? cluster.now() : ms.fully_current) - t0;
+      (ep.fully_current_at == kNoTime ? cluster.now() : ep.fully_current_at) -
+      t0;
 
   RunReport::Run& run = cluster.report_run(
       report,
@@ -110,7 +111,7 @@ int main() {
       const Row row = run_case(strategy, updated, 77, report);
       table.add_row(
           {TablePrinter::integer(updated), to_string(strategy),
-           TablePrinter::integer(static_cast<int64_t>(row.marked)),
+           TablePrinter::integer(row.marked),
            TablePrinter::integer(row.copier_runs),
            TablePrinter::integer(row.payloads),
            TablePrinter::ms(static_cast<double>(row.refresh_time))});

@@ -72,10 +72,11 @@ int main() {
   }
   fig.print();
 
-  const auto& ms = cluster.site(2).rm().milestones();
+  const RecoveryEpisode ep = cluster.episodes().latest(2);
   std::printf("\nmilestones: crash=%.2fs, operational=%.2fs, "
               "fully current=%.2fs\n",
-              kCrashAt / 1e6, ms.nominally_up / 1e6, ms.fully_current / 1e6);
+              kCrashAt / 1e6, ep.nominally_up_at / 1e6,
+              ep.fully_current_at / 1e6);
   std::printf("totals: %lld committed, %lld aborted (%s)\n",
               static_cast<long long>(stats.committed),
               static_cast<long long>(stats.aborted),

@@ -56,16 +56,18 @@ int main() {
   cluster.recover_site(2);
   cluster.settle();
 
-  const auto& ms = cluster.site(2).rm().milestones();
+  // The recovery episode: site 2's milestones, folded from the trace.
+  const RecoveryEpisode ep = cluster.episodes().latest(2);
   std::printf("recovery started:        t=%lldus\n",
-              static_cast<long long>(ms.started));
-  std::printf("nominally up (session %llu): +%lldus\n",
-              static_cast<unsigned long long>(cluster.site(2).state().session),
-              static_cast<long long>(ms.nominally_up - ms.started));
-  std::printf("fully current:           +%lldus  (%zu copies refreshed by "
-              "%zu copiers)\n",
-              static_cast<long long>(ms.fully_current - ms.started),
-              ms.marked_unreadable, ms.copiers_run);
+              static_cast<long long>(ep.reboot_at));
+  std::printf("nominally up (session %lld): +%lldus\n",
+              static_cast<long long>(ep.session),
+              static_cast<long long>(ep.nominally_up_at - ep.reboot_at));
+  std::printf("fully current:           +%lldus  (%lld copies refreshed by "
+              "%lld copier commits)\n",
+              static_cast<long long>(ep.fully_current_at - ep.reboot_at),
+              static_cast<long long>(ep.marked_unreadable),
+              static_cast<long long>(ep.copier_commits));
 
   auto r2 = cluster.run_txn(2, {{OpKind::kRead, 7, 0}});
   std::printf("\nread item7 at recovered site 2 -> %lld\n",

@@ -196,9 +196,10 @@ struct Config {
   // O(n_sites). Semantically neutral -- the Section 3.2 per-site check
   // only ever consults ns_i[k] for sites whose copies the transaction
   // physically touches, and any such site is in the host set by
-  // construction. Off restores the dense full-vector read for differential
-  // testing. Control transactions always freeze the full vector (they make
-  // claims about every site).
+  // construction. Off makes every site the host set: the paper's dense
+  // full-vector read on the same code path, for differential testing.
+  // Control transactions always freeze the full vector (they make claims
+  // about every site).
   bool footprint_ns = true;
   // Periodically probe NOMINALLY-DOWN sites; one that answers
   // "operational" has been falsely declared (fail-stop violated, e.g. a

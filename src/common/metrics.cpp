@@ -239,12 +239,10 @@ MetricIds Metrics::register_all() {
 
   m.h_commit_latency_us = h("txn.commit_latency_us");
   m.h_lock_wait_us = h("dm.lock_wait_us");
-  m.h_rec_reboot_to_up_us = h("rm.reboot_to_up_us");
-  m.h_rec_up_to_current_us = h("rm.up_to_current_us");
   m.h_disk_read_us = h("disk.read_us");
   m.h_disk_write_us = h("disk.write_us");
-  m.h_rec_replay_records = h("rec.replay_records");
-  m.h_rec_replay_us = h("rec.replay_us");
+  m.h_replay_records = h("rec.replay_records");
+  m.h_replay_us = h("rec.replay_us");
   return m;
 }
 

@@ -204,11 +204,9 @@ struct MetricIds {
   // latency histograms (log-bucketed, merged bucket-wise at report time)
   HistHandle h_commit_latency_us;   // user txn start -> commit
   HistHandle h_lock_wait_us;        // contended lock acquisitions only
-  HistHandle h_rec_reboot_to_up_us; // recovery: reboot -> nominally up
-  HistHandle h_rec_up_to_current_us; // recovery: nominally up -> current
   HistHandle h_disk_read_us, h_disk_write_us; // queue wait + service
-  HistHandle h_rec_replay_records; // redo records replayed per reboot
-  HistHandle h_rec_replay_us;      // reboot replay phase duration
+  HistHandle h_replay_records; // redo records replayed per reboot
+  HistHandle h_replay_us;      // reboot replay phase duration
 };
 
 class Metrics {

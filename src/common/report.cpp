@@ -159,25 +159,6 @@ void write_histogram(JsonWriter& w, const Histogram& h) {
   w.end_object();
 }
 
-void write_timeline(JsonWriter& w, const RecoveryTimeline& t) {
-  w.begin_object();
-  w.kv("site", static_cast<int64_t>(t.site));
-  w.key("started");
-  w.time_or_null(t.started);
-  w.key("nominally_up");
-  w.time_or_null(t.nominally_up);
-  w.key("fully_current");
-  w.time_or_null(t.fully_current);
-  w.kv("type1_attempts", t.type1_attempts);
-  w.kv("type2_rounds", t.type2_rounds);
-  w.kv("marked_unreadable", t.marked_unreadable);
-  w.kv("copiers_run", t.copiers_run);
-  w.kv("copier_retries", t.copier_retries);
-  w.kv("totally_failed_items", t.totally_failed_items);
-  w.kv("spool_replayed", t.spool_replayed);
-  w.end_object();
-}
-
 void write_episode(JsonWriter& w, const RecoveryEpisode& e) {
   w.begin_object();
   w.kv("site", static_cast<int64_t>(e.site));
@@ -272,7 +253,7 @@ std::string RunReport::to_json() const {
   JsonWriter w;
   w.begin_object();
   w.kv("bench", bench_);
-  w.kv("schema_version", 3);
+  w.kv("schema_version", 4);
   w.key("runs");
   w.begin_array();
   for (const Run& run : runs_) {
@@ -295,10 +276,6 @@ std::string RunReport::to_json() const {
       write_histogram(w, h);
     }
     w.end_object();
-    w.key("recoveries");
-    w.begin_array();
-    for (const RecoveryTimeline& t : run.recoveries) write_timeline(w, t);
-    w.end_array();
     w.key("episodes");
     w.begin_array();
     for (const RecoveryEpisode& e : run.episodes) write_episode(w, e);

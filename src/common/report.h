@@ -1,7 +1,7 @@
 // Machine-readable run reports (BENCH_*.json and --report-out).
 //
 // A RunReport collects, per measured run: a label, the config echo, scalar
-// results, the full metrics dump, and per-recovery milestone timelines.
+// results, the full metrics dump, and one record per recovery episode.
 // The writer is a small hand-rolled streaming JSON emitter — the repo has
 // no JSON dependency and the schema is flat enough not to need one. The
 // schema is documented in EXPERIMENTS.md; tests/test_trace_report.cpp
@@ -68,23 +68,6 @@ class JsonWriter {
   bool compact_ = false;
 };
 
-// One site recovery, from crash detection to fully-current, in sim time.
-// Filled by the RecoveryManager milestones; kNoTime marks a milestone not
-// reached within the run.
-struct RecoveryTimeline {
-  SiteId site = kInvalidSite;
-  SimTime started = kNoTime;       // recovery procedure began
-  SimTime nominally_up = kNoTime;  // type-1 control txn committed
-  SimTime fully_current = kNoTime; // last unreadable copy refreshed
-  int64_t type1_attempts = 0;
-  int64_t type2_rounds = 0;
-  int64_t marked_unreadable = 0;
-  int64_t copiers_run = 0;
-  int64_t copier_retries = 0;
-  int64_t totally_failed_items = 0;
-  int64_t spool_replayed = 0;
-};
-
 // One point of a recovering site's missed-copy backlog curve: how many
 // copies were still unreadable at `at`.
 struct BacklogPoint {
@@ -145,7 +128,6 @@ class RunReport {
     // accumulation order differs between the single-instance DES and the
     // shard-merged parallel backend.
     std::vector<std::pair<std::string, Histogram>> histograms;
-    std::vector<RecoveryTimeline> recoveries;
     std::vector<RecoveryEpisode> episodes;
     TimeSeriesData series;
     // Ring health: totals and overwrite counts for the flat trace ring
@@ -185,7 +167,6 @@ void write_config(JsonWriter& w, const Config& cfg);
 // Serialize one histogram's deterministic view: count, exact min/max and
 // bucket-derived percentiles (no mean/sum -- see Run::histograms).
 void write_histogram(JsonWriter& w, const Histogram& h);
-void write_timeline(JsonWriter& w, const RecoveryTimeline& t);
 void write_episode(JsonWriter& w, const RecoveryEpisode& e);
 void write_time_series(JsonWriter& w, const TimeSeriesData& s);
 

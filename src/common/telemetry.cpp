@@ -190,7 +190,7 @@ std::string build_diagnostic_bundle(ClusterRuntime& rt,
   JsonWriter w;
   w.begin_object();
   w.kv("tool", "ddbs-watchdog");
-  w.kv("bundle_version", 1);
+  w.kv("bundle_version", 2);
   w.kv("at", static_cast<int64_t>(rt.now()));
   w.key("config");
   write_config(w, rt.config());
@@ -213,7 +213,6 @@ std::string build_diagnostic_bundle(ClusterRuntime& rt,
     w.kv("parked_reads", static_cast<uint64_t>(site.dm().parked_read_count()));
     w.kv("backlog", static_cast<uint64_t>(site.dm().kv().unreadable_count()));
     w.kv("type1_attempts", static_cast<int64_t>(ms.type1_attempts));
-    w.kv("type2_rounds", static_cast<int64_t>(ms.type2_rounds));
     w.key("recovery_started");
     w.time_or_null(ms.started);
     w.kv("rpc_pending", static_cast<uint64_t>(site.rpc().pending_count()));

@@ -193,35 +193,12 @@ EventId ClusterRuntime::post(SiteId site, SimTime at, EventFn fn) {
                         std::move(fn));
 }
 
-std::vector<RecoveryTimeline> ClusterRuntime::recovery_timelines() const {
-  std::vector<RecoveryTimeline> out;
-  for (const auto& site : sites_) {
-    const RecoveryManager::Milestones& ms = site->rm().milestones();
-    if (ms.started == kNoTime) continue; // never recovered this run
-    RecoveryTimeline t;
-    t.site = site->id();
-    t.started = ms.started;
-    t.nominally_up = ms.nominally_up;
-    t.fully_current = ms.fully_current;
-    t.type1_attempts = ms.type1_attempts;
-    t.type2_rounds = ms.type2_rounds;
-    t.marked_unreadable = static_cast<int64_t>(ms.marked_unreadable);
-    t.copiers_run = static_cast<int64_t>(ms.copiers_run);
-    t.copier_retries = static_cast<int64_t>(ms.copier_retries);
-    t.totally_failed_items = static_cast<int64_t>(ms.totally_failed_items);
-    t.spool_replayed = static_cast<int64_t>(ms.spool_replayed);
-    out.push_back(t);
-  }
-  return out;
-}
-
 RunReport::Run& ClusterRuntime::report_run(RunReport& report,
                                            std::string label) const {
   RunReport::Run& run = report.add_run(std::move(label), cfg_);
   const Metrics& m = const_cast<ClusterRuntime*>(this)->metrics();
   RunReport::capture_counters(run, m);
   RunReport::capture_histograms(run, m);
-  run.recoveries = recovery_timelines();
   run.episodes = episodes_.episodes();
   run.series = series_.data(now());
   for (const auto& sh : shards_) {

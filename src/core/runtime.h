@@ -134,11 +134,8 @@ class ClusterRuntime {
 
   // ---- reporting & verification ----
 
-  // One RecoveryTimeline per site that has begun a recovery this run
-  // (from the per-site milestone records), for JSON reports.
-  std::vector<RecoveryTimeline> recovery_timelines() const;
   // Append this runtime's state (config echo, non-zero counters, recovery
-  // timelines and episodes, time series) to `report` as a run labelled
+  // episodes, time series) to `report` as a run labelled
   // `label`. The returned Run can take bench-specific scalars afterwards.
   RunReport::Run& report_run(RunReport& report, std::string label) const;
   // Simulator throughput on the host: events executed by the schedulers

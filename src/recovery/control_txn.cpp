@@ -277,7 +277,6 @@ void ControlUpCoordinator::stage_and_write() {
     replay.reserve(newest.size());
     for (const auto& [item, r] : newest) replay.push_back(r);
   }
-  replayed_count_ = replay.size();
   dm_.stage_recovery_actions(txn_, std::move(to_mark), std::move(rebuild),
                              std::move(replay));
 
@@ -330,7 +329,6 @@ void ControlUpCoordinator::stage_and_write() {
       ControlUpResult res;
       res.ok = true;
       res.session = new_session_;
-      res.replayed_records = replayed_count_;
       if (up_done_) up_done_(res);
     });
   });

@@ -33,9 +33,6 @@ struct ControlUpResult {
   // exclude them with a type-2 control transaction and retry (step 4).
   std::vector<SiteId> suspected_down;
   bool no_operational_site = false;
-  // Spooler mode: how many records were replayed at commit (the recovering
-  // site must finish replaying before accepting user transactions).
-  size_t replayed_records = 0;
 };
 
 class ControlUpCoordinator : public CoordinatorBase {
@@ -71,7 +68,6 @@ class ControlUpCoordinator : public CoordinatorBase {
   std::vector<SpoolRecord> spool_collected_;
   std::vector<SiteId> suspected_;
   SessionNum new_session_ = 0;
-  size_t replayed_count_ = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -18,10 +18,7 @@ void CopierCoordinator::start() {
   metrics_.inc(metrics_.id.copier_started);
   trace(TraceKind::kCopierStart, item_);
   // Copiers follow the same convention: read the local NS vector first,
-  // then locate a readable source among nominally-up resident sites. Under
-  // footprint_ns only the item's resident sites (plus self: the local
-  // write below stamps view_.session(self_)) are frozen -- sources and the
-  // local write target are all drawn from that set.
+  // then locate a readable source among nominally-up resident sites.
   auto resume = [this](bool ok) {
     if (decided_) return;
     if (!ok) {
@@ -36,18 +33,18 @@ void CopierCoordinator::start() {
     }
     try_source(0);
   };
-  if (cfg_.footprint_ns) {
-    const auto resident = cat_.sites_of(item_);
-    std::vector<SiteId> hosts(resident.begin(), resident.end());
-    hosts.push_back(self_);
-    std::sort(hosts.begin(), hosts.end());
-    hosts.erase(std::unique(hosts.begin(), hosts.end()), hosts.end());
-    read_ns_entries(self_, std::move(hosts), /*bypass=*/false,
-                    state_.session, std::move(resume));
-  } else {
-    read_ns_vector(self_, /*bypass=*/false, state_.session,
-                   std::move(resume));
-  }
+  read_ns_entries(self_, host_set(), /*bypass=*/false, state_.session,
+                  std::move(resume));
+}
+
+std::vector<SiteId> CopierCoordinator::host_set() const {
+  if (!cfg_.footprint_ns) return all_sites();
+  const auto resident = cat_.sites_of(item_);
+  std::vector<SiteId> hosts(resident.begin(), resident.end());
+  hosts.push_back(self_);
+  std::sort(hosts.begin(), hosts.end());
+  hosts.erase(std::unique(hosts.begin(), hosts.end()), hosts.end());
+  return hosts;
 }
 
 void CopierCoordinator::try_source(size_t idx) {

@@ -18,6 +18,10 @@ class CopierCoordinator : public CoordinatorBase {
   ItemId item() const { return item_; }
 
  private:
+  // The item's resident sites plus self, ascending (all_sites() when
+  // footprint_ns is off): sources and the local write target are all
+  // drawn from them, so no other NS entry is frozen.
+  std::vector<SiteId> host_set() const;
   void try_source(size_t idx);
   // One-read batch of item_ at `src`. k gets the op's code and result, or
   // the transport code and null when the RPC itself failed.

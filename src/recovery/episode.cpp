@@ -143,6 +143,15 @@ std::vector<RecoveryEpisode> EpisodeTracker::episodes() const {
   return out;
 }
 
+RecoveryEpisode EpisodeTracker::latest(SiteId s) const {
+  if (s < 0 || static_cast<size_t>(s) >= open_.size()) return {};
+  if (has_open_[static_cast<size_t>(s)]) return open_[static_cast<size_t>(s)];
+  for (auto it = finished_.rbegin(); it != finished_.rend(); ++it) {
+    if (it->site == s) return *it;
+  }
+  return {};
+}
+
 void EpisodeTracker::clear() {
   finished_.clear();
   finished_dropped_ = 0;

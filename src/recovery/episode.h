@@ -1,4 +1,5 @@
-// Folds the live trace stream into per-site recovery episodes.
+// Folds the live trace stream into per-site recovery episodes -- the one
+// per-recovery record (run reports, ddbs_sim's summary, benches, tests).
 //
 // Registered as a TraceSink on the cluster Tracer, so it observes every
 // event online -- a wrapped trace ring cannot lose the early (most
@@ -27,6 +28,9 @@ class EpisodeTracker : public TraceSink {
   // Finished episodes in closure order, then still-open episodes in site
   // order (marked incomplete). Deterministic for a fixed seed.
   std::vector<RecoveryEpisode> episodes() const;
+  // Site `s`'s most recent episode (its open one, if any); an empty
+  // episode (site kInvalidSite, every milestone kNoTime) when it has none.
+  RecoveryEpisode latest(SiteId s) const;
 
   // Episodes silently discarded once the finished list hit its cap (long
   // soak runs crash/recover thousands of times; reports keep the earliest

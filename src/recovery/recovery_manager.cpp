@@ -176,7 +176,7 @@ void RecoveryManager::attempt_up(int attempt) {
   tm_.run_control_up([this, attempt, epoch](const ControlUpResult& res) {
     if (epoch != epoch_) return;
     if (res.ok) {
-      become_up(res.session, res.replayed_records);
+      become_up(res.session);
       return;
     }
     if (!res.suspected_down.empty()) {
@@ -215,7 +215,6 @@ void RecoveryManager::exclude_then_retry(std::vector<SiteId> dead,
           });
           return;
         }
-        ++ms_.type2_rounds;
         // The recovering site's own NS copy is stale, so pass no view: the
         // coordinator reads it bypass-locked; targets that are themselves
         // dead surface as additional suspects and widen the next round.
@@ -242,20 +241,16 @@ void RecoveryManager::exclude_then_retry(std::vector<SiteId> dead,
       });
 }
 
-void RecoveryManager::become_up(SessionNum session, size_t replayed) {
+void RecoveryManager::become_up(SessionNum session) {
   ms_.nominally_up = env_.sched->now();
-  ms_.spool_replayed = replayed;
-  ms_.marked_unreadable = dm_.kv().unreadable_count();
+  const size_t marked = dm_.kv().unreadable_count();
   env_.state->mode = SiteMode::kUp;
   env_.state->session = session;
   env_.metrics->inc(env_.metrics->id.rm_recovered);
-  env_.metrics->hist(env_.metrics->id.h_rec_reboot_to_up_us)
-      .add(static_cast<double>(ms_.nominally_up - ms_.started));
   Tracer::emit(env_.tracer, TraceKind::kNominallyUp, env_.self, 0,
-               static_cast<int64_t>(session),
-               static_cast<int64_t>(ms_.marked_unreadable));
+               static_cast<int64_t>(session), static_cast<int64_t>(marked));
   DDBS_INFO << "site " << env_.self << " operational, session " << session
-            << ", " << ms_.marked_unreadable << " copies to refresh";
+            << ", " << marked << " copies to refresh";
   if (on_operational_) on_operational_(session);
   if (env_.cfg->recovery_scheme == RecoveryScheme::kSessionVector &&
       env_.cfg->copier_mode == CopierMode::kEager) {
@@ -312,7 +307,6 @@ void RecoveryManager::spooler_prefetch() {
                             [this, epoch, recs = std::move(recs)]() {
                               if (epoch != epoch_) return;
                               dm_.apply_spool_records(recs);
-                              ms_.spool_replayed += recs.size();
                               attempt_up(1);
                             });
         });
@@ -350,7 +344,6 @@ void RecoveryManager::pump_copiers() {
     const Copy* c = dm_.kv().find(item);
     if (c == nullptr || !c->unreadable) continue; // refreshed meanwhile
     copier_inflight_.insert(item);
-    ++ms_.copiers_run;
     SpanScope scope(env_.spans, span_);
     tm_.run_copier(item, [this, item, epoch](const TxnResult& res) {
       if (epoch != epoch_) return;
@@ -362,7 +355,6 @@ void RecoveryManager::pump_copiers() {
       } else {
         const int attempts = ++copier_attempts_[item];
         if (res.reason == Code::kTotallyFailed) {
-          ++ms_.totally_failed_items;
           env_.metrics->inc(env_.metrics->id.rm_totally_failed);
           // "Totally failed" is transient when the source sites are merely
           // down: retry after they had a chance to come back. (A permanent
@@ -378,7 +370,6 @@ void RecoveryManager::pump_copiers() {
           schedule_copier_retry(item, copier_retry_delay(attempts));
         } else if (attempts % kEscalateEvery != 0) {
           // Conflict/deadlock/lock-timeout abort: try again right away.
-          ++ms_.copier_retries;
           enqueue_copier(item, /*front=*/false);
         } else {
           // Something (e.g. an in-doubt transaction awaiting termination)
@@ -423,10 +414,7 @@ void RecoveryManager::maybe_fully_current() {
   if (dm_.kv().unreadable_count() != 0) return; // on-demand leftovers
   ms_.fully_current = env_.sched->now();
   env_.metrics->inc(env_.metrics->id.rm_fully_current);
-  env_.metrics->hist(env_.metrics->id.h_rec_up_to_current_us)
-      .add(static_cast<double>(ms_.fully_current - ms_.nominally_up));
-  Tracer::emit(env_.tracer, TraceKind::kFullyCurrent, env_.self, 0,
-               static_cast<int64_t>(ms_.copiers_run));
+  Tracer::emit(env_.tracer, TraceKind::kFullyCurrent, env_.self);
   SpanLog::close(env_.spans, span_);
   span_ = 0;
 }

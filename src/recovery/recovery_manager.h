@@ -29,17 +29,14 @@ namespace ddbs {
 
 class RecoveryManager {
  public:
+  // What the procedure and the watchdog read about the current recovery.
+  // The per-recovery record for reports is the trace-folded
+  // RecoveryEpisode (recovery/episode.h).
   struct Milestones {
     SimTime started = kNoTime;       // process power-up
     SimTime nominally_up = kNoTime;  // type-1 committed, as[k] loaded
     SimTime fully_current = kNoTime; // last unreadable copy refreshed
     int type1_attempts = 0;
-    int type2_rounds = 0;
-    size_t marked_unreadable = 0;
-    size_t copiers_run = 0;
-    size_t copier_retries = 0;
-    size_t totally_failed_items = 0;
-    size_t spool_replayed = 0;
   };
 
   RecoveryManager(const CoordinatorEnv& env, DataManager& dm,
@@ -78,7 +75,7 @@ class RecoveryManager {
   void resolve_one(const WalRecord& rec, size_t target_idx);
   void attempt_up(int attempt);
   void exclude_then_retry(std::vector<SiteId> dead, int attempt);
-  void become_up(SessionNum session, size_t replayed);
+  void become_up(SessionNum session);
   void spooler_prefetch();
   void enqueue_copier(ItemId item, bool front);
   void pump_copiers();

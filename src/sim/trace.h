@@ -32,8 +32,8 @@ enum class TraceKind : uint8_t {
   kDetectorVerify,  // a = suspect site
   kDetectorDeclare, // a = declared-down site
   kRecoveryStarted,
-  kNominallyUp,
-  kFullyCurrent,
+  kNominallyUp,   // a = session granted, b = copies marked unreadable
+  kFullyCurrent,  // last unreadable copy refreshed (no payload)
   kCopierStarved, // a = item id, b = escalated delay (us)
   kSiteCrash,     // site failed (fail-stop)
   kSiteRecover,   // site rebooted (not yet operational)

@@ -289,9 +289,9 @@ void DurableEngine::replay_batch(size_t idx, std::function<void()> done) {
 void DurableEngine::finish_replay(std::function<void()> done) {
   replaying_ = false;
   const SimTime took = sched_.now() - replay_start_;
-  metrics_.hist(metrics_.id.h_rec_replay_records)
+  metrics_.hist(metrics_.id.h_replay_records)
       .add(static_cast<double>(replay_total_));
-  metrics_.hist(metrics_.id.h_rec_replay_us).add(static_cast<double>(took));
+  metrics_.hist(metrics_.id.h_replay_us).add(static_cast<double>(took));
   Tracer::emit(tracer_, TraceKind::kReplayDone, self_, 0, replay_total_,
                static_cast<int64_t>(took));
   done();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "common/logging.h"
 #include "replication/interpreter.h"
@@ -66,6 +67,12 @@ void CoordinatorBase::retire_later() {
   if (retire_) {
     sched_.after(1, [retire = retire_, txn = txn_]() { retire(txn); });
   }
+}
+
+std::vector<SiteId> CoordinatorBase::all_sites() const {
+  std::vector<SiteId> sites(static_cast<size_t>(cfg_.n_sites));
+  std::iota(sites.begin(), sites.end(), SiteId{0});
+  return sites;
 }
 
 void CoordinatorBase::read_ns_vector(SiteId at, bool bypass,
@@ -375,6 +382,7 @@ UserTxnCoordinator::UserTxnCoordinator(TxnId txn, const CoordinatorEnv& env,
     : CoordinatorBase(txn, TxnKind::kUser, env), spec_(std::move(spec)) {}
 
 std::vector<SiteId> UserTxnCoordinator::host_set() const {
+  if (!cfg_.footprint_ns) return all_sites();
   std::vector<SiteId> hosts;
   for (const LogicalOp& op : spec_.ops) {
     const auto sites = cat_.sites_of(op.item);
@@ -407,13 +415,8 @@ void UserTxnCoordinator::start() {
     }
     run_batched_ops();
   };
-  if (cfg_.footprint_ns) {
-    read_ns_entries(self_, host_set(), /*bypass=*/false, state_.session,
-                    std::move(resume));
-  } else {
-    read_ns_vector(self_, /*bypass=*/false, state_.session,
-                   std::move(resume));
-  }
+  read_ns_entries(self_, host_set(), /*bypass=*/false, state_.session,
+                  std::move(resume));
 }
 
 void UserTxnCoordinator::finish_ops() {

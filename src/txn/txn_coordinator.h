@@ -98,6 +98,10 @@ class CoordinatorBase {
                       std::function<void(bool)> k,
                       const std::vector<SiteId>& skip = {});
 
+  // Every site id, ascending: the host set of a user transaction or copier
+  // when footprint_ns is off (the paper's full-vector read).
+  std::vector<SiteId> all_sites() const;
+
   // Footprint-proportional variant: read only the NS entries of `sites`
   // (sorted ascending -- the same global lock order control transactions
   // write in) at `at`. User transactions pass their host set, copiers
@@ -249,7 +253,8 @@ class UserTxnCoordinator : public CoordinatorBase {
 
  private:
   // Union of the resident sites of every item in spec_, ascending: the
-  // only NS entries whose values can ever matter to this transaction.
+  // only NS entries whose values can ever matter to this transaction
+  // (all_sites() when footprint_ns is off).
   std::vector<SiteId> host_set() const;
 
   // Commit phase, once every logical op has resolved.

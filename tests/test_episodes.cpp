@@ -65,7 +65,7 @@ TEST(EpisodeTracker, FoldsFullChainWithPhaseOrdering) {
   f.at(520'000, TraceKind::kCopierCommit, 1, /*a=item*/ 7);
   f.at(540'000, TraceKind::kCopierCommit, 1, /*a=*/8);
   f.at(560'000, TraceKind::kCopierCommit, 1, /*a=*/9);
-  f.at(560'000, TraceKind::kFullyCurrent, 1, /*a=copiers*/ 3);
+  f.at(560'000, TraceKind::kFullyCurrent, 1);
 
   const auto eps = f.run();
   ASSERT_EQ(eps.size(), 1u);
@@ -107,12 +107,12 @@ TEST(EpisodeTracker, AttributesOverlappingRecoveriesPerSite) {
   // Site 2's type-1 collides with site 1 still down and retries.
   f.at(360'000, TraceKind::kControlUpStart, 2, 2);
   f.at(400'000, TraceKind::kNominallyUp, 2, /*session*/ 3, /*marked*/ 0);
-  f.at(400'000, TraceKind::kFullyCurrent, 2, 0);
+  f.at(400'000, TraceKind::kFullyCurrent, 2);
   f.at(500'000, TraceKind::kRecoveryStarted, 1);
   f.at(510'000, TraceKind::kControlUpStart, 1, 1);
   f.at(600'000, TraceKind::kNominallyUp, 1, /*session*/ 4, /*marked*/ 1);
   f.at(650'000, TraceKind::kCopierCommit, 1, 5);
-  f.at(650'000, TraceKind::kFullyCurrent, 1, 1);
+  f.at(650'000, TraceKind::kFullyCurrent, 1);
 
   const auto eps = f.run();
   ASSERT_EQ(eps.size(), 2u);
@@ -136,7 +136,7 @@ TEST(EpisodeTracker, FalseSuspicionOpensEpisodeWithoutCrash) {
   f.at(300'000, TraceKind::kRecoveryStarted, 3);
   f.at(310'000, TraceKind::kControlUpStart, 3, 1);
   f.at(400'000, TraceKind::kNominallyUp, 3, /*session*/ 2, /*marked*/ 0);
-  f.at(400'000, TraceKind::kFullyCurrent, 3, 0);
+  f.at(400'000, TraceKind::kFullyCurrent, 3);
 
   const auto eps = f.run();
   ASSERT_EQ(eps.size(), 1u);
@@ -157,7 +157,7 @@ TEST(EpisodeTracker, SecondCrashMidRecoveryClosesIncompleteEpisode) {
   f.at(500'000, TraceKind::kRecoveryStarted, 1);
   f.at(510'000, TraceKind::kControlUpStart, 1, 1);
   f.at(600'000, TraceKind::kNominallyUp, 1, /*session*/ 3, /*marked*/ 0);
-  f.at(600'000, TraceKind::kFullyCurrent, 1, 0);
+  f.at(600'000, TraceKind::kFullyCurrent, 1);
 
   const auto eps = f.run();
   ASSERT_EQ(eps.size(), 2u);
@@ -184,7 +184,7 @@ TEST(EpisodeTracker, CountsType1RetriesAndType2Rounds) {
   f.at(460'000, TraceKind::kControlUpStart, 2, 2);
   f.at(510'000, TraceKind::kControlUpStart, 2, 3);
   f.at(600'000, TraceKind::kNominallyUp, 2, /*session*/ 2, /*marked*/ 0);
-  f.at(600'000, TraceKind::kFullyCurrent, 2, 0);
+  f.at(600'000, TraceKind::kFullyCurrent, 2);
 
   const auto eps = f.run();
   ASSERT_EQ(eps.size(), 1u);
@@ -202,7 +202,7 @@ TEST(EpisodeTracker, BacklogCurveCapsByOverwritingLastPoint) {
   for (int64_t i = 0; i < marked; ++i) {
     f.at(400'000 + (i + 1) * 100, TraceKind::kCopierCommit, 1, i);
   }
-  f.at(500'000, TraceKind::kFullyCurrent, 1, marked);
+  f.at(500'000, TraceKind::kFullyCurrent, 1);
 
   const auto eps = f.run();
   ASSERT_EQ(eps.size(), 1u);
@@ -224,12 +224,12 @@ TEST(EpisodeTracker, SecondCrashAfterFullyCurrentOpensFreshEpisode) {
   f.at(210'000, TraceKind::kControlUpStart, 1, 1);
   f.at(300'000, TraceKind::kNominallyUp, 1, /*session*/ 2, /*marked*/ 1);
   f.at(320'000, TraceKind::kCopierCommit, 1, 7);
-  f.at(320'000, TraceKind::kFullyCurrent, 1, 1);
+  f.at(320'000, TraceKind::kFullyCurrent, 1);
   f.at(800'000, TraceKind::kSiteCrash, 1);
   f.at(900'000, TraceKind::kRecoveryStarted, 1);
   f.at(910'000, TraceKind::kControlUpStart, 1, 1);
   f.at(950'000, TraceKind::kNominallyUp, 1, /*session*/ 3, /*marked*/ 0);
-  f.at(950'000, TraceKind::kFullyCurrent, 1, 0);
+  f.at(950'000, TraceKind::kFullyCurrent, 1);
 
   const auto eps = f.run();
   ASSERT_EQ(eps.size(), 2u);
@@ -276,7 +276,7 @@ TEST(EpisodeTracker, FinishedEpisodesAreCappedWithDropCount) {
     sched.at(t += 1'000,
              [&]() { tracer.record(TraceKind::kNominallyUp, 1, 0, 2, 0); });
     sched.at(t += 1'000,
-             [&]() { tracer.record(TraceKind::kFullyCurrent, 1, 0, 0, 0); });
+             [&]() { tracer.record(TraceKind::kFullyCurrent, 1); });
   }
   sched.run_all();
   EXPECT_EQ(eps.episodes().size(), 4096u);

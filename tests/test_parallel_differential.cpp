@@ -150,12 +150,10 @@ TEST(ParallelRuntime, CrashRecoverRunsRecoveryProtocol) {
   Runner runner(*rt, rp, 11);
   const RunnerStats stats = runner.run();
   EXPECT_GT(stats.committed, 0);
-  const auto timelines = rt->recovery_timelines();
-  bool site2_recovered = false;
-  for (const RecoveryTimeline& t : timelines) {
-    if (t.site == 2 && t.started != kNoTime) site2_recovered = true;
-  }
-  EXPECT_TRUE(site2_recovered);
+  const RecoveryEpisode ep = rt->episodes().latest(2);
+  EXPECT_EQ(ep.site, 2);
+  EXPECT_NE(ep.reboot_at, kNoTime);
+  EXPECT_TRUE(ep.complete);
   std::string why;
   EXPECT_TRUE(rt->replicas_converged(&why)) << why;
 }
@@ -382,7 +380,7 @@ std::string run_report_json(ClusterRuntime& rt,
   return report.to_json();
 }
 
-// The whole run report -- counters, recovery timelines, episodes and the
+// The whole run report -- counters, recovery episodes and the
 // time series -- is byte-identical across backends. Episodes cross
 // shards: a site crashes on one shard while a site of another shard runs
 // its type-2, so they must be folded once, in the DES's order.

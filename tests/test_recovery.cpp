@@ -37,13 +37,15 @@ std::unique_ptr<Cluster> outage_scenario(Config cfg, SiteId victim,
 
 TEST(Recovery, MilestonesRecorded) {
   auto cluster = outage_scenario(base_cfg(), 2, 10, 5);
-  const auto& ms = cluster->site(2).rm().milestones();
-  EXPECT_NE(ms.started, kNoTime);
-  EXPECT_NE(ms.nominally_up, kNoTime);
-  EXPECT_NE(ms.fully_current, kNoTime);
-  EXPECT_LE(ms.started, ms.nominally_up);
-  EXPECT_LE(ms.nominally_up, ms.fully_current);
-  EXPECT_GE(ms.type1_attempts, 1);
+  const RecoveryEpisode ep = cluster->episodes().latest(2);
+  EXPECT_EQ(ep.site, 2);
+  EXPECT_NE(ep.reboot_at, kNoTime);
+  EXPECT_NE(ep.nominally_up_at, kNoTime);
+  EXPECT_NE(ep.fully_current_at, kNoTime);
+  EXPECT_LE(ep.reboot_at, ep.nominally_up_at);
+  EXPECT_LE(ep.nominally_up_at, ep.fully_current_at);
+  EXPECT_GE(ep.type1_attempts, 1);
+  EXPECT_TRUE(ep.complete);
 }
 
 TEST(Recovery, SessionNumberAdvancesEachIncarnation) {
@@ -132,16 +134,17 @@ TEST(Recovery, PreciseStrategiesMarkFewerCopies) {
   Config mark_all = base_cfg();
   mark_all.outdated_strategy = OutdatedStrategy::kMarkAll;
   auto c1 = outage_scenario(mark_all, 3, 5, 17);
-  const size_t marked_all = c1->site(3).rm().milestones().marked_unreadable;
+  const int64_t marked_all = c1->episodes().latest(3).marked_unreadable;
 
   Config ml = base_cfg();
   ml.outdated_strategy = OutdatedStrategy::kMissingList;
   auto c2 = outage_scenario(ml, 3, 5, 17);
-  const size_t marked_ml = c2->site(3).rm().milestones().marked_unreadable;
+  const int64_t marked_ml = c2->episodes().latest(3).marked_unreadable;
 
-  EXPECT_LE(marked_ml, 5u);
+  EXPECT_LE(marked_ml, 5);
   EXPECT_GT(marked_all, marked_ml);
-  EXPECT_EQ(marked_all, c1->catalog().items_at(3).size());
+  EXPECT_EQ(marked_all,
+            static_cast<int64_t>(c1->catalog().items_at(3).size()));
 }
 
 TEST(Recovery, VersionCompareAvoidsPayloadsForCurrentCopies) {
@@ -243,7 +246,7 @@ TEST(Recovery, SingleCopyItemsAreNotMarked) {
   // (ROWAA fails with zero targets), so nothing should be marked and the
   // values must still be readable locally.
   EXPECT_EQ(cluster.site(1).stable().kv().unreadable_count(), 0u);
-  EXPECT_EQ(cluster.site(1).rm().milestones().totally_failed_items, 0u);
+  EXPECT_EQ(cluster.metrics().get("rm.totally_failed"), 0);
 }
 
 } // namespace

@@ -103,7 +103,7 @@ TEST(ScaleBounds, ManyItemsRecoveryThroughput) {
   cluster.settle(600'000'000);
   EXPECT_EQ(cluster.site(2).state().mode, SiteMode::kUp);
   EXPECT_EQ(cluster.site(2).stable().kv().unreadable_count(), 0u);
-  EXPECT_NE(cluster.site(2).rm().milestones().fully_current, kNoTime);
+  EXPECT_NE(cluster.episodes().latest(2).fully_current_at, kNoTime);
   std::string why;
   EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
 }

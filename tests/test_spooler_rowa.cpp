@@ -74,7 +74,7 @@ TEST(Spooler, MissedUpdatesReplayedBeforeOperational) {
   ASSERT_EQ(cluster.site(2).state().mode, SiteMode::kUp);
   // No unreadable marks in spooler mode; data must already be current.
   EXPECT_EQ(cluster.site(2).stable().kv().unreadable_count(), 0u);
-  EXPECT_GT(cluster.site(2).rm().milestones().spool_replayed, 0u);
+  EXPECT_GT(cluster.metrics().get("rm.spool_prefetched"), 0);
   std::string why;
   EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
   for (ItemId x = 0; x < 10; ++x) {
@@ -105,7 +105,7 @@ TEST(Spooler, TimeToOperationalGrowsWithSpoolSize) {
     cluster.recover_site(2);
     cluster.settle();
     EXPECT_EQ(cluster.site(2).state().mode, SiteMode::kUp);
-    return cluster.site(2).rm().milestones().nominally_up - t0;
+    return cluster.episodes().latest(2).nominally_up_at - t0;
   };
   const SimTime small = run_case(5);
   const SimTime large = run_case(150);
@@ -129,7 +129,7 @@ TEST(Spooler, SessionVectorIsOperationalSoonerThanSpooler) {
     cluster.recover_site(2);
     cluster.settle();
     EXPECT_EQ(cluster.site(2).state().mode, SiteMode::kUp);
-    return cluster.site(2).rm().milestones().nominally_up - t0;
+    return cluster.episodes().latest(2).nominally_up_at - t0;
   };
   const SimTime spooler = time_to_up(RecoveryScheme::kSpooler);
   const SimTime session = time_to_up(RecoveryScheme::kSessionVector);

@@ -127,18 +127,18 @@ TEST(RunReport, JsonCarriesConfigScalarsCountersAndTimelines) {
   run.scalars.emplace_back("throughput_txn_s", 512.25);
   run.scalars.emplace_back("commit_ratio", 0.875);
   run.counters.emplace_back("dm.reads", 42);
-  RecoveryTimeline tl;
-  tl.site = 3;
-  tl.started = 1'000;
-  tl.nominally_up = 2'000;
-  tl.fully_current = kNoTime; // must serialize as null
-  tl.marked_unreadable = 9;
-  run.recoveries.push_back(tl);
+  RecoveryEpisode ep;
+  ep.site = 3;
+  ep.reboot_at = 1'000;
+  ep.nominally_up_at = 2'000;
+  ep.fully_current_at = kNoTime; // must serialize as null
+  ep.marked_unreadable = 9;
+  run.episodes.push_back(ep);
 
   const JsonValue doc = parse_checked(report.to_json());
   ASSERT_TRUE(doc.is_object());
   EXPECT_EQ(doc.obj().at("bench").str(), "unit");
-  EXPECT_GE(doc.obj().at("schema_version").num(), 1.0);
+  EXPECT_EQ(doc.obj().at("schema_version").num(), 4.0);
   const JsonArray& runs = doc.obj().at("runs").arr();
   ASSERT_EQ(runs.size(), 1u);
   const JsonObject& r = runs[0].obj();
@@ -148,11 +148,13 @@ TEST(RunReport, JsonCarriesConfigScalarsCountersAndTimelines) {
   EXPECT_DOUBLE_EQ(r.at("scalars").obj().at("throughput_txn_s").num(),
                    512.25);
   EXPECT_EQ(r.at("counters").obj().at("dm.reads").num(), 42.0);
-  const JsonObject& rec = r.at("recoveries").arr()[0].obj();
+  const JsonObject& rec = r.at("episodes").arr()[0].obj();
   EXPECT_EQ(rec.at("site").num(), 3.0);
-  EXPECT_EQ(rec.at("nominally_up").num(), 2'000.0);
+  EXPECT_EQ(rec.at("nominally_up_at").num(), 2'000.0);
   EXPECT_TRUE(std::holds_alternative<std::nullptr_t>(
-      rec.at("fully_current").v)); // unreached milestone -> null
+      rec.at("fully_current_at").v)); // unreached milestone -> null
+  EXPECT_TRUE(std::holds_alternative<std::nullptr_t>(
+      rec.at("nominally_up_to_current_us").v)); // and so is its phase
   EXPECT_EQ(rec.at("marked_unreadable").num(), 9.0);
 }
 
@@ -188,12 +190,44 @@ TEST(RunReport, ClusterReportRunCapturesLiveState) {
   EXPECT_EQ(r.at("config").obj().at("n_sites").num(), 3.0);
   // Counters captured some real activity.
   EXPECT_GT(r.at("counters").obj().at("txn.committed").num(), 0.0);
-  // The crash+recover produced one timeline with ordered milestones.
-  const JsonArray& recs = r.at("recoveries").arr();
-  ASSERT_EQ(recs.size(), 1u);
-  const JsonObject& rec = recs[0].obj();
-  EXPECT_EQ(rec.at("site").num(), 1.0);
-  EXPECT_LT(rec.at("started").num(), rec.at("nominally_up").num());
+  // The crash+recover produced one episode with ordered milestones.
+  const JsonArray& eps = r.at("episodes").arr();
+  ASSERT_EQ(eps.size(), 1u);
+  const JsonObject& ep = eps[0].obj();
+  EXPECT_EQ(ep.at("site").num(), 1.0);
+  EXPECT_LT(ep.at("reboot_at").num(), ep.at("nominally_up_at").num());
+}
+
+// A site that recovers twice has two records, not one reset record.
+TEST(RunReport, TwoRecoveriesOfOneSiteAreTwoRecords) {
+  Config cfg;
+  cfg.n_sites = 4;
+  cfg.n_items = 60;
+  Cluster cluster(cfg, 1);
+  cluster.bootstrap();
+  for (int round = 0; round < 2; ++round) {
+    cluster.crash_site(2);
+    cluster.run_until(cluster.now() + 600'000);
+    cluster.recover_site(2);
+    cluster.settle();
+  }
+
+  RunReport report("unit");
+  cluster.report_run(report, "twice");
+  const JsonValue doc = parse_checked(report.to_json());
+  const JsonObject& r = doc.obj().at("runs").arr()[0].obj();
+  EXPECT_EQ(r.count("recoveries"), 0u);
+  int complete_site2 = 0;
+  SimTime last_reboot = kNoTime;
+  for (const JsonValue& v : r.at("episodes").arr()) {
+    const JsonObject& ep = v.obj();
+    if (ep.at("site").num() != 2.0 || !ep.at("complete").boolean()) continue;
+    ++complete_site2;
+    const auto reboot = static_cast<SimTime>(ep.at("reboot_at").num());
+    EXPECT_TRUE(last_reboot == kNoTime || reboot > last_reboot);
+    last_reboot = reboot;
+  }
+  EXPECT_EQ(complete_site2, 2);
 }
 
 TEST(RunReport, WriteProducesReadableFile) {

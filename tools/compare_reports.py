@@ -21,7 +21,10 @@ scalar named "<histogram>.<stat>" (e.g. "commit_latency_us.p99") so it
 can be gated with --scalar --lower-is-better, and histograms new to the
 current report surface as added scalars, not failures. Comparing a v3
 report against a v2 baseline therefore stays green until a shared scalar
-actually regresses.
+actually regresses. Schema v4 drops the per-run "recoveries" block (the
+"episodes" block is the one per-recovery record) and the two
+rm.reboot_to_up_us / rm.up_to_current_us histograms, which surface as
+removed scalars against an older baseline; nothing here reads either.
 Exits 1 when any compared scalar regressed by more than the threshold,
 0 otherwise -- including when nothing was comparable at all, which is the
 expected state right after a schema change. Stdlib only -- usable straight
@@ -52,7 +55,7 @@ def load_runs(path):
     if not isinstance(doc, dict):
         sys.exit(f"compare_reports: {path} is not a run report object")
     version = doc.get("schema_version")
-    if version is not None and version not in (1, 2, 3):
+    if version is not None and version not in (1, 2, 3, 4):
         sys.exit(f"compare_reports: {path}: unknown schema_version {version}")
     return version, {run["label"]: flatten(run) for run in doc.get("runs", [])}
 

@@ -198,21 +198,30 @@ int main(int argc, char** argv) {
   }
   t.print();
 
-  for (SiteId s = 0; s < cfg.n_sites; ++s) {
-    const auto& ms = cluster.site(s).rm().milestones();
-    if (ms.started == kNoTime) continue;
-    std::printf("site %d recovery: started %.2fs, operational %+.1fms, "
-                "current %+.1fms, %zu marked, %zu copiers, %d type-1, "
-                "%d type-2\n",
-                s, ms.started / 1e6,
-                ms.nominally_up == kNoTime
-                    ? -1.0
-                    : (ms.nominally_up - ms.started) / 1e3,
-                ms.fully_current == kNoTime
-                    ? -1.0
-                    : (ms.fully_current - ms.started) / 1e3,
-                ms.marked_unreadable, ms.copiers_run, ms.type1_attempts,
-                ms.type2_rounds);
+  // One line per recovery episode, in the order the report lists them;
+  // "-" marks a milestone the run did not reach.
+  auto secs = [](SimTime t) {
+    return t == kNoTime ? std::string("-")
+                        : TablePrinter::num(t / 1e6, 2) + "s";
+  };
+  auto since = [](SimTime from, SimTime to) {
+    return from == kNoTime || to == kNoTime
+               ? std::string("-")
+               : "+" + TablePrinter::num((to - from) / 1e3, 1) + "ms";
+  };
+  for (const RecoveryEpisode& ep : cluster.episodes().episodes()) {
+    std::printf("site %d recovery: crashed %s, rebooted %s, operational %s, "
+                "current %s, %lld marked, %lld copier commits, %lld type-1, "
+                "%lld type-2%s\n",
+                static_cast<int>(ep.site), secs(ep.crash_at).c_str(),
+                secs(ep.reboot_at).c_str(),
+                since(ep.reboot_at, ep.nominally_up_at).c_str(),
+                since(ep.reboot_at, ep.fully_current_at).c_str(),
+                static_cast<long long>(ep.marked_unreadable),
+                static_cast<long long>(ep.copier_commits),
+                static_cast<long long>(ep.type1_attempts),
+                static_cast<long long>(ep.type2_rounds),
+                ep.complete ? "" : " (incomplete)");
   }
 
   int rc = 0;
