@@ -22,6 +22,7 @@ struct Point {
   SimTime to_operational = 0;
   SimTime to_current = 0; // == to_operational for the spooler
   size_t work_items = 0;  // replayed records / refreshed copies
+  size_t type1_records = 0; // spool records the type-1 collected
   SimTime reboot_replay = 0; // checkpoint read + redo replay (durable only)
   int64_t replay_records = 0;
 };
@@ -57,6 +58,8 @@ Point run_case(RecoveryScheme scheme, StorageEngineKind engine,
       scheme == RecoveryScheme::kSpooler
           ? cluster.metrics().get("rm.spool_prefetched")
           : ep.marked_unreadable);
+  p.type1_records = static_cast<size_t>(
+      cluster.metrics().get("control_up.spool_collected"));
   if (ep.reboot_at != kNoTime && ep.replay_done_at != kNoTime) {
     p.reboot_replay = ep.replay_done_at - ep.reboot_at;
     p.replay_records = ep.replay_records;
@@ -70,6 +73,8 @@ Point run_case(RecoveryScheme scheme, StorageEngineKind engine,
                            static_cast<double>(p.to_operational));
   run.scalars.emplace_back("to_current_us", static_cast<double>(p.to_current));
   run.scalars.emplace_back("work_items", static_cast<double>(p.work_items));
+  run.scalars.emplace_back("type1_records",
+                           static_cast<double>(p.type1_records));
   run.scalars.emplace_back("reboot_replay_us",
                            static_cast<double>(p.reboot_replay));
   run.scalars.emplace_back("replay_records",
@@ -90,7 +95,8 @@ int main() {
         std::string("Table 2: time to resume operation after recovery (") +
         to_string(engine) + " storage)");
     table.set_header({"updates missed", "scheme", "work items",
-                      "t operational", "t fully current", "reboot replay"});
+                      "type-1 records", "t operational", "t fully current",
+                      "reboot replay"});
     SeriesPrinter fig(
         std::string("Figure 1: time-to-operational (us) vs missed updates, ") +
             to_string(engine) + " storage",
@@ -103,12 +109,14 @@ int main() {
       table.add_row(
           {TablePrinter::integer(updates), "session-vector",
            TablePrinter::integer(static_cast<int64_t>(sv.work_items)),
+           TablePrinter::integer(static_cast<int64_t>(sv.type1_records)),
            TablePrinter::ms(static_cast<double>(sv.to_operational)),
            TablePrinter::ms(static_cast<double>(sv.to_current)),
            TablePrinter::ms(static_cast<double>(sv.reboot_replay))});
       table.add_row(
           {TablePrinter::integer(updates), "spooler-redo",
            TablePrinter::integer(static_cast<int64_t>(sp.work_items)),
+           TablePrinter::integer(static_cast<int64_t>(sp.type1_records)),
            TablePrinter::ms(static_cast<double>(sp.to_operational)),
            TablePrinter::ms(static_cast<double>(sp.to_current)),
            TablePrinter::ms(static_cast<double>(sp.reboot_replay))});

@@ -7,19 +7,39 @@ namespace ddbs {
 void SpoolTable::add(SiteId for_site, const SpoolRecord& rec) {
   auto& per_item = spool_[for_site];
   auto it = per_item.find(rec.item);
-  if (it == per_item.end() || it->second.version < rec.version) {
-    per_item[rec.item] = rec;
+  if (it == per_item.end() || it->second.rec.version < rec.version) {
+    per_item[rec.item] = Entry{rec, 0};
     if (sink_ != nullptr) sink_->on_spool_add(for_site, rec);
   }
 }
 
-std::vector<SpoolRecord> SpoolTable::records_for(SiteId site) const {
+std::vector<SpoolRecord> SpoolTable::serve(SiteId site, uint64_t token) {
   std::vector<SpoolRecord> out;
   auto it = spool_.find(site);
   if (it == spool_.end()) return out;
   out.reserve(it->second.size());
-  for (const auto& [item, rec] : it->second) out.push_back(rec);
+  for (auto& [item, e] : it->second) {
+    e.served = token;
+    out.push_back(e.rec);
+  }
   return out;
+}
+
+std::vector<SpoolRecord> SpoolTable::records_for(SiteId site,
+                                                 uint64_t served) const {
+  std::vector<SpoolRecord> out;
+  auto it = spool_.find(site);
+  if (it == spool_.end()) return out;
+  for (const auto& [item, e] : it->second) {
+    if (served == 0 || e.served != served) out.push_back(e.rec);
+  }
+  return out;
+}
+
+void SpoolTable::forget_served() {
+  for (auto& [site, per_item] : spool_) {
+    for (auto& [item, e] : per_item) e.served = 0;
+  }
 }
 
 void SpoolTable::trim(SiteId site) {

@@ -8,6 +8,15 @@
 // ones. The table is modeled as durable (the paper's spoolers save updates
 // "reliably"); concurrency follows the same per-down-site lock items as the
 // missing list (see DataManager).
+//
+// A record handed to the recovering site by the pre-type-1 prefetch is
+// flagged with that response's serve token. If the recovering site
+// reports the token back, the type-1 ships only the records that do not
+// carry it: records added (or superseded) since, and any the response did
+// not hold. A later add() clears the flag, and so does a crash of this
+// site; a crash of the recovering site clears its record of the token.
+// Tokens are never reissued, so a stale flag can only match the response
+// that set it.
 #pragma once
 
 #include <map>
@@ -25,7 +34,15 @@ class SpoolTable {
   // Keep rec if it is newer than what is already spooled for (site, item).
   void add(SiteId for_site, const SpoolRecord& rec);
 
-  std::vector<SpoolRecord> records_for(SiteId site) const;
+  // Every record for `site`, each flagged as served under `token`.
+  std::vector<SpoolRecord> serve(SiteId site, uint64_t token);
+
+  // The records for `site` not flagged with `served` (all of them when
+  // `served` is 0).
+  std::vector<SpoolRecord> records_for(SiteId site, uint64_t served = 0) const;
+
+  // Clear every served flag.
+  void forget_served();
 
   void trim(SiteId site);
 
@@ -39,7 +56,12 @@ class SpoolTable {
   void wipe() { spool_.clear(); }
 
  private:
-  std::map<SiteId, std::map<ItemId, SpoolRecord>> spool_;
+  struct Entry {
+    SpoolRecord rec;
+    uint64_t served = 0; // serve token, 0 = not served
+  };
+
+  std::map<SiteId, std::map<ItemId, Entry>> spool_;
   StorageSink* sink_ = nullptr;
 };
 

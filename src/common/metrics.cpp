@@ -202,6 +202,7 @@ MetricIds Metrics::register_all() {
   m.control_up_committed = c("control_up.committed");
   m.control_up_cold_start = c("control_up.cold_start");
   m.control_up_2pc_abort = c("control_up.2pc_abort");
+  m.control_up_spool_collected = c("control_up.spool_collected");
   m.control_down_attempts = c("control_down.attempts");
   m.control_down_committed = c("control_down.committed");
   m.control_up_fail = family("control_up.fail.");

@@ -179,7 +179,7 @@ struct MetricIds {
 
   // control transactions
   CounterHandle control_up_attempts, control_up_committed,
-      control_up_cold_start, control_up_2pc_abort;
+      control_up_cold_start, control_up_2pc_abort, control_up_spool_collected;
   CounterHandle control_down_attempts, control_down_committed;
   std::array<CounterHandle, kCodeCount> control_up_fail, control_down_fail;
 

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 #include "core/cluster.h"
 
 namespace ddbs {
@@ -21,34 +25,61 @@ constexpr auto gop_after = [](const auto& a, const auto& b) {
   return a.at != b.at ? a.at > b.at : a.seq > b.seq;
 };
 
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Wait until `done(a)` holds: spin, then yield, then park on the atomic.
+// Returns the value that satisfied `done`.
+template <typename T, typename Done>
+T await(const std::atomic<T>& a, Done done) {
+  T v = a.load(std::memory_order_acquire);
+  for (int i = 0; !done(v) && i < ParallelCluster::kSpinPauses; ++i) {
+    cpu_relax();
+    v = a.load(std::memory_order_acquire);
+  }
+  if (done(v)) return v;
+  const auto give_up =
+      std::chrono::steady_clock::now() + ParallelCluster::kYieldFor;
+  while (!done(v) && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+    v = a.load(std::memory_order_acquire);
+  }
+  while (!done(v)) {
+    a.wait(v, std::memory_order_acquire);
+    v = a.load(std::memory_order_acquire);
+  }
+  return v;
+}
+
 } // namespace
 
 ParallelCluster::ParallelCluster(Config cfg, uint64_t seed)
     : ClusterRuntime(normalized(std::move(cfg)), seed, this) {
   const int n = shard_count();
-  rings_.reserve(static_cast<size_t>(n) * static_cast<size_t>(n));
+  mailboxes_.reserve(static_cast<size_t>(n) * static_cast<size_t>(n));
   for (int i = 0; i < n * n; ++i)
-    rings_.push_back(std::make_unique<SpscRing<RemoteMsg>>(4096));
+    mailboxes_.push_back(std::make_unique<Mailbox>());
+  inbound_.resize(static_cast<size_t>(n));
+  inbox_.resize(static_cast<size_t>(n));
   for (auto& sh : shards_) {
     trace_bufs_.push_back(std::make_unique<TraceBuffer>(*this, sh->sched));
     sh->tracer.add_sink(trace_bufs_.back().get());
   }
-  if (n > 1) {
-    threads_.reserve(static_cast<size_t>(n));
-    for (int k = 0; k < n; ++k)
-      threads_.emplace_back([this, k] { worker_loop(k); });
-  }
+  threads_.reserve(static_cast<size_t>(n - 1));
+  for (int k = 1; k < n; ++k)
+    threads_.emplace_back([this, k] { worker_loop(k); });
 }
 
 ParallelCluster::~ParallelCluster() {
-  if (!threads_.empty()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      quit_ = true;
-    }
-    cv_work_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
+  quit_.store(true, std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+  for (std::thread& t : threads_) t.join();
 }
 
 void ParallelCluster::TraceBuffer::on_trace(const TraceEvent& e) {
@@ -84,39 +115,53 @@ void ParallelCluster::fold_traces() {
 }
 
 void ParallelCluster::forward(int src_shard, int dst_shard, RemoteMsg msg) {
-  rings_[static_cast<size_t>(src_shard * shard_count() + dst_shard)]->push(
-      std::move(msg));
+  Mailbox& mb =
+      *mailboxes_[static_cast<size_t>(src_shard * shard_count() + dst_shard)];
+  if (mb.pushed_min == kNoTime || msg.arrival < mb.pushed_min)
+    mb.pushed_min = msg.arrival;
+  mb.ring.push(std::move(msg));
 }
 
-void ParallelCluster::drain_rings() {
+void ParallelCluster::drain_inbound(int dst) {
   const int n = shard_count();
-  for (int dst = 0; dst < n; ++dst) {
-    inbox_.clear();
-    for (int src = 0; src < n; ++src)
-      rings_[static_cast<size_t>(src * n + dst)]->drain(inbox_);
-    // Order within the inbox is irrelevant: every message carries its own
-    // (arrival, key) and the destination event queue restores the total
-    // deterministic order.
-    for (RemoteMsg& m : inbox_) network().enqueue_remote(dst, std::move(m));
+  std::vector<RemoteMsg>& inbox = inbox_[static_cast<size_t>(dst)];
+  for (int src = 0; src < n; ++src)
+    mailboxes_[static_cast<size_t>(src * n + dst)]->ring.drain(inbox);
+  // Order within the inbox is irrelevant: every message carries its own
+  // (arrival, key) and the destination event queue restores the total
+  // deterministic order.
+  for (RemoteMsg& m : inbox) network().enqueue_remote(dst, std::move(m));
+  inbox.clear();
+  inbound_[static_cast<size_t>(dst)].min = kNoTime;
+}
+
+void ParallelCluster::fold_mailbox_mins() {
+  const int n = shard_count();
+  for (int src = 0; src < n; ++src) {
+    for (int dst = 0; dst < n; ++dst) {
+      Mailbox& mb = *mailboxes_[static_cast<size_t>(src * n + dst)];
+      if (mb.pushed_min == kNoTime) continue;
+      SimTime& lo = inbound_[static_cast<size_t>(dst)].min;
+      if (lo == kNoTime || mb.pushed_min < lo) lo = mb.pushed_min;
+      mb.pushed_min = kNoTime;
+    }
   }
-  inbox_.clear();
 }
 
 SimTime ParallelCluster::next_time_global() const {
   SimTime lo = kNoTime;
-  for (const auto& sh : shards_) {
-    const SimTime t = sh->sched.next_event_time();
+  auto lower = [&lo](SimTime t) {
     if (t != kNoTime && (lo == kNoTime || t < lo)) lo = t;
-  }
-  if (!gops_.empty()) {
-    const SimTime g = gops_.front().at;
-    if (lo == kNoTime || g < lo) lo = g;
-  }
+  };
+  for (const auto& sh : shards_) lower(sh->sched.next_event_time());
+  for (const InboundBound& b : inbound_) lower(b.min);
+  if (!gops_.empty()) lower(gops_.front().at);
   return lo;
 }
 
 SimTime ParallelCluster::next_event_time() {
-  drain_rings();
+  fold_mailbox_mins();
+  for (int dst = 0; dst < shard_count(); ++dst) drain_inbound(dst);
   return next_time_global();
 }
 
@@ -133,64 +178,60 @@ void ParallelCluster::run_gops_through(SimTime t) {
   }
 }
 
+void ParallelCluster::run_shard(int shard, SimTime end) {
+  drain_inbound(shard);
+  shards_[static_cast<size_t>(shard)]->sched.run_window(end);
+}
+
 void ParallelCluster::run_window(SimTime end) {
-  if (threads_.empty()) {
-    shards_[0]->sched.run_window(end);
-    return;
-  }
   // Sparse window: when a single shard has due work (common during
   // recovery bursts or skewed load), run it inline instead of paying the
-  // barrier round-trip. Safe: the workers are parked, so the driving
-  // thread is the only one touching the shard -- and execution order is
-  // the shard's own key order either way.
-  {
-    Shard* only = nullptr;
-    int active = 0;
-    for (auto& sh : shards_) {
-      const SimTime next = sh->sched.next_event_time();
-      if (next != kNoTime && next < end) {
-        only = sh.get();
-        if (++active > 1) break;
-      }
-    }
-    if (active == 0) return;
-    if (active == 1) {
-      only->sched.run_window(end);
-      return;
+  // handoff. Safe: the workers are parked, so the driving thread is the
+  // only one touching the shard -- and execution order is the shard's own
+  // key order either way. Shards left out have nothing below `end`, in
+  // their queue or their mailboxes.
+  const auto due = [end](SimTime t) { return t != kNoTime && t < end; };
+  int only = -1;
+  int active = 0;
+  for (int k = 0; k < shard_count() && active < 2; ++k) {
+    if (due(shards_[static_cast<size_t>(k)]->sched.next_event_time()) ||
+        due(inbound_[static_cast<size_t>(k)].min)) {
+      only = k;
+      ++active;
     }
   }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    win_end_ = end;
-    running_ = shard_count();
-    ++epoch_;
+  if (active == 0) return;
+  if (active == 1) {
+    run_shard(only, end);
+    return;
   }
-  cv_work_.notify_all();
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_done_.wait(lk, [this] { return running_ == 0; });
+  win_end_ = end;
+  running_.store(static_cast<int>(threads_.size()), std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+  run_shard(0, end);
+  await(running_, [](int v) { return v == 0; });
 }
 
 void ParallelCluster::worker_loop(int shard) {
-  Scheduler& sched = shards_[static_cast<size_t>(shard)]->sched;
+  // Nothing to spin for during construction and bootstrap: park until the
+  // first window (or teardown).
+  epoch_.wait(0, std::memory_order_acquire);
   uint64_t seen = 0;
-  std::unique_lock<std::mutex> lk(mu_);
   while (true) {
-    cv_work_.wait(lk, [&] { return quit_ || epoch_ != seen; });
-    if (quit_) return;
-    seen = epoch_;
-    const SimTime end = win_end_;
-    lk.unlock();
-    sched.run_window(end);
-    lk.lock();
-    if (--running_ == 0) cv_done_.notify_one();
+    seen = await(epoch_, [seen](uint64_t v) { return v != seen; });
+    if (quit_.load(std::memory_order_relaxed)) return;
+    run_shard(shard, win_end_);
+    if (running_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      running_.notify_one();
   }
 }
 
 void ParallelCluster::run_until(SimTime target) {
   while (true) {
-    // Workers are parked here, so the driving thread may drain mailboxes
-    // and touch any shard's scheduler directly.
-    drain_rings();
+    // Workers are parked here, so the driving thread may read the mailbox
+    // minima and touch any shard's scheduler directly.
+    fold_mailbox_mins();
     SimTime start = next_time_global();
     if (start == kNoTime || start > target) break;
     if (!gops_.empty() && gops_.front().at <= start) {
@@ -223,12 +264,12 @@ void ParallelCluster::schedule_global(SimTime at, EventFn fn) {
 }
 
 uint64_t ParallelCluster::pending_site_events() const {
-  // Shard queues hold scheduled site events; rings hold cross-shard sends
-  // a gop produced since the last drain. Globals live in gops_ and are
-  // excluded, mirroring the DES's pending_globals_ subtraction.
+  // Shard queues hold scheduled site events; mailboxes hold cross-shard
+  // sends their destination has not drained yet. Globals live in gops_ and
+  // are excluded, mirroring the DES's pending_globals_ subtraction.
   uint64_t n = 0;
   for (const auto& sh : shards_) n += sh->sched.pending();
-  for (const auto& r : rings_) n += r->size();
+  for (const auto& mb : mailboxes_) n += mb->ring.size();
   return n;
 }
 

@@ -25,8 +25,8 @@
 // Threading contract: every method here must be called from OUTSIDE the
 // simulation (the driving thread) or from inside a simulation event. The
 // parallel backend's methods are safe in both positions because the
-// driving thread only runs while the shard workers are parked at the
-// epoch barrier.
+// driving thread calls them only between windows, with the shard workers
+// parked.
 #pragma once
 
 #include <chrono>

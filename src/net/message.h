@@ -109,6 +109,10 @@ struct StatusReadReq {
   TxnId txn = 0;
   SiteId coordinator = kInvalidSite;
   SiteId recovering_site = kInvalidSite;
+  // Spooler mode: serve token of the destination's prefetch response that
+  // the recovering site installed in this incarnation (0 = none). Records
+  // still flagged with it are not shipped again.
+  uint64_t spool_served = 0;
 };
 
 struct StatusReadResp {
@@ -216,6 +220,7 @@ struct SpoolFetchReq {
 struct SpoolFetchResp {
   Code code = Code::kOk;
   std::vector<SpoolRecord> records;
+  uint64_t token = 0; // serve token the records are flagged with
 };
 
 struct SpoolTrimReq { // recovering site tells spoolers to drop its records

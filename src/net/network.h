@@ -7,9 +7,10 @@
 // per-shard in-flight slabs and counters so the send/deliver hot path
 // never touches another shard's state. A send whose destination lives on
 // a different shard is handed to the CrossShardSink (the ParallelCluster's
-// SPSC mailbox rings) instead of the local event queue; the owning shard
-// later re-injects it via enqueue_remote at an epoch boundary. With one
-// shard (the classic DES) everything stays on the single local path.
+// SPSC mailbox rings) instead of the local event queue; the destination
+// shard re-injects it via enqueue_remote when it drains its mailboxes at
+// the start of a window. With one shard (the classic DES) everything stays
+// on the single local path.
 #pragma once
 
 #include <functional>
@@ -61,8 +62,8 @@ class Network {
   // site's next life (the transport connection would have been reset).
   void send(Envelope env);
 
-  // Re-inject a cross-shard message on the owning shard's thread (called
-  // by the parallel backend's ring drain at a window boundary).
+  // Re-inject a cross-shard message on the thread running the owning
+  // shard (called by the parallel backend's mailbox drain).
   void enqueue_remote(int dst_shard, RemoteMsg msg);
 
   void set_alive(SiteId id, bool alive);

@@ -174,6 +174,7 @@ void ControlUpCoordinator::collect_status(size_t pending) {
     req.txn = txn_;
     req.coordinator = self_;
     req.recovering_site = self_;
+    req.spool_served = dm_.prefetched_spool_token(s);
     send_request(
         s, req, cfg_.lock_timeout + cfg_.rpc_timeout,
         [this, s, remaining, failed](Code code, const Payload* payload) {
@@ -195,6 +196,8 @@ void ControlUpCoordinator::collect_status(size_t pending) {
                               resp->entries.end());
             spool_collected_.insert(spool_collected_.end(),
                                     resp->spool.begin(), resp->spool.end());
+            metrics_.inc(metrics_.id.control_up_spool_collected,
+                         static_cast<int64_t>(resp->spool.size()));
           }
           if (--*remaining > 0) return;
           if (*failed) {

@@ -268,11 +268,14 @@ void RecoveryManager::become_up(SessionNum session) {
 void RecoveryManager::spooler_prefetch() {
   // Probe for live sites, bulk-fetch their spools for us, apply after a
   // modeled replay delay, then run the type-1 control transaction (which
-  // picks up only the delta records under lock).
+  // picks up only the delta records under lock: each site's serve token
+  // tells it which records this prefetch already installed).
   const uint64_t epoch = epoch_;
   auto remaining = std::make_shared<size_t>(
       static_cast<size_t>(env_.cfg->n_sites) - 1);
   auto merged = std::make_shared<std::map<ItemId, SpoolRecord>>();
+  auto tokens = std::make_shared<std::vector<uint64_t>>(
+      static_cast<size_t>(env_.cfg->n_sites), 0);
   if (*remaining == 0) {
     attempt_up(1);
     return;
@@ -281,10 +284,12 @@ void RecoveryManager::spooler_prefetch() {
     if (s == env_.self) continue;
     env_.rpc->send_request(
         s, SpoolFetchReq{env_.self}, env_.cfg->rpc_timeout,
-        [this, epoch, remaining, merged](Code code, const Payload* payload) {
+        [this, epoch, s, remaining, merged, tokens](Code code,
+                                                   const Payload* payload) {
           if (epoch != epoch_) return;
           if (code == Code::kOk && payload != nullptr) {
             const auto& resp = std::get<SpoolFetchResp>(*payload);
+            (*tokens)[static_cast<size_t>(s)] = resp.token;
             for (const SpoolRecord& r : resp.records) {
               auto it = merged->find(r.item);
               if (it == merged->end() || it->second.version < r.version) {
@@ -303,12 +308,12 @@ void RecoveryManager::spooler_prefetch() {
               static_cast<SimTime>(recs.size()) * env_.cfg->local_op_cost;
           env_.metrics->inc(env_.metrics->id.rm_spool_prefetched,
                             static_cast<int64_t>(recs.size()));
-          env_.sched->after(replay_cost,
-                            [this, epoch, recs = std::move(recs)]() {
-                              if (epoch != epoch_) return;
-                              dm_.apply_spool_records(recs);
-                              attempt_up(1);
-                            });
+          env_.sched->after(replay_cost, [this, epoch, tokens,
+                                           recs = std::move(recs)]() {
+            if (epoch != epoch_) return;
+            dm_.install_prefetched_spool(recs, std::move(*tokens));
+            attempt_up(1);
+          });
         });
   }
 }

@@ -3,9 +3,18 @@
 // ring exists per (producer shard, consumer shard) pair, so the common
 // path is a lock-free acquire/release ring slot; only a full ring falls
 // back to the spill vector. The producer must never block: it runs inside
-// a simulation window and the consumer may already be parked at the epoch
-// barrier -- spinning on a full ring would deadlock the barrier, hence
+// a simulation window and the consumer may be done with that window and
+// parked -- spinning on a full ring would deadlock the barrier, hence
 // the unbounded spill instead of back-pressure.
+//
+// Who is which end (core/parallel_cluster.h): the producer is whichever
+// thread runs the source shard -- its worker, or the driving thread for
+// shard 0, inline sparse windows and global actions. The consumer is
+// whichever thread runs the destination shard, at the start of each
+// window it runs in, so a drain may overlap the producer's pushes of the
+// same window; outside windows, with every worker parked, the driving
+// thread drains and counts. The epoch barrier orders every change of
+// thread at either end.
 //
 // Drain order does not matter for correctness: every message carries its
 // own (arrival time, event key), and the consumer inserts it into its

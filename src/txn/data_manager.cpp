@@ -497,7 +497,8 @@ void DataManager::on_status_read(const Envelope& env) {
                 StatusReadResp resp;
                 resp.txn = r.txn;
                 if (cfg_.recovery_scheme == RecoveryScheme::kSpooler) {
-                  resp.spool = stable_.spool().records_for(r.recovering_site);
+                  resp.spool = stable_.spool().records_for(
+                      r.recovering_site, r.spool_served);
                 } else if (cfg_.outdated_strategy ==
                            OutdatedStrategy::kFailLock) {
                   for (ItemId x : status_.fl_items()) {
@@ -899,7 +900,8 @@ void DataManager::on_spool_fetch(const Envelope& env) {
   const auto& req = std::get<SpoolFetchReq>(env.payload);
   SpoolFetchResp resp;
   resp.code = Code::kOk;
-  resp.records = stable_.spool().records_for(req.for_site);
+  resp.token = ++spool_serves_;
+  resp.records = stable_.spool().serve(req.for_site, resp.token);
   rpc_.respond(env, std::move(resp));
 }
 
@@ -931,6 +933,12 @@ void DataManager::mark_items(const std::vector<ItemId>& items) {
     }
   }
   metrics_.inc(metrics_.id.dm_mark_all_items, static_cast<int64_t>(n));
+}
+
+void DataManager::install_prefetched_spool(
+    const std::vector<SpoolRecord>& recs, std::vector<uint64_t> serve_tokens) {
+  apply_spool_records(recs);
+  prefetch_tokens_ = std::move(serve_tokens);
 }
 
 size_t DataManager::apply_spool_records(
@@ -968,6 +976,8 @@ void DataManager::crash() {
   locally_aborted_.clear();
   deadlock_check_scheduled_ = false;
   clean_wait_epoch_ = ~0ull;
+  prefetch_tokens_.clear();
+  stable_.spool().forget_served();
 }
 
 void DataManager::boot() {

@@ -78,6 +78,16 @@ class DataManager {
   // used for the unlocked prefetch in spooler mode and for redo).
   size_t apply_spool_records(const std::vector<SpoolRecord>& recs);
 
+  // Spooler mode, before the type-1: apply the prefetched records and
+  // remember each source site's serve token (0 = nothing from that site)
+  // until the next crash, so the type-1 asks only for what is new.
+  void install_prefetched_spool(const std::vector<SpoolRecord>& recs,
+                                std::vector<uint64_t> serve_tokens);
+  uint64_t prefetched_spool_token(SiteId from) const {
+    const auto i = static_cast<size_t>(from);
+    return i < prefetch_tokens_.size() ? prefetch_tokens_[i] : 0;
+  }
+
   // ---- crash / boot ------------------------------------------------------
 
   void crash();
@@ -225,6 +235,11 @@ class DataManager {
   // so no new cycle can exist and the sweep is skipped.
   uint64_t clean_wait_epoch_ = ~0ull;
   uint64_t boot_epoch_ = 0; // guards stale timer callbacks across crashes
+  // Spooler mode: serve tokens handed out by on_spool_fetch (never reset,
+  // so never reissued) and, per source site, the one whose records this
+  // incarnation installed.
+  uint64_t spool_serves_ = 0;
+  std::vector<uint64_t> prefetch_tokens_;
 };
 
 } // namespace ddbs

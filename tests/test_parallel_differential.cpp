@@ -12,7 +12,11 @@
 // "concurrent bumps lose no counts" regression) and backend selection.
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -227,6 +231,21 @@ struct ScenarioDigest {
       default;
 };
 
+// Every hosted copy as (item, site, value, version, unreadable).
+std::string final_state(ClusterRuntime& c) {
+  std::ostringstream fs;
+  for (ItemId x = 0; x < c.config().n_items; ++x) {
+    for (SiteId s : c.catalog().sites_of(x)) {
+      const Copy* copy = c.site(s).stable().kv().find(x);
+      if (copy != nullptr) {
+        fs << x << "@" << s << "=" << copy->value << "/"
+           << copy->version.counter << "/" << copy->unreadable << "\n";
+      }
+    }
+  }
+  return fs.str();
+}
+
 ScenarioDigest run_scenario(const Config& cfg, uint64_t seed) {
   auto rt = make_runtime(cfg, seed);
   ClusterRuntime& c = *rt;
@@ -267,17 +286,7 @@ ScenarioDigest run_scenario(const Config& cfg, uint64_t seed) {
 
   ScenarioDigest d;
   d.txns = txns.str();
-  std::ostringstream fs;
-  for (ItemId x = 0; x < cfg.n_items; ++x) {
-    for (SiteId s : c.catalog().sites_of(x)) {
-      const Copy* copy = c.site(s).stable().kv().find(x);
-      if (copy != nullptr) {
-        fs << x << "@" << s << "=" << copy->value << "/"
-           << copy->version.counter << "/" << copy->unreadable << "\n";
-      }
-    }
-  }
-  d.final_state = fs.str();
+  d.final_state = final_state(c);
   std::ostringstream ss;
   for (SiteId s = 0; s < cfg.n_sites; ++s) {
     ss << s << ": as=" << c.site(s).state().session << " ns=";
@@ -518,6 +527,100 @@ TEST(ParallelDifferential, PlantedBugVerdictsAgreeAcrossBackends) {
   for (const Violation& v : par.violations) par_oracles.insert(v.oracle);
   for (const Violation& v : des.violations) des_oracles.insert(v.oracle);
   EXPECT_EQ(par_oracles, des_oracles);
+}
+
+// ------------------------------------------------------ epoch handoff
+
+using std::chrono::milliseconds;
+
+Config barrier_cfg(int threads) {
+  Config cfg;
+  cfg.n_sites = 8;
+  cfg.n_items = 60;
+  cfg.replication_degree = 3;
+  cfg.n_threads = threads;
+  cfg.workload_shards = threads;
+  return cfg;
+}
+
+// A crash/recover workload in 20 ms run_until steps with `between` called
+// after each; returns the run report and the final replica state.
+std::string stepped_run(ClusterRuntime& rt,
+                        const std::function<void()>& between) {
+  using W = FailureEvent::What;
+  rt.bootstrap();
+  RunnerParams rp;
+  rp.duration = 600'000;
+  rp.schedule = {{150'000, W::kCrash, 1}, {350'000, W::kRecover, 1}};
+  rp.stop_poll = 20'000;
+  rp.stop_check = [&between] {
+    between();
+    return false;
+  };
+  Runner runner(rt, rp, 13);
+  runner.run();
+  rt.settle();
+  RunReport report("stepped");
+  // The thread count in the config echo is the one intended difference.
+  rt.report_run(report, "run").cfg.n_threads = 1;
+  return report.to_json() + final_state(rt);
+}
+
+// Between run_until steps the workers outlast the spin and yield stages
+// and park; each next step must wake them and run the same execution as
+// the DES twin.
+TEST(ParallelRuntime, IdleGapsParkAndResume) {
+  const auto gap = 3 * ParallelCluster::kYieldFor;
+  for (int k : {2, 3, 4}) {
+    ParallelCluster par(barrier_cfg(k), 13);
+    Cluster des(des_twin(barrier_cfg(k)), 13);
+    const std::string par_run =
+        stepped_run(par, [gap] { std::this_thread::sleep_for(gap); });
+    const std::string des_run = stepped_run(des, [] {});
+    EXPECT_EQ(par_run, des_run) << k << " threads";
+  }
+}
+
+// Destroying the cluster must wake and join its workers whichever wait
+// stage they are in: spinning right after run_until, yielding a fraction
+// of kYieldFor later, or parked.
+TEST(ParallelRuntime, TeardownAtEveryBarrierStage) {
+  const std::chrono::microseconds stage_delay[] = {
+      std::chrono::microseconds(0), ParallelCluster::kYieldFor / 4,
+      3 * ParallelCluster::kYieldFor};
+  for (int i = 0; i < 99; ++i) {
+    Config cfg = barrier_cfg(2 + i % 3);
+    cfg.n_sites = 4;
+    cfg.n_items = 20;
+    auto rt = std::make_unique<ParallelCluster>(cfg, 1 + i);
+    rt->bootstrap();
+    rt->run_txn(0, {{OpKind::kWrite, 1, i}, {OpKind::kRead, 2, 0}});
+    std::this_thread::sleep_for(stage_delay[(i / 3) % 3]);
+    rt.reset();
+  }
+}
+
+double process_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+// Outside run_until the workers must sleep, not spin: once they are
+// parked the whole process burns (almost) no CPU.
+TEST(ParallelRuntime, WorkersIdleOutsideRunUntil) {
+  ParallelCluster rt(barrier_cfg(4), 5);
+  rt.bootstrap();
+  RunnerParams rp;
+  rp.duration = 300'000;
+  Runner runner(rt, rp, 5);
+  EXPECT_GT(runner.run().committed, 0);
+  std::this_thread::sleep_for(milliseconds(20));
+  const double before = process_cpu_ms();
+  std::this_thread::sleep_for(milliseconds(100));
+  const double burnt = process_cpu_ms() - before;
+  EXPECT_LT(burnt, 10.0) << "ms of CPU in 100 ms idle";
 }
 
 } // namespace

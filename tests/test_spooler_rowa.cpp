@@ -88,6 +88,64 @@ TEST(Spooler, MissedUpdatesReplayedBeforeOperational) {
   }
 }
 
+// The prefetch installs every spooled record before the type-1, so the
+// type-1 must not ship them again: with no writes in between it collects
+// nothing.
+TEST(Spooler, QuietRecoveryShipsNoRecordsInTheType1) {
+  Config cfg = cfg4();
+  cfg.recovery_scheme = RecoveryScheme::kSpooler;
+  Cluster cluster(cfg, 53);
+  cluster.bootstrap();
+  cluster.crash_site(2);
+  cluster.run_until(cluster.now() + 400'000);
+  for (ItemId x = 0; x < 10; ++x) {
+    ASSERT_TRUE(cluster.run_txn(0, {{OpKind::kWrite, x, 300 + x}}).committed);
+  }
+  cluster.settle(); // every participant has applied (and spooled) them
+  cluster.recover_site(2);
+  cluster.settle();
+  ASSERT_EQ(cluster.site(2).state().mode, SiteMode::kUp);
+  EXPECT_GT(cluster.metrics().get("rm.spool_prefetched"), 0);
+  EXPECT_EQ(cluster.metrics().get("control_up.spool_collected"), 0);
+  std::string why;
+  EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
+}
+
+// A write that lands after the prefetch served the spool but before the
+// type-1 reads it is the one record the type-1 ships -- once from each
+// site that spooled it.
+TEST(Spooler, WriteBetweenPrefetchAndType1IsTheOnlyRecordShipped) {
+  Config cfg = cfg4();
+  cfg.recovery_scheme = RecoveryScheme::kSpooler;
+  cfg.local_op_cost = 20'000; // 200 ms of modeled replay for 10 records
+  Cluster cluster(cfg, 53);
+  cluster.bootstrap();
+  cluster.crash_site(2);
+  cluster.run_until(cluster.now() + 400'000);
+  for (ItemId x = 0; x < 10; ++x) {
+    ASSERT_TRUE(cluster.run_txn(0, {{OpKind::kWrite, x, 300 + x}}).committed);
+  }
+  cluster.settle(); // every participant has applied (and spooled) them
+  ItemId late = 0;
+  while (!cluster.catalog().has_copy(2, late)) ++late;
+  cluster.recover_site(2);
+  for (int i = 0; i < 1000 && cluster.metrics().get("rm.spool_prefetched") == 0;
+       ++i) {
+    cluster.run_until(cluster.now() + 1'000);
+  }
+  ASSERT_GT(cluster.metrics().get("rm.spool_prefetched"), 0);
+  ASSERT_NE(cluster.site(2).state().mode, SiteMode::kUp);
+  ASSERT_TRUE(cluster.run_txn(0, {{OpKind::kWrite, late, 999}}).committed);
+  ASSERT_NE(cluster.site(2).state().mode, SiteMode::kUp); // still replaying
+  cluster.settle();
+  ASSERT_EQ(cluster.site(2).state().mode, SiteMode::kUp);
+  EXPECT_EQ(cluster.metrics().get("control_up.spool_collected"),
+            static_cast<int64_t>(cluster.catalog().replica_count(late)) - 1);
+  EXPECT_EQ(cluster.site(2).stable().kv().find(late)->value, 999);
+  std::string why;
+  EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
+}
+
 TEST(Spooler, TimeToOperationalGrowsWithSpoolSize) {
   auto run_case = [](int64_t writes) -> SimTime {
     Config cfg = cfg4();

@@ -200,7 +200,8 @@ if [[ "$run_soak" == 1 ]]; then
   # rings and the epoch barrier under sustained crash/recover load, with
   # the online verifier judging every round boundary. The RSS ceiling
   # holds the per-shard rings/metrics/trace buffers to a bounded footprint.
-  "$repo/build/tools/ddbs_soak" \
+  # A hung barrier fails the step after ten minutes (it takes ~10 s).
+  timeout 600 "$repo/build/tools/ddbs_soak" \
     --cells=missing-list --rounds=100 --round-ms=5000 --clients=6 \
     --sites=8 --items=200 --threads=4 \
     --target-committed=100000 --rss-limit-mb=512 \
@@ -244,7 +245,9 @@ assert len(eps) == 1 and eps[0]["site"] == 2 and eps[0]["complete"], eps
 expect_one_episode "$tmp/report.json"
 
 step "observability smoke, parallel backend (--threads=4)"
-"$repo/build/tools/ddbs_sim" --threads=4 \
+# Bounded like the parallel soak: a hung barrier fails here, not at the
+# workflow's own timeout.
+timeout 300 "$repo/build/tools/ddbs_sim" --threads=4 \
   --duration-ms=3000 --crash=2@600 --recover=2@1500 \
   --report-out="$tmp/report4.json" --spans-out="$tmp/spans4.json" \
   --trace-out="$tmp/trace4.json" \
