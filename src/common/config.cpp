@@ -91,9 +91,7 @@ constexpr ConfigField kFields[] = {
      "concurrent disk channels"},
     {"local_op_cost", nullptr, &C::local_op_cost, nullptr},
     {"trace_capacity", "trace-cap", &C::trace_capacity,
-     "trace ring capacity (events)"},
-    {"span_capacity", "span-cap", &C::span_capacity,
-     "span ring capacity (events)"},
+     "event ring capacity per shard (events)"},
     {"timeseries_bucket", "bucket-ms", &C::timeseries_bucket,
      "time-series bucket width (0 = off)"},
     {"record_history", nullptr, &C::record_history, nullptr},

@@ -230,12 +230,11 @@ struct Config {
   // Local processing cost per physical operation (microseconds).
   SimTime local_op_cost = 50;
 
-  // Observability. Ring capacities for the flat trace log and the causal
-  // span log (events, not bytes; both rings overwrite oldest-first and
-  // count drops). `timeseries_bucket` is the width of the availability
-  // time-series buckets in microseconds; 0 disables the recorder.
-  size_t trace_capacity = 1 << 14;
-  size_t span_capacity = 1 << 15;
+  // Observability. Capacity of each shard's event ring (events, not
+  // bytes; the ring overwrites oldest-first and counts drops).
+  // `timeseries_bucket` is the width of the availability time-series
+  // buckets in microseconds; 0 disables the recorder.
+  size_t trace_capacity = 1 << 15;
   SimTime timeseries_bucket = 250'000;
 
   // Verification.

@@ -227,8 +227,10 @@ void write_time_series(JsonWriter& w, const TimeSeriesData& s) {
 // ----------------------------------------------------------------- RunReport
 
 RunReport::Run& RunReport::add_run(std::string label, const Config& cfg) {
-  runs_.push_back(Run{std::move(label), cfg, {}, {}, {}});
-  return runs_.back();
+  Run& run = runs_.emplace_back();
+  run.label = std::move(label);
+  run.cfg = cfg;
+  return run;
 }
 
 void RunReport::capture_counters(Run& run, const Metrics& m) {
@@ -253,7 +255,7 @@ std::string RunReport::to_json() const {
   JsonWriter w;
   w.begin_object();
   w.kv("bench", bench_);
-  w.kv("schema_version", 4);
+  w.kv("schema_version", 5);
   w.key("runs");
   w.begin_array();
   for (const Run& run : runs_) {
@@ -287,7 +289,6 @@ std::string RunReport::to_json() const {
     w.kv("recorded", run.trace_recorded);
     w.kv("dropped", run.trace_dropped);
     w.kv("spans_recorded", run.span_recorded);
-    w.kv("spans_dropped", run.span_dropped);
     w.end_object();
     w.end_object();
   }

@@ -130,12 +130,11 @@ class RunReport {
     std::vector<std::pair<std::string, Histogram>> histograms;
     std::vector<RecoveryEpisode> episodes;
     TimeSeriesData series;
-    // Ring health: totals and overwrite counts for the flat trace ring
-    // and the span log, so a wrapped ring is visible in every report.
+    // Ring health, so a wrapped ring is visible in every report: events
+    // delivered to trace sinks, ring overwrites, and span begin/end events.
     int64_t trace_recorded = 0;
     int64_t trace_dropped = 0;
     int64_t span_recorded = 0;
-    int64_t span_dropped = 0;
   };
 
   // Append a run. Scalars are the bench's headline numbers (availability,

@@ -190,7 +190,7 @@ std::string build_diagnostic_bundle(ClusterRuntime& rt,
   JsonWriter w;
   w.begin_object();
   w.kv("tool", "ddbs-watchdog");
-  w.kv("bundle_version", 2);
+  w.kv("bundle_version", 3);
   w.kv("at", static_cast<int64_t>(rt.now()));
   w.key("config");
   write_config(w, rt.config());
@@ -268,26 +268,13 @@ std::string build_diagnostic_bundle(ClusterRuntime& rt,
     w.begin_object();
     w.kv("at", static_cast<int64_t>(e.at));
     w.kv("kind", to_string(e.kind));
+    w.kv("phase", to_string(e.phase));
+    w.kv("span", static_cast<uint64_t>(e.span));
+    w.kv("parent", static_cast<uint64_t>(e.parent));
     w.kv("site", static_cast<int64_t>(e.site));
     w.kv("txn", static_cast<uint64_t>(e.txn));
     w.kv("a", e.a);
     w.kv("b", e.b);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("span_tail");
-  w.begin_array();
-  for (const SpanEvent& e : rt.span_tail(opts.bundle_span_tail)) {
-    w.begin_object();
-    w.kv("at", static_cast<int64_t>(e.at));
-    w.kv("span", static_cast<uint64_t>(e.span));
-    w.kv("parent", static_cast<uint64_t>(e.parent));
-    w.kv("kind", to_string(e.kind));
-    w.kv("phase", static_cast<int64_t>(e.phase));
-    w.kv("site", static_cast<int64_t>(e.site));
-    w.kv("txn", static_cast<uint64_t>(e.txn));
-    w.kv("arg", e.arg);
     w.end_object();
   }
   w.end_array();

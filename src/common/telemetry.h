@@ -54,8 +54,7 @@ struct TelemetryOptions {
   int64_t control_retry_budget = 64;
 
   // Diagnostic bundle shape.
-  size_t bundle_trace_tail = 256;
-  size_t bundle_span_tail = 256;
+  size_t bundle_trace_tail = 512; // ring events, spans and DM work included
   std::string bundle_path; // "" = keep in memory only
 };
 

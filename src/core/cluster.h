@@ -35,8 +35,6 @@ class Cluster : public ClusterRuntime {
   Scheduler& scheduler() { return shards_[0]->sched; }
   Tracer& tracer() { return shards_[0]->tracer; }
   const Tracer& tracer() const { return shards_[0]->tracer; }
-  SpanLog& spans() { return shards_[0]->spans; }
-  const SpanLog& spans() const { return shards_[0]->spans; }
 
  protected:
   SimTime next_event_time() override {

@@ -1,8 +1,8 @@
 // Site-parallel execution backend: the cluster's sites are split into
 // contiguous shards (Config::shard_count), each with a private Scheduler,
-// Metrics, Tracer and SpanLog -- the per-event hot path touches no shared
-// mutable state at all. The driving thread (the one that calls run_until)
-// runs shard 0 itself; shards 1..n-1 each get a worker thread.
+// Metrics and Tracer (the event ring) -- the per-event hot path touches no
+// shared mutable state at all. The driving thread (the one that calls
+// run_until) runs shard 0 itself; shards 1..n-1 each get a worker thread.
 //
 // Synchronization is conservative PDES with time windows: the driving
 // thread repeatedly computes the global next-event time `start`, executes

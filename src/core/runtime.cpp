@@ -30,15 +30,6 @@ void as_site(Scheduler& sched, SiteId s, Fn&& fn) {
   if (external) sched.set_context_free();
 }
 
-// The most recent `n` of `all`, after a stable sort by timestamp.
-template <typename Event>
-std::vector<Event> tail_by_time(std::vector<Event> all, size_t n) {
-  std::stable_sort(all.begin(), all.end(),
-                   [](const Event& a, const Event& b) { return a.at < b.at; });
-  if (all.size() > n) all.erase(all.begin(), all.end() - static_cast<long>(n));
-  return all;
-}
-
 } // namespace
 
 std::vector<std::unique_ptr<ClusterRuntime::Shard>>
@@ -51,7 +42,7 @@ ClusterRuntime::make_shards(const Config& cfg, int n) {
     // single-threaded DES (see sim/scheduler.h).
     if (cfg.site_ordered_events) sh.sched.enable_site_keys(cfg.n_sites);
     // Shard-local span ids, globally unique: k + 1 + i * n.
-    sh.spans.set_id_stride(static_cast<SpanId>(n), static_cast<SpanId>(k));
+    sh.tracer.set_id_stride(static_cast<SpanId>(n), static_cast<SpanId>(k));
   }
   return out;
 }
@@ -81,7 +72,7 @@ ClusterRuntime::ClusterRuntime(Config cfg, uint64_t seed, CrossShardSink* sink)
     Shard& sh = shard_of(s);
     sites_.push_back(std::make_unique<Site>(
         s, cfg_, sh.sched, net_, cat_, sh.metrics,
-        cfg_.record_history ? &recorder_ : nullptr, &sh.tracer, &sh.spans));
+        cfg_.record_history ? &recorder_ : nullptr, &sh.tracer));
   }
 }
 
@@ -202,10 +193,9 @@ RunReport::Run& ClusterRuntime::report_run(RunReport& report,
   run.episodes = episodes_.episodes();
   run.series = series_.data(now());
   for (const auto& sh : shards_) {
-    run.trace_recorded += static_cast<int64_t>(sh->tracer.recorded());
+    run.trace_recorded += static_cast<int64_t>(sh->tracer.delivered());
     run.trace_dropped += static_cast<int64_t>(sh->tracer.dropped());
-    run.span_recorded += static_cast<int64_t>(sh->spans.recorded());
-    run.span_dropped += static_cast<int64_t>(sh->spans.dropped());
+    run.span_recorded += static_cast<int64_t>(sh->tracer.span_events());
   }
   return run;
 }
@@ -282,19 +272,9 @@ bool ClusterRuntime::replicas_converged(std::string* why) const {
 }
 
 std::string ClusterRuntime::spans_chrome_json() const {
-  std::vector<const SpanLog*> logs;
-  std::vector<const Tracer*> tracers;
-  for (const auto& sh : shards_) {
-    logs.push_back(&sh->spans);
-    tracers.push_back(&sh->tracer);
-  }
-  return SpanLog::to_chrome_json(logs, tracers);
-}
-
-std::string ClusterRuntime::trace_json() const {
   std::vector<const Tracer*> tracers;
   for (const auto& sh : shards_) tracers.push_back(&sh->tracer);
-  return Tracer::to_json(tracers);
+  return Tracer::to_chrome_json(tracers);
 }
 
 std::vector<TraceEvent> ClusterRuntime::trace_tail(size_t n) const {
@@ -303,16 +283,12 @@ std::vector<TraceEvent> ClusterRuntime::trace_tail(size_t n) const {
     const std::vector<TraceEvent> one = sh->tracer.snapshot();
     all.insert(all.end(), one.begin(), one.end());
   }
-  return tail_by_time(std::move(all), n);
-}
-
-std::vector<SpanEvent> ClusterRuntime::span_tail(size_t n) const {
-  std::vector<SpanEvent> all;
-  for (const auto& sh : shards_) {
-    const std::vector<SpanEvent> one = sh->spans.snapshot();
-    all.insert(all.end(), one.begin(), one.end());
-  }
-  return tail_by_time(std::move(all), n);
+  // The most recent `n`, after a stable sort by timestamp.
+  std::stable_sort(
+      all.begin(), all.end(),
+      [](const TraceEvent& a, const TraceEvent& b) { return a.at < b.at; });
+  if (all.size() > n) all.erase(all.begin(), all.end() - static_cast<long>(n));
+  return all;
 }
 
 } // namespace ddbs

@@ -11,8 +11,9 @@
 // catalog, history recorder and online verifier, the recovery-episode and
 // time-series folds, the workload and failure-injection drivers, and every
 // report and export. Per-thread state lives in shards -- a Scheduler,
-// Metrics, Tracer and SpanLog each. Cluster has one shard; ParallelCluster
-// has Config::shard_count(), and site s runs on shard cfg.shard_of(s).
+// Metrics and Tracer (the event ring) each. Cluster has one shard;
+// ParallelCluster has Config::shard_count(), and site s runs on shard
+// cfg.shard_of(s).
 //
 // Runner, sweep, soak and the adversarial explorer drive this class only,
 // so every workload and every oracle runs unchanged on either backend;
@@ -44,7 +45,6 @@
 #include "recovery/episode.h"
 #include "replication/catalog.h"
 #include "sim/scheduler.h"
-#include "sim/span.h"
 #include "sim/trace.h"
 #include "verify/history.h"
 
@@ -152,10 +152,8 @@ class ClusterRuntime {
   // (non-marked, up-site) replicas AND no unreadable copy remains at
   // operational sites. Quiescence check for tests.
   bool replicas_converged(std::string* why = nullptr) const;
-  // Chrome trace-viewer JSON of the span and trace rings, shard by shard.
+  // Chrome trace-viewer JSON of the event rings, shard by shard.
   std::string spans_chrome_json() const;
-  // The structured trace rings as one JSON array, shard by shard.
-  std::string trace_json() const;
 
   // ---- live telemetry hooks (common/telemetry.h) ----
   // Pending simulation events attributable to site activity. Excludes
@@ -164,19 +162,16 @@ class ClusterRuntime {
   // agree at every global barrier time -- the value may appear in the
   // deterministic telemetry JSONL.
   virtual uint64_t pending_site_events() const = 0;
-  // The most recent `n` retained trace / span events, oldest first
-  // (shards merged by timestamp). Diagnostic bundles only.
+  // The most recent `n` retained ring events, oldest first (shards merged
+  // by timestamp). Diagnostic bundles only.
   std::vector<TraceEvent> trace_tail(size_t n) const;
-  std::vector<SpanEvent> span_tail(size_t n) const;
 
  protected:
   struct Shard {
-    explicit Shard(const Config& cfg)
-        : tracer(sched, cfg.trace_capacity), spans(sched, cfg.span_capacity) {}
+    explicit Shard(const Config& cfg) : tracer(sched, cfg.trace_capacity) {}
     Scheduler sched;
     Metrics metrics;
     Tracer tracer;
-    SpanLog spans;
   };
 
   // With a null `sink` the runtime has one shard. Otherwise sites are

@@ -8,7 +8,7 @@ namespace ddbs {
 
 Site::Site(SiteId id, const Config& cfg, Scheduler& sched, Network& net,
            const Catalog& cat, Metrics& metrics, HistoryRecorder* recorder,
-           Tracer* tracer, SpanLog* spans)
+           Tracer* tracer)
     : id_(id),
       cfg_(cfg),
       sched_(sched),
@@ -25,7 +25,7 @@ Site::Site(SiteId id, const Config& cfg, Scheduler& sched, Network& net,
     engine_ = std::make_unique<InMemoryEngine>();
   }
   stable_.set_engine(engine_.get());
-  rpc_.set_span_log(spans);
+  rpc_.set_tracer(tracer);
   CoordinatorEnv env;
   env.self = id_;
   env.cfg = &cfg_;
@@ -37,11 +37,9 @@ Site::Site(SiteId id, const Config& cfg, Scheduler& sched, Network& net,
   env.metrics = &metrics_;
   env.recorder = recorder;
   env.tracer = tracer;
-  env.spans = spans;
 
   dm_ = std::make_unique<DataManager>(id_, cfg_, sched_, rpc_, stable_,
-                                      state_, metrics_, recorder, tracer,
-                                      spans);
+                                      state_, metrics_, recorder, tracer);
   tm_ = std::make_unique<TransactionManager>(env);
   tm_->set_local_dm(dm_.get());
   rm_ = std::make_unique<RecoveryManager>(env, *dm_, *tm_);

@@ -26,7 +26,7 @@ class Site {
  public:
   Site(SiteId id, const Config& cfg, Scheduler& sched, Network& net,
        const Catalog& cat, Metrics& metrics, HistoryRecorder* recorder,
-       Tracer* tracer = nullptr, SpanLog* spans = nullptr);
+       Tracer* tracer = nullptr);
 
   // Cold start at t=0: create local copies (data items hosted here plus
   // the full NS vector, everyone at session 1), go straight to operational.

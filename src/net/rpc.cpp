@@ -15,7 +15,7 @@ void RpcEndpoint::start(RequestHandler handler) {
 uint64_t RpcEndpoint::send_request(SiteId to, Payload payload, SimTime timeout,
                                    ResponseCb cb) {
   const uint64_t id = next_rpc_++;
-  const SpanId ctx = spans_ ? spans_->current() : 0;
+  const SpanId ctx = tracer_ ? tracer_->current() : 0;
   Pending p;
   p.cb = std::move(cb);
   p.resume_span = ctx;
@@ -25,7 +25,7 @@ uint64_t RpcEndpoint::send_request(SiteId to, Payload payload, SimTime timeout,
     ResponseCb cb = std::move(it->cb);
     const SpanId resume = it->resume_span;
     pending_.erase(id);
-    SpanScope scope(spans_, resume);
+    SpanScope scope(tracer_, resume);
     cb(Code::kTimeout, nullptr);
   });
   pending_.insert(id, std::move(p));
@@ -36,7 +36,7 @@ uint64_t RpcEndpoint::send_request(SiteId to, Payload payload, SimTime timeout,
 
 void RpcEndpoint::send_oneway(SiteId to, Payload payload) {
   net_.send(Envelope{0, false, self_, to, std::move(payload),
-                     spans_ ? spans_->current() : 0});
+                     tracer_ ? tracer_->current() : 0});
 }
 
 void RpcEndpoint::respond(const Envelope& request, Payload payload) {
@@ -63,7 +63,7 @@ void RpcEndpoint::on_envelope(const Envelope& env) {
     if (handler_) {
       // The handler runs under the sender's span, so per-site DM work
       // (lock waits, stages, applies) nests under the coordinator.
-      SpanScope scope(spans_, env.span);
+      SpanScope scope(tracer_, env.span);
       handler_(env);
     }
     return;
@@ -74,7 +74,7 @@ void RpcEndpoint::on_envelope(const Envelope& env) {
   ResponseCb cb = std::move(it->cb);
   const SpanId resume = it->resume_span;
   pending_.erase(env.rpc_id);
-  SpanScope scope(spans_, resume);
+  SpanScope scope(tracer_, resume);
   cb(Code::kOk, &env.payload);
 }
 

@@ -8,7 +8,7 @@
 #include "common/u64_table.h"
 #include "net/network.h"
 #include "sim/scheduler.h"
-#include "sim/span.h"
+#include "sim/trace.h"
 
 namespace ddbs {
 
@@ -25,9 +25,9 @@ class RpcEndpoint {
   void start(RequestHandler handler);
 
   // Optional causal span propagation: outgoing envelopes are stamped with
-  // the log's current span, and handlers / response callbacks / timeout
-  // callbacks run scoped to the span they belong to.
-  void set_span_log(SpanLog* spans) { spans_ = spans; }
+  // the tracer's current span, and handlers / response callbacks /
+  // timeout callbacks run scoped to the span they belong to.
+  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   uint64_t send_request(SiteId to, Payload payload, SimTime timeout,
                         ResponseCb cb);
@@ -61,7 +61,7 @@ class RpcEndpoint {
   Network& net_;
   Scheduler& sched_;
   RequestHandler handler_;
-  SpanLog* spans_ = nullptr;
+  Tracer* tracer_ = nullptr;
   uint64_t next_rpc_ = 1;
   U64Table<Pending> pending_;
 };

@@ -32,7 +32,7 @@ void ControlUpCoordinator::fail(Code reason) {
 
 void ControlUpCoordinator::start() {
   metrics_.inc(metrics_.id.control_up_attempts);
-  trace(TraceKind::kControlUpStart, metrics_.get(metrics_.id.control_up_attempts));
+  trace_begin(metrics_.get(metrics_.id.control_up_attempts));
   schedule(cfg_.txn_timeout, [this]() {
     if (!decided_) fail(Code::kTimeout);
   });
@@ -369,9 +369,15 @@ void ControlDownCoordinator::fail(Code reason) {
 void ControlDownCoordinator::start() {
   metrics_.inc(metrics_.id.control_down_attempts);
   // One event per declared site (a = site, b = batch size) so per-site
-  // consumers can attribute the round to each excluded site.
+  // consumers can attribute the round to each excluded site; the first
+  // opens the span.
+  const auto batch = static_cast<int64_t>(down_.size());
   for (SiteId d : down_) {
-    trace(TraceKind::kControlDownStart, d, static_cast<int64_t>(down_.size()));
+    if (d == down_.front()) {
+      trace_begin(d, batch);
+    } else {
+      trace(TraceKind::kControlDownStart, d, batch);
+    }
   }
   schedule(cfg_.txn_timeout, [this]() {
     if (!decided_) fail(Code::kTimeout);

@@ -16,7 +16,7 @@ void CopierCoordinator::start() {
     if (!decided_) abort_txn(Code::kTimeout);
   });
   metrics_.inc(metrics_.id.copier_started);
-  trace(TraceKind::kCopierStart, item_);
+  trace_begin(item_);
   // Copiers follow the same convention: read the local NS vector first,
   // then locate a readable source among nominally-up resident sites.
   auto resume = [this](bool ok) {

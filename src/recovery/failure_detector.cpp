@@ -44,7 +44,8 @@ void FailureDetector::start() {
   ++epoch_;
   misses_.clear();
   declaring_.clear();
-  for (const auto& [s, span] : verifying_) SpanLog::close(env_.spans, span);
+  for (const auto& [s, span] : verifying_)
+    Tracer::close(env_.tracer, span, TraceKind::kDetectorVerify, env_.self);
   verifying_.clear();
   last_pong_.clear();
   window_.clear();
@@ -230,24 +231,22 @@ void FailureDetector::begin_verify(SiteId s, int attempts) {
   // One chain per suspect at a time; further hints while it runs are
   // folded into it (they would reach the same verdict from the same
   // pings anyway).
-  const SpanId span =
-      SpanLog::open(env_.spans, SpanKind::kDetectorVerify, env_.self, 0, s);
-  if (!verifying_.emplace(s, span).second) {
-    SpanLog::close(env_.spans, span);
-    return;
-  }
+  if (verifying_.count(s)) return;
   env_.metrics->inc(env_.metrics->id.fd_verify_chains);
-  Tracer::emit(env_.tracer, TraceKind::kDetectorVerify, env_.self, 0, s);
+  const SpanId span = Tracer::open(env_.tracer, TraceKind::kDetectorVerify,
+                                   env_.self, 0, s);
+  verifying_.emplace(s, span);
   // The chain's pings (and anything they lead to, e.g. the type-2 control
   // transaction of a declaration) nest under the chain's span.
-  SpanScope scope(env_.spans, span);
+  SpanScope scope(env_.tracer, span);
   verify(s, attempts);
 }
 
 void FailureDetector::resolve_verify(SiteId s) {
   auto it = verifying_.find(s);
   if (it == verifying_.end()) return;
-  SpanLog::close(env_.spans, it->second);
+  Tracer::close(env_.tracer, it->second, TraceKind::kDetectorVerify,
+                env_.self);
   verifying_.erase(it);
 }
 
@@ -312,7 +311,7 @@ void FailureDetector::continue_verify(SiteId s) {
     if (!in_window(s)) unwatch(s);
     return;
   }
-  SpanScope scope(env_.spans, chain->second);
+  SpanScope scope(env_.tracer, chain->second);
   verify(s, 1);
 }
 

@@ -94,7 +94,7 @@ class FailureDetector {
   std::map<SiteId, int> misses_;
   std::set<SiteId> declaring_;
   // Sites with a verify chain in flight, mapped to the chain's causal
-  // span (0 when span tracing is off). Without this guard every further
+  // span (0 when tracing is off). Without this guard every further
   // missed ping past the threshold (and every coordinator suspect() hint)
   // spawned an additional chain toward declare(), multiplying ping
   // traffic and racing the declaration. Cleared when the chain resolves

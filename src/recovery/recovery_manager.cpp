@@ -52,7 +52,7 @@ RecoveryManager::RecoveryManager(const CoordinatorEnv& env, DataManager& dm,
 
 void RecoveryManager::on_crash() {
   ++epoch_;
-  SpanLog::close(env_.spans, span_);
+  Tracer::close(env_.tracer, span_, TraceKind::kRecoveryStarted, env_.self);
   span_ = 0;
   copier_queue_.clear();
   copier_queued_.clear();
@@ -67,9 +67,9 @@ void RecoveryManager::begin_recovery() {
   ms_ = Milestones{};
   ms_.started = env_.sched->now();
   env_.metrics->inc(env_.metrics->id.rm_recoveries_started);
-  Tracer::emit(env_.tracer, TraceKind::kRecoveryStarted, env_.self);
-  SpanLog::close(env_.spans, span_); // leftover from a crash-free restart
-  span_ = SpanLog::open(env_.spans, SpanKind::kRecovery, env_.self);
+  // Close a leftover from a crash-free restart, then open this episode.
+  Tracer::close(env_.tracer, span_, TraceKind::kRecoveryStarted, env_.self);
+  span_ = Tracer::open(env_.tracer, TraceKind::kRecoveryStarted, env_.self);
   resolve_in_doubt(); // background; does not gate the procedure
   if (env_.cfg->recovery_scheme == RecoveryScheme::kSpooler) {
     spooler_prefetch();
@@ -172,7 +172,7 @@ void RecoveryManager::attempt_up(int attempt) {
   ++ms_.type1_attempts;
   const uint64_t epoch = epoch_;
   // The control transaction's span nests under the recovery episode.
-  SpanScope scope(env_.spans, span_);
+  SpanScope scope(env_.tracer, span_);
   tm_.run_control_up([this, attempt, epoch](const ControlUpResult& res) {
     if (epoch != epoch_) return;
     if (res.ok) {
@@ -218,7 +218,7 @@ void RecoveryManager::exclude_then_retry(std::vector<SiteId> dead,
         // The recovering site's own NS copy is stale, so pass no view: the
         // coordinator reads it bypass-locked; targets that are themselves
         // dead surface as additional suspects and widen the next round.
-        SpanScope scope(env_.spans, span_);
+        SpanScope scope(env_.tracer, span_);
         tm_.run_control_down(
             confirmed, {},
             [this, confirmed, attempt,
@@ -349,7 +349,7 @@ void RecoveryManager::pump_copiers() {
     const Copy* c = dm_.kv().find(item);
     if (c == nullptr || !c->unreadable) continue; // refreshed meanwhile
     copier_inflight_.insert(item);
-    SpanScope scope(env_.spans, span_);
+    SpanScope scope(env_.tracer, span_);
     tm_.run_copier(item, [this, item, epoch](const TxnResult& res) {
       if (epoch != epoch_) return;
       copier_inflight_.erase(item);
@@ -420,7 +420,7 @@ void RecoveryManager::maybe_fully_current() {
   ms_.fully_current = env_.sched->now();
   env_.metrics->inc(env_.metrics->id.rm_fully_current);
   Tracer::emit(env_.tracer, TraceKind::kFullyCurrent, env_.self);
-  SpanLog::close(env_.spans, span_);
+  Tracer::close(env_.tracer, span_, TraceKind::kRecoveryStarted, env_.self);
   span_ = 0;
 }
 

@@ -34,7 +34,8 @@ struct WalWrite {
 };
 
 struct WalRecord {
-  enum class Kind : uint8_t { kPrepare, kCommit, kAbort } kind;
+  enum class Kind : uint8_t { kPrepare, kCommit, kAbort };
+  Kind kind = Kind::kPrepare;
   TxnId txn = 0;
   TxnKind txn_kind = TxnKind::kUser;
   SiteId coordinator = kInvalidSite;

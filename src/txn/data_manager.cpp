@@ -17,8 +17,7 @@ constexpr SimTime kDeadlockRecheck = 10'000;     // while waiters exist
 DataManager::DataManager(SiteId self, const Config& cfg, Scheduler& sched,
                          RpcEndpoint& rpc, StableStorage& stable,
                          SiteState& state, Metrics& metrics,
-                         HistoryRecorder* recorder, Tracer* tracer,
-                         SpanLog* spans)
+                         HistoryRecorder* recorder, Tracer* tracer)
     : self_(self),
       cfg_(cfg),
       sched_(sched),
@@ -27,8 +26,7 @@ DataManager::DataManager(SiteId self, const Config& cfg, Scheduler& sched,
       state_(state),
       metrics_(metrics),
       recorder_(recorder),
-      tracer_(tracer),
-      spans_(spans) {}
+      tracer_(tracer) {}
 
 // ---------------------------------------------------------------------------
 // dispatch
@@ -156,11 +154,11 @@ void DataManager::advance_chain(const std::shared_ptr<Chain>& chain) {
     // Must wait.
     chain->rid = rid;
     if (chain->wait_started == kNoTime) chain->wait_started = sched_.now();
-    if (chain->wait_span == 0 && spans_ != nullptr) {
+    if (chain->wait_span == 0 && tracer_ != nullptr) {
       // Lock-wait span under the requesting coordinator: the first real
       // wait opens it, chain resolution (either way) closes it.
-      chain->wait_span = spans_->begin_under(
-          chain->parent_span, SpanKind::kLockWait, self_, chain->txn, item);
+      chain->wait_span = tracer_->begin_under(
+          chain->parent_span, TraceKind::kLockWait, self_, chain->txn, item);
     }
     if (chain->timer == 0) {
       const uint64_t epoch = boot_epoch_;
@@ -171,7 +169,8 @@ void DataManager::advance_chain(const std::shared_ptr<Chain>& chain) {
         c->timer = 0;
         if (c->rid != 0) lm_.cancel(c->rid);
         metrics_.inc(metrics_.id.dm_lock_timeout);
-        SpanLog::close(spans_, c->wait_span);
+        Tracer::close(tracer_, c->wait_span, TraceKind::kLockWait, self_,
+                      c->txn);
         c->wait_span = 0;
         reply_code(c->env, Code::kLockTimeout);
         auto& vec = chains_[c->txn];
@@ -192,7 +191,8 @@ void DataManager::advance_chain(const std::shared_ptr<Chain>& chain) {
         .add(static_cast<double>(sched_.now() - chain->wait_started));
     chain->wait_started = kNoTime;
   }
-  SpanLog::close(spans_, chain->wait_span);
+  Tracer::close(tracer_, chain->wait_span, TraceKind::kLockWait, self_,
+                chain->txn);
   chain->wait_span = 0;
   auto& vec = chains_[chain->txn];
   vec.erase(std::remove(vec.begin(), vec.end(), chain), vec.end());
@@ -208,7 +208,7 @@ void DataManager::fail_chains_of(TxnId txn, Code code) {
   for (auto& c : chains) {
     if (c->rid != 0) lm_.cancel(c->rid);
     if (c->timer != 0) sched_.cancel(c->timer);
-    SpanLog::close(spans_, c->wait_span);
+    Tracer::close(tracer_, c->wait_span, TraceKind::kLockWait, self_, c->txn);
     c->wait_span = 0;
     reply_code(c->env, code);
   }
@@ -321,11 +321,9 @@ void DataManager::on_batch(const Envelope& env) {
     write_session = Code::kOk;
   }
   if (session == Code::kSessionMismatch) {
-    Tracer::emit(tracer_, TraceKind::kSessionReject, self_, req.txn,
-                 static_cast<int64_t>(state_.session),
-                 static_cast<int64_t>(req.expected_session));
-    SpanLog::note_under(spans_, env.span, SpanKind::kSessionReject, self_,
-                        req.txn, static_cast<int64_t>(state_.session));
+    Tracer::emit_under(tracer_, env.span, TraceKind::kSessionReject, self_,
+                       req.txn, static_cast<int64_t>(state_.session),
+                       static_cast<int64_t>(req.expected_session));
   }
   bool any_admitted = false;
   for (size_t i = 0; i < n; ++i) {
@@ -436,8 +434,8 @@ void DataManager::on_batch(const Envelope& env) {
             w.written = op.written_sites;
             ctx.writes[op.item] = std::move(w);
             metrics_.inc(metrics_.id.dm_writes_staged);
-            SpanLog::note_under(spans_, env.span, SpanKind::kStage, self_,
-                                r.txn, op.item);
+            Tracer::emit_under(tracer_, env.span, TraceKind::kStage, self_,
+                               r.txn, op.item);
             resp.results[i].code = Code::kOk;
             continue;
           }
@@ -637,8 +635,8 @@ void DataManager::apply_commit(
   if (!ctx.writes.empty()) {
     // The ambient span here is the CommitReq's (on_commit path) or the
     // termination chain's -- either way the causal origin of this apply.
-    SpanLog::note(spans_, SpanKind::kApply, self_, txn,
-                  static_cast<int64_t>(ctx.writes.size()));
+    Tracer::emit(tracer_, TraceKind::kApply, self_, txn,
+                 static_cast<int64_t>(ctx.writes.size()));
   }
   for (const auto& [item, w] : ctx.writes) {
     install_write(txn, item, w, w.is_copier ? 0 : counter_of(item));
@@ -771,7 +769,7 @@ void DataManager::finish_abort(TxnId txn, bool log_abort) {
                                      ctx.coordinator, {}, {}});
     }
     if (stable_.find_outcome(txn) == nullptr) {
-      stable_.record_outcome(txn, OutcomeRec{false, {}});
+      stable_.record_outcome(txn, OutcomeRec{false, {}, {}});
     }
   }
   ctxs_.erase(it);
@@ -988,10 +986,10 @@ void DataManager::boot() {
   for (const auto& rec : stable_.wal().records()) {
     if (rec.kind == WalRecord::Kind::kCommit &&
         stable_.find_outcome(rec.txn) == nullptr) {
-      stable_.record_outcome(rec.txn, OutcomeRec{true, rec.new_counters});
+      stable_.record_outcome(rec.txn, OutcomeRec{true, rec.new_counters, {}});
     } else if (rec.kind == WalRecord::Kind::kAbort &&
                stable_.find_outcome(rec.txn) == nullptr) {
-      stable_.record_outcome(rec.txn, OutcomeRec{false, {}});
+      stable_.record_outcome(rec.txn, OutcomeRec{false, {}, {}});
     }
   }
 }
@@ -1002,7 +1000,7 @@ void DataManager::resolve_in_doubt(
   if (!committed) {
     stable_.wal().append(WalRecord{WalRecord::Kind::kAbort, rec.txn,
                                    rec.txn_kind, rec.coordinator, {}, {}});
-    stable_.record_outcome(rec.txn, OutcomeRec{false, {}});
+    stable_.record_outcome(rec.txn, OutcomeRec{false, {}, {}});
     metrics_.inc(metrics_.id.dm_indoubt_aborted);
     return;
   }
@@ -1043,7 +1041,7 @@ void DataManager::resolve_in_doubt(
                                  rec.txn_kind, rec.coordinator, {},
                                  new_counters});
   if (stable_.find_outcome(rec.txn) == nullptr) {
-    stable_.record_outcome(rec.txn, OutcomeRec{true, new_counters});
+    stable_.record_outcome(rec.txn, OutcomeRec{true, new_counters, {}});
   }
   metrics_.inc(metrics_.id.dm_indoubt_committed);
   send_outcome_ack(rec.txn, rec.coordinator);

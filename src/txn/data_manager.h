@@ -52,7 +52,7 @@ class DataManager {
   DataManager(SiteId self, const Config& cfg, Scheduler& sched,
               RpcEndpoint& rpc, StableStorage& stable, SiteState& state,
               Metrics& metrics, HistoryRecorder* recorder,
-              Tracer* tracer = nullptr, SpanLog* spans = nullptr);
+              Tracer* tracer = nullptr);
 
   // Entry point for every request envelope addressed to this site.
   void handle_request(const Envelope& env);
@@ -217,7 +217,6 @@ class DataManager {
   Metrics& metrics_;
   HistoryRecorder* recorder_;
   Tracer* tracer_;
-  SpanLog* spans_;
 
   LockManager lm_;
   StatusTable status_;

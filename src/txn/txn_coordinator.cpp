@@ -9,6 +9,21 @@
 
 namespace ddbs {
 
+namespace {
+
+// The event that opens a coordinator's span.
+TraceKind begin_kind(TxnKind k) {
+  switch (k) {
+    case TxnKind::kUser: return TraceKind::kTxnBegin;
+    case TxnKind::kCopier: return TraceKind::kCopierStart;
+    case TxnKind::kControlUp: return TraceKind::kControlUpStart;
+    case TxnKind::kControlDown: return TraceKind::kControlDownStart;
+  }
+  return TraceKind::kTxnBegin;
+}
+
+} // namespace
+
 CoordinatorBase::CoordinatorBase(TxnId txn, TxnKind kind,
                                  const CoordinatorEnv& env)
     : txn_(txn),
@@ -23,17 +38,15 @@ CoordinatorBase::CoordinatorBase(TxnId txn, TxnKind kind,
       metrics_(*env.metrics),
       recorder_(env.recorder),
       tracer_(env.tracer),
-      spans_(env.spans),
       started_(env.sched->now()) {
   if (recorder_) recorder_->set_kind(txn_, kind_);
   // The ambient span at construction time becomes the parent: a copier
   // launched from a recovery episode nests under it, a user transaction
   // submitted by the workload is a root.
-  const SpanKind sk = kind_ == TxnKind::kUser      ? SpanKind::kUserTxn
-                      : kind_ == TxnKind::kCopier  ? SpanKind::kCopier
-                      : kind_ == TxnKind::kControlUp ? SpanKind::kControlUp
-                                                     : SpanKind::kControlDown;
-  span_ = SpanLog::open(spans_, sk, self_, txn_);
+  if (tracer_ != nullptr) {
+    span_ = tracer_->reserve();
+    parent_span_ = tracer_->current();
+  }
 }
 
 CoordinatorBase::~CoordinatorBase() {
@@ -41,7 +54,14 @@ CoordinatorBase::~CoordinatorBase() {
   // Cancelling an already-answered request is a no-op, so the whole send
   // history can be swept without tracking completion.
   for (uint64_t id : rpcs_) rpc_.cancel_request(id);
-  SpanLog::close(spans_, span_);
+  Tracer::close(tracer_, span_, begin_kind(kind_), self_, txn_);
+}
+
+void CoordinatorBase::trace_begin(int64_t a, int64_t b) {
+  if (tracer_ != nullptr) {
+    tracer_->open_reserved(span_, parent_span_, begin_kind(kind_), self_,
+                           txn_, a, b);
+  }
 }
 
 uint64_t CoordinatorBase::send_request(SiteId to, Payload payload,
@@ -55,7 +75,7 @@ uint64_t CoordinatorBase::send_request(SiteId to, Payload payload,
 
 void CoordinatorBase::schedule(SimTime delay, EventFn fn) {
   timers_.push_back(sched_.timeout(delay, [this, fn = std::move(fn)]() mutable {
-    SpanScope scope(spans_, span_);
+    SpanScope scope(tracer_, span_);
     fn();
   }));
 }
@@ -269,7 +289,7 @@ void CoordinatorBase::run_2pc(std::function<void(bool)> k) {
           for (const auto& [item, ctr] : max_counters_) {
             creq.new_counters.emplace_back(item, ctr + 1);
           }
-          OutcomeRec decision{true, creq.new_counters};
+          OutcomeRec decision{true, creq.new_counters, {}};
           for (SiteId q : write_participants_) decision.unacked.push_back(q);
           stable_.record_outcome(txn_, std::move(decision));
           if (recorder_) recorder_->commit(txn_, sched_.now());
@@ -394,7 +414,7 @@ std::vector<SiteId> UserTxnCoordinator::host_set() const {
 }
 
 void UserTxnCoordinator::start() {
-  trace(TraceKind::kTxnBegin, 0, static_cast<int64_t>(kind_));
+  trace_begin(0, static_cast<int64_t>(kind_));
   // Overall deadline: a transaction stuck behind a parked read or a silent
   // participant aborts rather than lingering forever.
   schedule(cfg_.txn_timeout, [this]() {

@@ -21,7 +21,6 @@
 #include "replication/ns_view.h"
 #include "replication/session.h"
 #include "sim/scheduler.h"
-#include "sim/span.h"
 #include "sim/trace.h"
 #include "storage/stable_storage.h"
 #include "txn/txn.h"
@@ -40,7 +39,6 @@ struct CoordinatorEnv {
   Metrics* metrics = nullptr;
   HistoryRecorder* recorder = nullptr;
   Tracer* tracer = nullptr; // may be null: tracing disabled
-  SpanLog* spans = nullptr; // may be null: span tracing disabled
 };
 
 class CoordinatorBase {
@@ -60,7 +58,7 @@ class CoordinatorBase {
   // from the initial step inherits the span. Call sites use this instead
   // of start() directly.
   void launch_start() {
-    SpanScope scope(spans_, span_);
+    SpanScope scope(tracer_, span_);
     start();
   }
 
@@ -188,12 +186,18 @@ class CoordinatorBase {
   Metrics& metrics_;
   HistoryRecorder* recorder_;
   Tracer* tracer_;
-  SpanLog* spans_;
-  SpanId span_ = 0; // this transaction's causal span (0 when disabled)
+  // This transaction's causal span (0 when disabled). The id is taken at
+  // construction, under the span ambient then (parent_span_); every
+  // start() records the begin event with trace_begin().
+  SpanId span_ = 0;
+  SpanId parent_span_ = 0;
 
   void trace(TraceKind k, int64_t a = 0, int64_t b = 0) {
     Tracer::emit(tracer_, k, self_, txn_, a, b);
   }
+  // Record this transaction's begin event (txn_begin, copier_start,
+  // control_up_start or control_down_start by kind_), opening span_.
+  void trace_begin(int64_t a = 0, int64_t b = 0);
 
   // Record a physical read THIS transaction actually consumed. Use-time
   // recording (vs. at the serving DM) keeps orphaned serves -- a parked

@@ -149,7 +149,7 @@ TEST_F(DmFixture, CooperativeTerminationLearnsCommitFromCoordinator) {
   // Site 1 durably knows the decision (as a real coordinator would after
   // logging commit); the participant must learn it and apply.
   cluster->site(1).stable().record_outcome(
-      t1, OutcomeRec{true, {{item_at_0, 7}}});
+      t1, OutcomeRec{true, {{item_at_0, 7}}, {}});
   cluster->run_until(cluster->now() + 10 * cfg.rpc_timeout);
   const Copy* c = dm.kv().find(item_at_0);
   ASSERT_NE(c, nullptr);
@@ -169,7 +169,7 @@ TEST_F(DmFixture, InDoubtRedoAfterCrash) {
   dm.handle_request(make_env(prep));
   // Crash before any outcome arrives; the decision was commit.
   cluster->site(1).stable().record_outcome(
-      t1, OutcomeRec{true, {{item_at_0, 9}}});
+      t1, OutcomeRec{true, {{item_at_0, 9}}, {}});
   cluster->crash_site(0);
   cluster->recover_site(0);
   cluster->settle();

@@ -1,7 +1,7 @@
-// Recovery-episode folding, the availability time series, and the causal
-// span log.
+// Recovery-episode folding, the availability time series, and causal
+// spans on the event ring.
 //
-// The synthetic tests drive EpisodeTracker / TimeSeries / SpanLog directly
+// The synthetic tests drive EpisodeTracker / TimeSeries / Tracer directly
 // with hand-scheduled trace events, pinning the folding rules: phase
 // ordering, retry counting, overlap attribution, false-suspicion handling,
 // backlog-curve shape and the ring/cap semantics. The cluster tests prove
@@ -20,7 +20,6 @@
 #include "json_test_util.h"
 #include "recovery/episode.h"
 #include "sim/scheduler.h"
-#include "sim/span.h"
 #include "sim/trace.h"
 
 namespace ddbs {
@@ -428,75 +427,76 @@ TEST(TimeSeries, ZeroWidthDisablesRecording) {
 }
 
 // --------------------------------------------------------------------------
-// SpanLog: nesting, ambient scope, null-safety, ring semantics.
+// Spans on the event ring: nesting, ambient scope, null-safety, ring
+// semantics.
 
-TEST(SpanLog, NestsChildrenUnderAmbientSpan) {
+TEST(TracerSpans, NestsChildrenUnderAmbientSpan) {
   Scheduler sched;
-  SpanLog log(sched, 32);
-  const SpanId root = log.begin(SpanKind::kUserTxn, 0, 42);
+  Tracer log(sched, 32);
+  const SpanId root = log.begin(TraceKind::kTxnBegin, 0, 42);
   EXPECT_NE(root, 0u);
   EXPECT_EQ(log.current(), 0u); // begin() does not install the span
   SpanId child = 0;
   {
     SpanScope scope(&log, root);
     EXPECT_EQ(log.current(), root);
-    child = log.begin(SpanKind::kLockWait, 1, 42);
-    log.instant(SpanKind::kStage, 1, 42, /*arg=*/7);
+    child = log.begin(TraceKind::kLockWait, 1, 42);
+    log.record(TraceKind::kStage, 1, 42, /*a=*/7);
   }
   EXPECT_EQ(log.current(), 0u); // scope restored
-  log.end(child);
-  log.end(root);
+  log.end(child, TraceKind::kLockWait, 1, 42);
+  log.end(root, TraceKind::kTxnBegin, 0, 42);
 
   const auto events = log.snapshot();
   ASSERT_EQ(events.size(), 5u);
-  EXPECT_EQ(events[0].phase, 0);
+  EXPECT_EQ(events[0].phase, TracePhase::kBegin);
   EXPECT_EQ(events[0].parent, 0u); // root has no parent
-  EXPECT_EQ(events[1].kind, SpanKind::kLockWait);
+  EXPECT_EQ(events[1].kind, TraceKind::kLockWait);
   EXPECT_EQ(events[1].parent, root); // ambient parent captured
-  EXPECT_EQ(events[2].kind, SpanKind::kStage);
-  EXPECT_EQ(events[2].phase, 2);
+  EXPECT_EQ(events[2].kind, TraceKind::kStage);
+  EXPECT_EQ(events[2].phase, TracePhase::kInstant);
   EXPECT_EQ(events[2].parent, root);
-  EXPECT_EQ(events[2].arg, 7);
-  EXPECT_EQ(events[3].phase, 1);
+  EXPECT_EQ(events[2].a, 7);
+  EXPECT_EQ(events[3].phase, TracePhase::kEnd);
   EXPECT_EQ(events[3].span, child);
   EXPECT_EQ(events[4].span, root);
 }
 
-TEST(SpanLog, ExplicitParentOverridesAmbient) {
+TEST(TracerSpans, ExplicitParentOverridesAmbient) {
   Scheduler sched;
-  SpanLog log(sched, 32);
-  const SpanId a = log.begin(SpanKind::kUserTxn, 0);
-  const SpanId b = log.begin_under(a, SpanKind::kCopier, 1);
-  log.instant_under(b, SpanKind::kApply, 1);
+  Tracer log(sched, 32);
+  const SpanId a = log.begin(TraceKind::kTxnBegin, 0);
+  const SpanId b = log.begin_under(a, TraceKind::kCopierStart, 1);
+  log.record_under(b, TraceKind::kApply, 1);
   const auto events = log.snapshot();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[1].parent, a);
   EXPECT_EQ(events[2].parent, b);
 }
 
-TEST(SpanLog, NullLogIsSafeEverywhere) {
-  EXPECT_EQ(SpanLog::open(nullptr, SpanKind::kUserTxn, 0), 0u);
-  SpanLog::close(nullptr, 3); // no crash
-  SpanLog::note(nullptr, SpanKind::kStage, 0);
-  SpanLog::note_under(nullptr, 9, SpanKind::kApply, 0);
+TEST(TracerSpans, NullTracerIsSafeEverywhere) {
+  EXPECT_EQ(Tracer::open(nullptr, TraceKind::kTxnBegin, 0), 0u);
+  Tracer::close(nullptr, 3, TraceKind::kTxnBegin, 0); // no crash
+  Tracer::emit(nullptr, TraceKind::kStage, 0);
+  Tracer::emit_under(nullptr, 9, TraceKind::kApply, 0);
   SpanScope scope(nullptr, 5); // no crash, no effect
 }
 
-TEST(SpanLog, RingWrapsAndCountsDropped) {
+TEST(TracerSpans, RingWrapsAndCountsDropped) {
   Scheduler sched;
-  SpanLog log(sched, 4);
+  Tracer log(sched, 4);
   std::vector<SpanId> ids;
   for (int i = 0; i < 5; ++i) {
-    ids.push_back(log.begin(SpanKind::kUserTxn, 0, 100 + i));
+    ids.push_back(log.begin(TraceKind::kTxnBegin, 0, 100 + i));
   }
-  for (SpanId id : ids) log.end(id);
+  for (SpanId id : ids) log.end(id, TraceKind::kTxnBegin, 0);
   EXPECT_EQ(log.recorded(), 10u);
   EXPECT_EQ(log.size(), 4u);
   EXPECT_EQ(log.dropped(), 6u);
   // Newest events survive: the four end events.
   const auto events = log.snapshot();
   ASSERT_EQ(events.size(), 4u);
-  for (const SpanEvent& e : events) EXPECT_EQ(e.phase, 1);
+  for (const TraceEvent& e : events) EXPECT_EQ(e.phase, TracePhase::kEnd);
 
   log.clear();
   EXPECT_EQ(log.recorded(), 0u);
@@ -630,7 +630,8 @@ TEST(EpisodeReport, ChromeSpanExportIsStructurallyValid) {
       EXPECT_EQ(ph, "i");
       saw_instant = true;
     }
-    if (e.at("name").str() == std::string(to_string(SpanKind::kRecovery))) {
+    if (ph == "X" && e.at("name").str() ==
+                         std::string(to_string(TraceKind::kRecoveryStarted))) {
       saw_recovery = true;
     }
   }

@@ -163,7 +163,7 @@ TEST(StableStorage, SessionCounterMonotonic) {
 TEST(StableStorage, OutcomeLog) {
   StableStorage s;
   EXPECT_EQ(s.find_outcome(5), nullptr);
-  s.record_outcome(5, OutcomeRec{true, {{1, 2}}});
+  s.record_outcome(5, OutcomeRec{true, {{1, 2}}, {}});
   const OutcomeRec* rec = s.find_outcome(5);
   ASSERT_NE(rec, nullptr);
   EXPECT_TRUE(rec->committed);

@@ -22,6 +22,7 @@
 #include "common/telemetry.h"
 #include "core/cluster.h"
 #include "core/runtime.h"
+#include "json_test_util.h"
 #include "workload/runner.h"
 
 namespace ddbs {
@@ -268,8 +269,20 @@ TEST(Watchdog, BundleCarriesLivelockSignature) {
   EXPECT_NE(r.bundle.find("\"ns_lock_holders\""), std::string::npos);
   EXPECT_NE(r.bundle.find("\"ns_vector\""), std::string::npos);
   EXPECT_NE(r.bundle.find("\"trace_tail\""), std::string::npos);
-  EXPECT_NE(r.bundle.find("\"span_tail\""), std::string::npos);
   EXPECT_NE(r.bundle.find("\"mode\": \"recovering\""), std::string::npos);
+  // The one tail carries the causal fields: span, parent and phase.
+  const json_test::JsonValue doc = json_test::parse_checked(r.bundle);
+  const json_test::JsonArray& tail = doc.obj().at("trace_tail").arr();
+  ASSERT_FALSE(tail.empty());
+  bool saw_span = false;
+  for (const json_test::JsonValue& v : tail) {
+    const json_test::JsonObject& e = v.obj();
+    ASSERT_TRUE(e.count("span"));
+    ASSERT_TRUE(e.count("parent"));
+    ASSERT_TRUE(e.count("phase"));
+    saw_span = saw_span || e.at("phase").str() != "instant";
+  }
+  EXPECT_TRUE(saw_span);
 }
 
 TEST(Watchdog, FixedBackoffRunsCleanUnderSameSqueeze) {

@@ -8,15 +8,18 @@
 // documents.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/report.h"
 #include "core/cluster.h"
 #include "json_test_util.h"
 #include "sim/scheduler.h"
 #include "sim/trace.h"
+#include "workload/runner.h"
 
 namespace ddbs {
 namespace {
@@ -93,23 +96,29 @@ TEST(Tracer, JsonRoundTripsEventsOldestFirst) {
     tracer.record(TraceKind::kDetectorDeclare, static_cast<SiteId>(i % 3),
                   /*txn=*/1'000 + i, /*a=*/i, /*b=*/-i);
   }
-  const JsonValue doc = parse_checked(Tracer::to_json({&tracer}));
-  ASSERT_TRUE(doc.is_array());
-  ASSERT_EQ(doc.arr().size(), 4u); // retained only
+  const JsonValue doc = parse_checked(Tracer::to_chrome_json({&tracer}));
+  ASSERT_TRUE(doc.is_object());
+  const JsonArray& events = doc.obj().at("traceEvents").arr();
+  ASSERT_EQ(events.size(), 4u); // retained only
   int64_t prev_a = -1;
-  for (const JsonValue& ev : doc.arr()) {
+  for (const JsonValue& ev : events) {
     ASSERT_TRUE(ev.is_object());
     const JsonObject& o = ev.obj();
-    ASSERT_TRUE(o.count("at"));
-    ASSERT_TRUE(o.count("kind"));
-    ASSERT_TRUE(o.count("site"));
-    ASSERT_TRUE(o.count("txn"));
-    ASSERT_TRUE(o.count("a"));
-    EXPECT_EQ(o.at("kind").str(), "detector_declare");
-    const int64_t a = static_cast<int64_t>(o.at("a").num());
+    ASSERT_TRUE(o.count("ts"));
+    ASSERT_TRUE(o.count("name"));
+    ASSERT_TRUE(o.count("pid"));
+    ASSERT_TRUE(o.count("args"));
+    const JsonObject& args = o.at("args").obj();
+    ASSERT_TRUE(args.count("txn"));
+    ASSERT_TRUE(args.count("a"));
+    EXPECT_EQ(o.at("name").str(), "detector_declare");
+    EXPECT_EQ(o.at("ph").str(), "i");
+    const int64_t a = static_cast<int64_t>(args.at("a").num());
     EXPECT_GT(a, prev_a); // oldest-first, strictly increasing here
     prev_a = a;
-    EXPECT_EQ(static_cast<int64_t>(o.at("b").num()), -a);
+    EXPECT_EQ(static_cast<int64_t>(args.at("b").num()), -a);
+    EXPECT_EQ(static_cast<int64_t>(o.at("pid").num()), a % 3);
+    EXPECT_EQ(static_cast<int64_t>(args.at("txn").num()), 1'000 + a);
   }
   EXPECT_EQ(prev_a, 5); // the newest event survived the wrap
 }
@@ -138,7 +147,7 @@ TEST(RunReport, JsonCarriesConfigScalarsCountersAndTimelines) {
   const JsonValue doc = parse_checked(report.to_json());
   ASSERT_TRUE(doc.is_object());
   EXPECT_EQ(doc.obj().at("bench").str(), "unit");
-  EXPECT_EQ(doc.obj().at("schema_version").num(), 4.0);
+  EXPECT_EQ(doc.obj().at("schema_version").num(), 5.0);
   const JsonArray& runs = doc.obj().at("runs").arr();
   ASSERT_EQ(runs.size(), 1u);
   const JsonObject& r = runs[0].obj();
@@ -276,6 +285,108 @@ TEST(Tracer, ClusterEmitsLifecycleEvents) {
   EXPECT_GT(by_kind[TraceKind::kDetectorVerify] +
                 by_kind[TraceKind::kDetectorDeclare],
             0);
+}
+
+// --------------------------------------------------------------------------
+// The trace stream sinks see is the ring minus span ends and DM-local
+// kinds. EpisodeTracker, TimeSeries, the parallel backend's TraceBuffer and
+// perfbench's per-kind counter are all fed through it.
+
+struct RecordingSink final : TraceSink {
+  void on_trace(const TraceEvent& e) override { seen.push_back(e); }
+  std::vector<TraceEvent> seen;
+};
+
+// A crash/recover run with clients, ring large enough that nothing drops.
+struct StreamRun {
+  StreamRun() : cluster(config(), 23) {
+    cluster.tracer().add_sink(&sink);
+    cluster.bootstrap();
+    RunnerParams rp;
+    rp.duration = 2'000'000;
+    rp.schedule = {{500'000, FailureEvent::What::kCrash, 2},
+                   {1'200'000, FailureEvent::What::kRecover, 2}};
+    Runner runner(cluster, rp, 23);
+    runner.run();
+    cluster.settle();
+  }
+  static Config config() {
+    Config cfg;
+    cfg.n_sites = 6;
+    cfg.n_items = 60;
+    cfg.replication_degree = 3;
+    cfg.trace_capacity = 1 << 18;
+    return cfg;
+  }
+  RecordingSink sink; // declared first: outlives the cluster's tracer
+  Cluster cluster;
+};
+
+bool same_event(const TraceEvent& x, const TraceEvent& y) {
+  return x.at == y.at && x.kind == y.kind && x.phase == y.phase &&
+         x.site == y.site && x.txn == y.txn && x.a == y.a && x.b == y.b &&
+         x.span == y.span && x.parent == y.parent;
+}
+
+TEST(TraceStream, SinksSeeBeginsAndInstantsOfTraceKindsOnly) {
+  StreamRun run;
+  const Tracer& ring = run.cluster.tracer();
+  ASSERT_EQ(ring.dropped(), 0u);
+  std::vector<TraceEvent> expected;
+  size_t ends = 0, local = 0;
+  int64_t span_events = 0;
+  ring.for_each([&](const TraceEvent& e) {
+    span_events += e.phase != TracePhase::kInstant;
+    if (e.phase == TracePhase::kEnd) {
+      ++ends;
+    } else if (e.kind >= kFirstLocalKind) {
+      ++local;
+    } else {
+      expected.push_back(e);
+    }
+  });
+  // The filter has something to hold back on both counts.
+  EXPECT_GT(ends, 0u);
+  EXPECT_GT(local, 0u);
+  ASSERT_EQ(run.sink.seen.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_TRUE(same_event(run.sink.seen[i], expected[i])) << "event " << i;
+  }
+  // Span begins of trace kinds are delivered: they are the step's event.
+  EXPECT_TRUE(std::any_of(expected.begin(), expected.end(),
+                          [](const TraceEvent& e) {
+                            return e.phase == TracePhase::kBegin &&
+                                   e.kind == TraceKind::kTxnBegin;
+                          }));
+
+  RunReport report("unit");
+  const RunReport::Run& r = run.cluster.report_run(report, "stream");
+  EXPECT_EQ(r.trace_recorded, static_cast<int64_t>(run.sink.seen.size()));
+  EXPECT_EQ(r.span_recorded, span_events);
+}
+
+// perfbench's per-kind counter indexes a 32-slot array by kind.
+TEST(TraceStream, DeliveredKindsFitA32SlotCounter) {
+  StreamRun run;
+  ASSERT_FALSE(run.sink.seen.empty());
+  for (const TraceEvent& e : run.sink.seen) {
+    EXPECT_LT(static_cast<size_t>(e.kind), 32u) << to_string(e.kind);
+  }
+  EXPECT_LT(static_cast<size_t>(kFirstLocalKind), 32u);
+}
+
+// A verify chain opens its span only once admitted: a hint for a suspect
+// whose chain already runs records nothing.
+TEST(TraceStream, DetectorVerifyBeginsMatchVerifyChains) {
+  StreamRun run;
+  int64_t begins = 0;
+  run.cluster.tracer().for_each([&](const TraceEvent& e) {
+    begins += e.kind == TraceKind::kDetectorVerify &&
+              e.phase == TracePhase::kBegin;
+  });
+  Metrics& m = run.cluster.metrics();
+  EXPECT_GT(begins, 0);
+  EXPECT_EQ(begins, m.get(m.id.fd_verify_chains));
 }
 
 } // namespace

@@ -225,7 +225,6 @@ step "observability smoke (ddbs_sim -> ddbs_trace.py)"
 "$repo/build/tools/ddbs_sim" \
   --duration-ms=3000 --crash=2@600 --recover=2@1500 \
   --report-out="$tmp/report.json" --spans-out="$tmp/spans.json" \
-  --trace-out="$tmp/trace.json" \
   --telemetry-out="$tmp/telemetry.jsonl" >/dev/null
 python3 "$repo/tools/ddbs_trace.py" "$tmp/report.json" >/dev/null
 python3 "$repo/tools/ddbs_trace.py" "$tmp/spans.json" >/dev/null
@@ -250,7 +249,6 @@ step "observability smoke, parallel backend (--threads=4)"
 timeout 300 "$repo/build/tools/ddbs_sim" --threads=4 \
   --duration-ms=3000 --crash=2@600 --recover=2@1500 \
   --report-out="$tmp/report4.json" --spans-out="$tmp/spans4.json" \
-  --trace-out="$tmp/trace4.json" \
   --telemetry-out="$tmp/telemetry4.jsonl" >/dev/null
 python3 "$repo/tools/ddbs_trace.py" "$tmp/report4.json" >/dev/null
 python3 "$repo/tools/ddbs_trace.py" "$tmp/spans4.json" >/dev/null

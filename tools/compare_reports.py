@@ -25,6 +25,8 @@ actually regresses. Schema v4 drops the per-run "recoveries" block (the
 "episodes" block is the one per-recovery record) and the two
 rm.reboot_to_up_us / rm.up_to_current_us histograms, which surface as
 removed scalars against an older baseline; nothing here reads either.
+Schema v5 folds the trace block's two rings into one (a single "dropped",
+no "spans_dropped"); nothing here reads it.
 Exits 1 when any compared scalar regressed by more than the threshold,
 0 otherwise -- including when nothing was comparable at all, which is the
 expected state right after a schema change. Stdlib only -- usable straight
@@ -55,7 +57,7 @@ def load_runs(path):
     if not isinstance(doc, dict):
         sys.exit(f"compare_reports: {path} is not a run report object")
     version = doc.get("schema_version")
-    if version is not None and version not in (1, 2, 3, 4):
+    if version is not None and version not in (1, 2, 3, 4, 5):
         sys.exit(f"compare_reports: {path}: unknown schema_version {version}")
     return version, {run["label"]: flatten(run) for run in doc.get("runs", [])}
 

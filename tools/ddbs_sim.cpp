@@ -41,8 +41,7 @@ struct Options {
   bool verify = false;
   bool dump_metrics = false;
   std::string report_out; // JSON run report path ("" = off)
-  std::string trace_out;  // JSON trace-event dump path ("" = off)
-  std::string spans_out;  // Chrome trace_event span dump path ("" = off)
+  std::string spans_out;  // Chrome trace_event event-ring dump ("" = off)
   std::string telemetry_out; // live telemetry JSONL path ("-" = stdout)
   TelemetryOptions telemetry;
   // Partition-based fault injection: isolate one site from every other at
@@ -69,9 +68,8 @@ Options parse(int argc, char** argv) {
             "dissolve the partition at N ms (-1 = never)"}});
   cli.add("output:",
           {{"report-out", &o.report_out, "JSON run report (EXPERIMENTS.md)"},
-           {"trace-out", &o.trace_out, "structured trace ring as JSON"},
            {"spans-out", &o.spans_out,
-            "causal spans as Chrome trace_event JSON"},
+            "event ring (causal spans) as Chrome trace_event JSON"},
            {"telemetry-out", &o.telemetry_out,
             "stream live telemetry JSONL (- = stdout)"},
            {"telemetry-interval-ms", &o.telemetry.interval, "tick period"},
@@ -275,15 +273,12 @@ int main(int argc, char** argv) {
                              stats.commit_latency_us.percentile(99));
     if (!report.write(o.report_out)) rc = 1;
   }
-  auto dump = [&rc](const char* what, const std::string& path, auto json) {
-    if (path.empty()) return;
-    if (!write_file(path, json())) {
+  if (!o.spans_out.empty()) {
+    if (!write_file(o.spans_out, cluster.spans_chrome_json())) {
       rc = 1;
     } else {
-      std::printf("%s: wrote %s\n", what, path.c_str());
+      std::printf("spans: wrote %s\n", o.spans_out.c_str());
     }
-  };
-  dump("trace", o.trace_out, [&] { return cluster.trace_json(); });
-  dump("spans", o.spans_out, [&] { return cluster.spans_chrome_json(); });
+  }
   return rc;
 }

@@ -115,10 +115,12 @@ def report_mode(doc, width):
         print(f"\nrun '{run.get('label', '?')}'")
         trace = run.get("trace", {})
         if trace:
-            print(f"  trace: {trace.get('recorded', 0)} events "
-                  f"({trace.get('dropped', 0)} dropped), "
+            # Schema 5 has one ring and one "dropped"; older reports
+            # also count the span ring's overwrites separately.
+            dropped = trace.get('dropped', 0) + trace.get('spans_dropped', 0)
+            print(f"  trace: {trace.get('recorded', 0)} events, "
                   f"{trace.get('spans_recorded', 0)} span events "
-                  f"({trace.get('spans_dropped', 0)} dropped)")
+                  f"({dropped} dropped)")
         episodes = run.get("episodes", [])
         if episodes:
             print(f"  recovery episodes: {len(episodes)}")
