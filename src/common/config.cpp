@@ -71,11 +71,8 @@ constexpr ConfigField kFields[] = {
     {"control_retry_limit", "retry-limit", &C::control_retry_limit,
      "type-1 retries before giving up"},
     {"user_txn_retry", nullptr, &C::user_txn_retry, nullptr},
-    {"read_only_one_phase", nullptr, &C::read_only_one_phase, nullptr},
     {"footprint_ns", "footprint-ns", &C::footprint_ns,
      "user txns read only their host set's NS entries"},
-    {"canonical_write_order", nullptr, &C::canonical_write_order, nullptr},
-    {"detector_jitter", nullptr, &C::detector_jitter, nullptr},
     {"reconcile_probes", nullptr, &C::reconcile_probes, nullptr},
     {"wal_checkpoint_threshold", nullptr, &C::wal_checkpoint_threshold,
      nullptr},

@@ -179,17 +179,6 @@ struct Config {
   int control_retry_limit = 16;   // type-1 retries before giving up
   bool user_txn_retry = false;    // auto-resubmit aborted user txns (runner)
 
-  // Optimizations / ablation knobs (see bench_ablation).
-  // Read-only transactions skip the vote phase: one commit round releases
-  // the shared locks (the classic 2PC read-only optimization).
-  bool read_only_one_phase = true;
-  // Acquire the X-locks of one logical write in ascending site order
-  // (canonical global order). Disabling restores parallel acquisition,
-  // which deadlocks across sites invisibly to local wait-for graphs.
-  bool canonical_write_order = true;
-  // Jitter the failure detector's period so concurrent type-2 control
-  // transactions from different sites do not collide in lockstep.
-  bool detector_jitter = true;
   // Footprint-proportional session protocol: user transactions and copiers
   // read/freeze only the NS entries of sites hosting their read/write set
   // (their host set), so per-transaction NS cost is O(touched sites), not

@@ -158,7 +158,6 @@ MetricIds Metrics::register_all() {
   m.tm_rejected_not_operational = c("tm.rejected_not_operational");
   m.txn_committed = c("txn.committed");
   m.txn_2pc_vote_abort = c("txn.2pc_vote_abort");
-  m.txn_read_only_one_phase = c("txn.read_only_one_phase");
   m.txn_read_redirect = c("txn.read_redirect");
   m.txn_read_failover = c("txn.read_failover");
   m.txn_read_stale_view = c("txn.read_stale_view");

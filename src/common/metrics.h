@@ -155,9 +155,9 @@ inline constexpr size_t kCodeCount = static_cast<size_t>(Code::kNotFound) + 1;
 struct MetricIds {
   // transaction manager / coordinators
   CounterHandle tm_user_submitted, tm_rejected_not_operational;
-  CounterHandle txn_committed, txn_2pc_vote_abort, txn_read_only_one_phase,
-      txn_read_redirect, txn_read_failover, txn_read_stale_view,
-      txn_write_infeasible, txn_ns_reads;
+  CounterHandle txn_committed, txn_2pc_vote_abort, txn_read_redirect,
+      txn_read_failover, txn_read_stale_view, txn_write_infeasible,
+      txn_ns_reads;
   std::array<CounterHandle, kCodeCount> txn_abort; // txn.abort.<code>
 
   // data manager

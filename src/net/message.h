@@ -144,8 +144,9 @@ struct StatusClearResp {
 struct PrepareReq {
   TxnId txn = 0;
   SiteId coordinator = kInvalidSite;
-  // All participants, so an in-doubt site can run cooperative termination
-  // against the others when the coordinator is unreachable.
+  // Every prepared site, so an in-doubt site can run cooperative
+  // termination against the others when the coordinator is unreachable.
+  // Sites released at the lock point are not listed: they learn no outcome.
   std::vector<SiteId> participants;
 };
 

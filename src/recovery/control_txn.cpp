@@ -118,14 +118,13 @@ void ControlUpCoordinator::bootstrap_cold_start() {
     w.op.written_sites = {self_};
     writes.push_back(std::move(w));
   }
-  touch(self_);
   send_writes_seq(std::move(writes), [this](bool ok, Code code) {
     if (decided_) return;
     if (!ok) {
       fail(code);
       return;
     }
-    run_2pc([this](bool committed) {
+    run_commit([this](bool committed) {
       ControlUpResult res;
       res.ok = committed;
       res.session = new_session_;
@@ -169,7 +168,6 @@ void ControlUpCoordinator::collect_status(size_t pending) {
   auto remaining = std::make_shared<size_t>(pending);
   auto failed = std::make_shared<bool>(false);
   for (SiteId s : operational_) {
-    touch(s);
     StatusReadReq req;
     req.txn = txn_;
     req.coordinator = self_;
@@ -309,7 +307,6 @@ void ControlUpCoordinator::stage_and_write() {
     writes.push_back(std::move(w));
   }
 
-  touch(self_);
   send_writes_seq(std::move(writes), [this](bool ok, Code code) {
     if (decided_) return;
     if (!ok) {
@@ -317,8 +314,8 @@ void ControlUpCoordinator::stage_and_write() {
       fail(code);
       return;
     }
-    run_2pc([this](bool committed) {
-      for (SiteId s : last_2pc_timeouts_) suspected_.push_back(s);
+    run_commit([this](bool committed) {
+      for (SiteId s : last_prepare_timeouts_) suspected_.push_back(s);
       if (!committed) {
         metrics_.inc(metrics_.id.control_up_2pc_abort);
         ControlUpResult res;
@@ -343,11 +340,9 @@ void ControlUpCoordinator::stage_and_write() {
 ControlDownCoordinator::ControlDownCoordinator(TxnId txn,
                                                const CoordinatorEnv& env,
                                                std::vector<SiteId> down,
-                                               SessionVector view,
                                                DownDoneFn done)
     : CoordinatorBase(txn, TxnKind::kControlDown, env),
       down_(std::move(down)),
-      given_view_(std::move(view)),
       down_done_(std::move(done)) {
   // Canonical order: concurrent declarations of overlapping sets acquire
   // their NS X-locks identically and serialize instead of deadlocking.
@@ -382,11 +377,6 @@ void ControlDownCoordinator::start() {
   schedule(cfg_.txn_timeout, [this]() {
     if (!decided_) fail(Code::kTimeout);
   });
-  if (!given_view_.empty()) {
-    view_ = given_view_;
-    write_zeroes();
-    return;
-  }
   read_ns_vector(
       self_, /*bypass=*/true, 0,
       [this](bool ok) {
@@ -439,8 +429,8 @@ void ControlDownCoordinator::write_zeroes() {
       fail(code);
       return;
     }
-    run_2pc([this](bool committed) {
-      for (SiteId s : last_2pc_timeouts_) suspected_.push_back(s);
+    run_commit([this](bool committed) {
+      for (SiteId s : last_prepare_timeouts_) suspected_.push_back(s);
       ControlDownResult res;
       res.ok = committed;
       res.additional_suspects = suspected_;

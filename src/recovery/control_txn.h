@@ -81,11 +81,9 @@ class ControlDownCoordinator : public CoordinatorBase {
  public:
   using DownDoneFn = std::function<void(const ControlDownResult&)>;
 
-  // `view`: the initiator's serialized knowledge of the NS vector. Empty
-  // => read the local copy inside the transaction (operational initiator).
+  // The NS vector is read at the initiator inside the transaction.
   ControlDownCoordinator(TxnId txn, const CoordinatorEnv& env,
-                         std::vector<SiteId> down, SessionVector view,
-                         DownDoneFn done);
+                         std::vector<SiteId> down, DownDoneFn done);
 
   void start() override;
 
@@ -94,7 +92,6 @@ class ControlDownCoordinator : public CoordinatorBase {
   void fail(Code reason);
 
   std::vector<SiteId> down_;
-  SessionVector given_view_;
   DownDoneFn down_done_;
   std::vector<SiteId> suspected_;
 };

@@ -135,7 +135,6 @@ void CopierCoordinator::resolve_all_marked(size_t idx) {
 void CopierCoordinator::send_read(
     SiteId src, ReadMode mode,
     std::function<void(Code, const BatchOpResult*)> k) {
-  touch(src);
   BatchReq req = batch_header(view_.session(src));
   BatchOp op;
   op.item = item_;
@@ -167,7 +166,6 @@ void CopierCoordinator::write_local(Value value, Version version) {
   } else {
     metrics_.inc(metrics_.id.copier_payload_copies);
   }
-  touch(self_);
   BatchReq req = batch_header(view_.session(self_));
   BatchOp op;
   op.op = BatchOpKind::kWrite;
@@ -188,7 +186,7 @@ void CopierCoordinator::write_local(Value value, Version version) {
           abort_txn(rc);
           return;
         }
-        run_2pc([this](bool committed) {
+        run_commit([this](bool committed) {
           if (committed) {
             metrics_.inc(metrics_.id.copier_committed);
             trace(TraceKind::kCopierCommit, item_);

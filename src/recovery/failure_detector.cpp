@@ -31,10 +31,8 @@ void FailureDetector::metrics_inc_reconcile() {
 
 SimTime FailureDetector::jittered_interval() {
   // Desynchronize the fleet: without jitter every site's detector fires in
-  // lockstep and their type-2 declarations collide forever. (The knob
-  // exists for the ablation bench.)
+  // lockstep and their type-2 declarations collide forever.
   const SimTime base = env_.cfg->detector_interval;
-  if (!env_.cfg->detector_jitter) return base;
   return base + rng_.uniform(0, base / 2);
 }
 
@@ -350,7 +348,7 @@ void FailureDetector::run_declare(std::vector<SiteId> down, int attempt) {
   }
   const uint64_t epoch = epoch_;
   tm_.run_control_down(
-      down, {},
+      down,
       [this, down, attempt, epoch](const ControlDownResult& res) {
         if (epoch != epoch_ || !running_) return;
         if (res.ok) {

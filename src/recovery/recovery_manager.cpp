@@ -215,12 +215,12 @@ void RecoveryManager::exclude_then_retry(std::vector<SiteId> dead,
           });
           return;
         }
-        // The recovering site's own NS copy is stale, so pass no view: the
-        // coordinator reads it bypass-locked; targets that are themselves
-        // dead surface as additional suspects and widen the next round.
+        // The coordinator reads the recovering site's stale NS copy
+        // bypass-locked; targets that are themselves dead surface as
+        // additional suspects and widen the next round.
         SpanScope scope(env_.tracer, span_);
         tm_.run_control_down(
-            confirmed, {},
+            confirmed,
             [this, confirmed, attempt,
              epoch](const ControlDownResult& res) {
               if (epoch != epoch_) return;

@@ -26,8 +26,6 @@ const char* to_string(TraceKind k) {
     case TraceKind::kSiteRecover: return "site_recover";
     case TraceKind::kReplayDone: return "replay_done";
     case TraceKind::kLockWait: return "lock_wait";
-    case TraceKind::kStage: return "stage";
-    case TraceKind::kApply: return "apply";
   }
   return "?";
 }

@@ -53,8 +53,6 @@ enum class TraceKind : uint8_t {
   // DM-local kinds: kept in the ring for the Chrome export and the
   // diagnostic tails, never delivered to sinks.
   kLockWait,      // span: chain blocked waiting for locks; a = item id
-  kStage,         // write staged into a txn context; a = item id
-  kApply,         // commit applied to stable storage; a = writes applied
 };
 
 // Kinds from here on are DM-local.

@@ -434,8 +434,6 @@ void DataManager::on_batch(const Envelope& env) {
             w.written = op.written_sites;
             ctx.writes[op.item] = std::move(w);
             metrics_.inc(metrics_.id.dm_writes_staged);
-            Tracer::emit_under(tracer_, env.span, TraceKind::kStage, self_,
-                               r.txn, op.item);
             resp.results[i].code = Code::kOk;
             continue;
           }
@@ -632,12 +630,6 @@ void DataManager::apply_commit(
     assert(false && "commit lacks a counter for a staged item");
     return 0;
   };
-  if (!ctx.writes.empty()) {
-    // The ambient span here is the CommitReq's (on_commit path) or the
-    // termination chain's -- either way the causal origin of this apply.
-    Tracer::emit(tracer_, TraceKind::kApply, self_, txn,
-                 static_cast<int64_t>(ctx.writes.size()));
-  }
   for (const auto& [item, w] : ctx.writes) {
     install_write(txn, item, w, w.is_copier ? 0 : counter_of(item));
   }

@@ -52,10 +52,9 @@ void TransactionManager::run_control_up(
 }
 
 void TransactionManager::run_control_down(
-    std::vector<SiteId> down, SessionVector view,
-    ControlDownCoordinator::DownDoneFn done) {
+    std::vector<SiteId> down, ControlDownCoordinator::DownDoneFn done) {
   auto coord = std::make_unique<ControlDownCoordinator>(
-      next_id(), env_, std::move(down), std::move(view), std::move(done));
+      next_id(), env_, std::move(down), std::move(done));
   launch(std::move(coord));
 }
 

@@ -23,7 +23,7 @@ class TransactionManager {
 
   void run_copier(ItemId item, CoordinatorBase::DoneFn done);
   void run_control_up(ControlUpCoordinator::UpDoneFn done);
-  void run_control_down(std::vector<SiteId> down, SessionVector view,
+  void run_control_down(std::vector<SiteId> down,
                         ControlDownCoordinator::DownDoneFn done);
 
   void set_suspect_fn(CoordinatorBase::SuspectFn fn) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <optional>
 
 #include "common/logging.h"
 #include "replication/interpreter.h"
@@ -67,6 +68,27 @@ void CoordinatorBase::trace_begin(int64_t a, int64_t b) {
 uint64_t CoordinatorBase::send_request(SiteId to, Payload payload,
                                        SimTime timeout,
                                        RpcEndpoint::ResponseCb cb) {
+  // Physical ops and the type-1's status reads and clears open a DM
+  // context at `to`; pings and the commit's own messages open none.
+  std::optional<Hold> hold;
+  if (const auto* batch = std::get_if<BatchReq>(&payload)) {
+    hold = Hold::kReads;
+    for (const BatchOp& op : batch->ops) {
+      if (op.op == BatchOpKind::kWrite) {
+        hold = Hold::kStaged;
+        break;
+      }
+      if (is_ns_item(op.item)) hold = Hold::kNsSnapshot;
+    }
+  } else if (std::holds_alternative<StatusClearReq>(payload)) {
+    hold = Hold::kStaged;
+  } else if (std::holds_alternative<StatusReadReq>(payload)) {
+    hold = Hold::kReads;
+  }
+  if (hold) {
+    Hold& held = participants_.try_emplace(to, *hold).first->second;
+    held = std::max(held, *hold);
+  }
   const uint64_t id =
       rpc_.send_request(to, std::move(payload), timeout, std::move(cb));
   rpcs_.push_back(id);
@@ -122,13 +144,10 @@ void CoordinatorBase::read_ns_vector(SiteId at, bool bypass,
 void CoordinatorBase::read_ns_entries(SiteId at, std::vector<SiteId> sites,
                                       bool bypass, SessionNum expected_at,
                                       std::function<void(bool)> k) {
-  touch(at);
   metrics_.inc(metrics_.id.txn_ns_reads,
                static_cast<int64_t>(sites.size()));
-  if (sites.empty()) {
-    k(true);
-    return;
-  }
+  // Sent even when `sites` is empty (a transaction with no ops): the read
+  // is what makes `at` a participant.
   BatchReq req = batch_header(expected_at, bypass);
   req.ops.reserve(sites.size());
   for (SiteId idx : sites) {
@@ -214,7 +233,6 @@ void CoordinatorBase::write_seq_step(std::shared_ptr<WriteSeqState> st,
     return;
   }
   const SiteId to = st->groups[i].to;
-  touch(to);
   BatchReq req = std::move(st->groups[i].req);
   send_request(
       to, std::move(req), cfg_.lock_timeout + cfg_.rpc_timeout,
@@ -237,17 +255,34 @@ void CoordinatorBase::write_seq_step(std::shared_ptr<WriteSeqState> st,
       });
 }
 
-void CoordinatorBase::run_2pc(std::function<void(bool)> k) {
-  assert(!participants_.empty());
+void CoordinatorBase::run_commit(std::function<void(bool)> k) {
+  assert(participants_.count(self_) == 1);
   commit_k_ = std::move(k);
-  votes_pending_ = participants_.size();
-  any_no_ = false;
-  write_participants_.clear();
-  last_2pc_timeouts_.clear();
+  acks_pending_ = participants_.size();
+  const bool staged =
+      std::any_of(participants_.begin(), participants_.end(),
+                  [](const auto& p) { return p.second == Hold::kStaged; });
+  assert(!staged || participants_.at(self_) != Hold::kReads);
+  if (!staged) {
+    decided_ = true;
+    if (recorder_) recorder_->commit(txn_, sched_.now());
+  }
+  // Released sites know no outcome, so the prepare lists only the sites
+  // that will learn it.
   PrepareReq req;
   req.txn = txn_;
   req.coordinator = self_;
-  req.participants.assign(participants_.begin(), participants_.end());
+  CommitReq release;
+  release.txn = txn_;
+  for (auto it = participants_.begin(); it != participants_.end();) {
+    if (staged && it->second != Hold::kReads) {
+      req.participants.push_back((it++)->first);
+    } else {
+      send_commit(it->first, release);
+      it = participants_.erase(it);
+    }
+  }
+  votes_pending_ = req.participants.size();
   for (SiteId p : req.participants) {
     send_request(
         p, req, cfg_.rpc_timeout,
@@ -268,7 +303,7 @@ void CoordinatorBase::run_2pc(std::function<void(bool)> k) {
             }
           } else if (code == Code::kTimeout) {
             suspect(p);
-            last_2pc_timeouts_.push_back(p);
+            last_prepare_timeouts_.push_back(p);
           }
           if (!yes) any_no_ = true;
           if (--votes_pending_ > 0) return;
@@ -283,7 +318,7 @@ void CoordinatorBase::run_2pc(std::function<void(bool)> k) {
             return;
           }
           // Commit: assign final version counters, log the decision
-          // durably (presumed abort), then tell everyone.
+          // durably (presumed abort), then tell every prepared site.
           CommitReq creq;
           creq.txn = txn_;
           for (const auto& [item, ctr] : max_counters_) {
@@ -293,65 +328,39 @@ void CoordinatorBase::run_2pc(std::function<void(bool)> k) {
           for (SiteId q : write_participants_) decision.unacked.push_back(q);
           stable_.record_outcome(txn_, std::move(decision));
           if (recorder_) recorder_->commit(txn_, sched_.now());
-          acks_pending_ = participants_.size();
-          for (SiteId q : participants_) {
-            send_request(
-                q, creq, cfg_.rpc_timeout,
-                [this, q](Code acode, const Payload* apayload) {
-                  bool ok = false;
-                  if (acode == Code::kOk && apayload != nullptr) {
-                    const auto& ack = std::get<AckResp>(*apayload);
-                    ok = ack.code == Code::kOk;
-                  }
-                  // A positive ack means the participant durably applied
-                  // the outcome; erase it from the decision record's
-                  // unacked set. The record is forgotten when the set
-                  // empties. Missing acks (crash, timeout) keep the record
-                  // answerable for the eventual OutcomeQuery/OutcomeAck.
-                  if (ok) stable_.ack_outcome(txn_, q);
-                  if (q == self_) {
-                    // Local apply done: the caller may proceed.
-                    auto cb = std::move(commit_k_);
-                    if (cb) cb(true);
-                  }
-                  if (--acks_pending_ == 0) retire_later();
-                });
-          }
-          if (participants_.count(self_) == 0) {
-            // No local participant whose apply we could wait for; the
-            // decision itself is the caller's signal.
-            auto cb = std::move(commit_k_);
-            if (cb) cb(true);
+          for (const auto& entry : participants_) {
+            send_commit(entry.first, creq);
           }
         });
   }
 }
 
-void CoordinatorBase::run_read_only_commit(std::function<void(bool)> k) {
-  assert(!participants_.empty());
-  decided_ = true;
-  metrics_.inc(metrics_.id.txn_read_only_one_phase);
-  if (recorder_) recorder_->commit(txn_, sched_.now());
-  commit_k_ = std::move(k);
-  acks_pending_ = participants_.size();
-  CommitReq creq;
-  creq.txn = txn_;
-  for (SiteId q : participants_) {
-    send_request(q, creq, cfg_.rpc_timeout,
-                      [this, q](Code, const Payload*) {
-                        if (q == self_) {
-                          auto cb = std::move(commit_k_);
-                          if (cb) cb(true);
-                        }
-                        if (--acks_pending_ == 0) retire_later();
-                      });
-  }
+void CoordinatorBase::send_commit(SiteId q, const CommitReq& req) {
+  send_request(q, req, cfg_.rpc_timeout,
+               [this, q](Code code, const Payload* payload) {
+                 // A positive ack means the participant durably applied
+                 // the outcome; erase it from the decision record's
+                 // unacked set (a no-op for a released site). The record
+                 // is forgotten when the set empties. Missing acks (crash,
+                 // timeout) keep the record answerable for the eventual
+                 // OutcomeQuery/OutcomeAck.
+                 if (code == Code::kOk && payload != nullptr &&
+                     std::get<AckResp>(*payload).code == Code::kOk) {
+                   stable_.ack_outcome(txn_, q);
+                 }
+                 if (q == self_) {
+                   // Local apply done: the caller may proceed.
+                   auto cb = std::move(commit_k_);
+                   if (cb) cb(true);
+                 }
+                 if (--acks_pending_ == 0) retire_later();
+               });
 }
 
 void CoordinatorBase::send_aborts() {
-  for (SiteId p : participants_) {
-    send_request(p, AbortReq{txn_}, cfg_.rpc_timeout,
-                      [](Code, const Payload*) {});
+  for (const auto& entry : participants_) {
+    send_request(entry.first, AbortReq{txn_}, cfg_.rpc_timeout,
+                 [](Code, const Payload*) {});
   }
 }
 
@@ -440,29 +449,21 @@ void UserTxnCoordinator::start() {
 }
 
 void UserTxnCoordinator::finish_ops() {
-  auto finish = [this](bool committed) {
+  run_commit([this](bool committed) {
     if (committed) {
       report_committed(std::move(read_values_));
     } else {
       report_aborted(Code::kAborted);
     }
-  };
-  const bool read_only = std::none_of(
-      spec_.ops.begin(), spec_.ops.end(),
-      [](const LogicalOp& op) { return op.kind == OpKind::kWrite; });
-  if (read_only && cfg_.read_only_one_phase) {
-    run_read_only_commit(std::move(finish));
-  } else {
-    run_2pc(std::move(finish));
-  }
+  });
 }
 
 // ---------------------------------------------------------------------------
 // Whole-transaction batching. Reads target their first candidate, writes
 // target every nominally-up copy; everything bound for one site rides a
-// single BatchReq. Batches go out in ascending site order, sequentially
-// under canonical_write_order, so concurrent writers of one item acquire
-// its copies' X-locks in one global order.
+// single BatchReq. Batches go out one at a time in ascending site order,
+// so concurrent writers of one item acquire its copies' X-locks in one
+// global order and cannot deadlock across sites.
 
 void UserTxnCoordinator::run_batched_ops() {
   auto st = std::make_shared<BatchRunState>();
@@ -546,25 +547,7 @@ void UserTxnCoordinator::dispatch_batches(std::shared_ptr<BatchRunState> st) {
             [](const SiteBatch& a, const SiteBatch& b) { return a.to < b.to; });
   DDBS_TRACE << "txn " << txn_ << " batched " << spec_.ops.size()
              << " ops over " << st->batches.size() << " sites";
-  if (cfg_.canonical_write_order) {
-    batch_step(std::move(st), 0);
-    return;
-  }
-  // Ablation variant: acquire every site's locks in parallel. Two writers
-  // of the same item can then deadlock ACROSS sites, invisible to any
-  // local wait-for graph -- bench_ablation measures the damage.
-  st->pending = st->batches.size();
-  for (size_t i = 0; i < st->batches.size(); ++i) {
-    const SiteId to = st->batches[i].to;
-    touch(to);
-    BatchReq req = st->batches[i].req;
-    send_request(to, std::move(req), cfg_.lock_timeout + cfg_.rpc_timeout,
-                 [this, st, i](Code code, const Payload* payload) {
-                   if (decided_) return;
-                   if (!consume_batch_resp(*st, i, code, payload)) return;
-                   if (--st->pending == 0) retry_step(st);
-                 });
-  }
+  batch_step(std::move(st), 0);
 }
 
 void UserTxnCoordinator::batch_step(std::shared_ptr<BatchRunState> st,
@@ -574,7 +557,6 @@ void UserTxnCoordinator::batch_step(std::shared_ptr<BatchRunState> st,
     return;
   }
   const SiteId to = st->batches[i].to;
-  touch(to);
   BatchReq req = st->batches[i].req;
   send_request(to, std::move(req), cfg_.lock_timeout + cfg_.rpc_timeout,
                [this, st = std::move(st), i](Code code,
@@ -672,7 +654,6 @@ void UserTxnCoordinator::retry_read(std::shared_ptr<BatchRunState> st,
   }
   const ReadRetry& r = st->retries[st->next_retry];
   const SiteId target = read_cands_[candidate_idx];
-  touch(target);
   BatchReq req = batch_header(view_.session(target));
   BatchOp op;
   op.item = r.item;

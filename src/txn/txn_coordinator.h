@@ -1,7 +1,8 @@
 // Transaction coordinators. CoordinatorBase owns the machinery every kind
 // of transaction shares: the nominal-session-vector snapshot, request
-// plumbing with suspicion reporting, presumed-abort two-phase commit with a
-// durable coordinator decision log, and deferred self-retirement.
+// plumbing with suspicion reporting, a presumed-abort commit that prepares
+// only the sites holding writes or the NS snapshot (with a durable
+// coordinator decision log), and deferred self-retirement.
 // UserTxnCoordinator drives ordinary transactions under the ROWAA
 // convention (paper Section 3.2); the copier and control coordinators in
 // src/recovery derive from the same base.
@@ -10,7 +11,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "common/config.h"
@@ -81,7 +81,8 @@ class CoordinatorBase {
   // retired (erased by the TM one tick after its decision) a late callback
   // would re-enter freed memory -- even the `if (decided_) return;` guard
   // is a read of a dead object. Dropping them is exactly what the guard
-  // intended.
+  // intended. It is also the one place that records participants_: a
+  // request that opens a DM context makes its destination a participant.
   uint64_t send_request(SiteId to, Payload payload, SimTime timeout,
                         RpcEndpoint::ResponseCb cb);
 
@@ -106,9 +107,6 @@ class CoordinatorBase {
   // their item's resident sites; cost is O(|sites|) instead of O(n_sites).
   void read_ns_entries(SiteId at, std::vector<SiteId> sites, bool bypass,
                        SessionNum expected_at, std::function<void(bool)> k);
-
-  // Mark a site as touched; it becomes a 2PC participant.
-  void touch(SiteId site) { participants_.insert(site); }
 
   // An empty BatchReq from this transaction carrying the given session
   // stamp; callers append the ops.
@@ -148,25 +146,28 @@ class CoordinatorBase {
   };
   void write_seq_step(std::shared_ptr<WriteSeqState> st, size_t i);
 
-  // Presumed-abort 2PC over participants_. k(true) fires once the decision
-  // is commit AND the local participant has applied (self is always a
-  // participant); k(false) fires on abort. Retirement is handled inside.
-  void run_2pc(std::function<void(bool)> k);
-
-  // Read-only optimization: no votes to collect, no redo to certify --
-  // one commit round releases every participant's shared locks. Safe here
-  // because a participant's unilateral (activity-timeout) abort can never
-  // precede the coordinator's own deadline: the coordinator's timer is
-  // armed at transaction start, strictly before any participant context
-  // exists, and the simulation is single-threaded.
-  void run_read_only_commit(std::function<void(bool)> k);
+  // Presumed-abort commit over participants_, called once every operation
+  // has been answered (the lock point). When some participant holds a
+  // staged write or commit-time action, those sites and the NS snapshot's
+  // site are prepared; every other participant only served reads and is
+  // released (CommitReq) in the same step. With nothing staged the
+  // decision is immediate and every participant is released: no votes, no
+  // redo to certify. An early release is safe because a participant's
+  // unilateral (activity-timeout) abort can never precede the
+  // coordinator's own deadline: that timer is armed at transaction start,
+  // strictly before any participant context exists. k(true) fires once
+  // the decision is commit AND the local participant has applied (self is
+  // always a participant); k(false) fires on abort. Retirement is handled
+  // inside.
+  void run_commit(std::function<void(bool)> k);
 
   // Abort everywhere, report `reason` through done_, retire.
   void abort_txn(Code reason);
 
-  // Report success through done_ (after run_2pc said true).
+  // Report success through done_ (after run_commit said true).
   void report_committed(std::vector<Value> reads);
-  // Report an abort that was already executed (e.g. a no-vote in run_2pc).
+  // Report an abort that was already executed (e.g. a no-vote in
+  // run_commit).
   void report_aborted(Code reason);
 
   void suspect(SiteId s) {
@@ -213,20 +214,31 @@ class CoordinatorBase {
   // Construction time, for the commit-latency histogram (user txns only).
   const SimTime started_;
 
-  std::set<SiteId> participants_;
+  // What a participant's DM holds for this transaction, by the strongest
+  // request sent there: locks of plain reads, the NS snapshot's S-locks,
+  // or staged writes / commit-time actions (a status clear; recovery
+  // actions are staged at the coordinator's own site, which every type-1
+  // also writes).
+  enum class Hold : uint8_t { kReads, kNsSnapshot, kStaged };
+  // Sites holding a DM context of this transaction; run_commit drops the
+  // ones it releases, so an abort reaches only the sites still waiting.
+  std::map<SiteId, Hold> participants_;
   // Frozen NS snapshot, sparse: only the entries this transaction read.
   // An absent entry reads as session 0 (nominally down), which is what the
   // dense representation held for unread/skipped sites.
   NsView view_;
   bool decided_ = false; // 2PC decision made (or unilateral abort)
-  // Participants whose prepare timed out in the last run_2pc (the caller
-  // may need to declare them down and retry -- recovery step 4).
-  std::vector<SiteId> last_2pc_timeouts_;
+  // Participants whose prepare timed out in run_commit (the caller may
+  // need to declare them down and retry -- recovery step 4).
+  std::vector<SiteId> last_prepare_timeouts_;
   // Targets whose write timed out in the last send_writes_seq.
   std::vector<SiteId> last_write_timeouts_;
 
  private:
   void send_aborts();
+  // CommitReq to q: applies the decision at a prepared site, releases a
+  // read-only one. Acks drive outcome GC, the local k(true) and retirement.
+  void send_commit(SiteId q, const CommitReq& req);
 
   DoneFn done_;
   SuspectFn suspect_;
@@ -235,7 +247,7 @@ class CoordinatorBase {
   std::vector<uint64_t> rpcs_; // every id this coordinator ever sent
   bool retired_ = false;
 
-  // 2PC progress.
+  // Commit progress.
   size_t votes_pending_ = 0;
   bool any_no_ = false;
   std::map<ItemId, uint64_t> max_counters_;
@@ -293,7 +305,6 @@ class UserTxnCoordinator : public CoordinatorBase {
     std::vector<ReadRetry> retries;
     size_t next_retry = 0;
     bool dispatched = false;
-    size_t pending = 0; // parallel (non-canonical-order) mode only
   };
   void run_batched_ops();
   void dispatch_batches(std::shared_ptr<BatchRunState> st);

@@ -1,7 +1,12 @@
-// Coordinator edge cases: empty transactions, read-own-write, one-phase
-// read-only commit, transaction deadlines, read failover order, and the
-// WAL checkpointing + outcome-log hygiene those paths rely on.
+// Coordinator edge cases: empty transactions, read-own-write, the commit's
+// prepare set (read-only sites released at the lock point), transaction
+// deadlines, read failover order, and the WAL checkpointing + outcome-log
+// hygiene those paths rely on.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <set>
 
 #include "core/cluster.h"
 
@@ -48,15 +53,43 @@ TEST(CoordinatorEdges, RepeatedWritesToSameItemLastWins) {
   EXPECT_EQ(r.reads[0], 3);
 }
 
+// Every request delivered to a DM, in delivery order: each site's request
+// handler is wrapped (DeclaredDown notices are not expected here).
+struct Delivery {
+  SimTime at = 0;
+  SiteId site = kInvalidSite;
+  Payload payload;
+};
+
+std::shared_ptr<std::vector<Delivery>> tap_requests(Cluster& cluster) {
+  auto log = std::make_shared<std::vector<Delivery>>();
+  for (SiteId s = 0; s < cluster.config().n_sites; ++s) {
+    cluster.site(s).rpc().start([&cluster, log, s](const Envelope& env) {
+      log->push_back(Delivery{cluster.now(), s, env.payload});
+      cluster.site(s).dm().handle_request(env);
+    });
+  }
+  return log;
+}
+
+template <typename T>
+size_t count_of(const std::vector<Delivery>& log) {
+  return static_cast<size_t>(
+      std::count_if(log.begin(), log.end(), [](const Delivery& d) {
+        return std::holds_alternative<T>(d.payload);
+      }));
+}
+
 TEST(CoordinatorEdges, ReadOnlyOnePhaseSkipsVotes) {
-  Config cfg = cfg4();
-  cfg.read_only_one_phase = true;
-  Cluster cluster(cfg, 4);
+  Cluster cluster(cfg4(), 4);
   cluster.bootstrap();
+  auto log = tap_requests(cluster);
   auto res = cluster.run_txn(0, {{OpKind::kRead, 1, 0},
                                  {OpKind::kRead, 2, 0}});
   ASSERT_TRUE(res.committed);
-  EXPECT_EQ(cluster.metrics().get("txn.read_only_one_phase"), 1);
+  // Nothing staged: an empty prepare set, every participant released.
+  EXPECT_EQ(count_of<PrepareReq>(*log), 0u);
+  EXPECT_GE(count_of<CommitReq>(*log), 1u);
   EXPECT_EQ(cluster.metrics().get("dm.vote_no_unknown"), 0);
   // Locks drained everywhere.
   cluster.settle();
@@ -65,23 +98,108 @@ TEST(CoordinatorEdges, ReadOnlyOnePhaseSkipsVotes) {
   }
 }
 
-TEST(CoordinatorEdges, ReadOnlyFull2pcWhenDisabled) {
+TEST(CoordinatorEdges, MixedTxnStillUsesFull2pc) {
+  // Two-phase commit still runs on the sites holding the writes and the NS
+  // snapshot; a site that only served a read is released at the lock point.
+  // Fixed latency: every message of one protocol step lands at once.
   Config cfg = cfg4();
-  cfg.read_only_one_phase = false;
-  Cluster cluster(cfg, 5);
+  cfg.net_latency_min = cfg.net_latency_max = 1'000;
+  Cluster cluster(cfg, 6);
   cluster.bootstrap();
-  auto res = cluster.run_txn(0, {{OpKind::kRead, 1, 0}});
+  // Site 0 reads `r` at its first copy q and writes `w`, which q does not
+  // hold: q serves only a read.
+  const Catalog& cat = cluster.catalog();
+  auto hosts = [&cat](ItemId x, SiteId s) {
+    const auto sites = cat.sites_of(x);
+    return std::find(sites.begin(), sites.end(), s) != sites.end();
+  };
+  ItemId r = -1, w = -1;
+  SiteId q = kInvalidSite;
+  for (ItemId x = 0; x < cfg.n_items && w < 0; ++x) {
+    if (hosts(x, 0)) continue;
+    for (ItemId y = 0; y < cfg.n_items; ++y) {
+      if (!hosts(y, cat.sites_of(x)[0])) {
+        r = x;
+        w = y;
+        q = cat.sites_of(x)[0];
+        break;
+      }
+    }
+  }
+  ASSERT_GE(w, 0);
+  auto log = tap_requests(cluster);
+  auto res = cluster.run_txn(0, {{OpKind::kRead, r, 0},
+                                 {OpKind::kWrite, w, 9}});
   ASSERT_TRUE(res.committed);
-  EXPECT_EQ(cluster.metrics().get("txn.read_only_one_phase"), 0);
+  const auto n_targets = static_cast<int64_t>(cat.sites_of(w).size());
+  size_t release = log->size(), first_prepare = log->size();
+  size_t first_decision = log->size();
+  for (size_t i = 0; i < log->size(); ++i) {
+    const Delivery& d = (*log)[i];
+    if (d.site == q) {
+      EXPECT_FALSE(std::holds_alternative<PrepareReq>(d.payload));
+    }
+    if (const auto* p = std::get_if<PrepareReq>(&d.payload)) {
+      // Released sites learn no outcome, so no prepare names them.
+      EXPECT_EQ(std::count(p->participants.begin(), p->participants.end(), q),
+                0);
+      if (d.site != 0 && first_prepare == log->size()) first_prepare = i;
+    }
+    if (const auto* c = std::get_if<CommitReq>(&d.payload)) {
+      if (d.site == q) {
+        EXPECT_TRUE(c->new_counters.empty()); // a release, not a decision
+        release = i;
+        // Never before every operation was answered: all copies of `w`
+        // are staged by the time the release lands.
+        EXPECT_EQ(cluster.metrics().get("dm.writes_staged"), n_targets);
+      } else if (!c->new_counters.empty() && first_decision == log->size()) {
+        first_decision = i;
+      }
+    }
+  }
+  ASSERT_LT(release, log->size());
+  ASSERT_LT(first_decision, log->size());
+  // The release goes out with the prepares (compared with a remote one:
+  // loopback latency differs) and lands before the decision.
+  EXPECT_EQ((*log)[release].at, (*log)[first_prepare].at);
+  EXPECT_LT(release, first_decision);
+  cluster.settle();
+  EXPECT_EQ(cluster.site(q).dm().active_txn_count(), 0u);
+  std::string why;
+  EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
 }
 
-TEST(CoordinatorEdges, MixedTxnStillUsesFull2pc) {
-  Cluster cluster(cfg4(), 6);
+TEST(CoordinatorEdges, CopierPreparesOnlyItsOwnSite) {
+  Cluster cluster(cfg4(), 12);
   cluster.bootstrap();
-  auto res = cluster.run_txn(0, {{OpKind::kRead, 1, 0},
-                                 {OpKind::kWrite, 2, 9}});
-  ASSERT_TRUE(res.committed);
-  EXPECT_EQ(cluster.metrics().get("txn.read_only_one_phase"), 0);
+  auto log = tap_requests(cluster);
+  cluster.crash_site(3);
+  cluster.run_until(cluster.now() + 800'000);
+  for (ItemId x : cluster.catalog().items_at(3)) {
+    ASSERT_TRUE(cluster.run_txn(0, {{OpKind::kWrite, x, 5}}).committed);
+  }
+  cluster.recover_site(3);
+  cluster.settle();
+  ASSERT_GT(cluster.metrics().get("copier.committed"), 0);
+  // Copier transactions, by the kind their physical ops carry.
+  std::set<TxnId> copiers;
+  for (const Delivery& d : *log) {
+    if (const auto* b = std::get_if<BatchReq>(&d.payload)) {
+      if (b->kind == TxnKind::kCopier) copiers.insert(b->txn);
+    }
+  }
+  size_t copier_prepares = 0;
+  for (const Delivery& d : *log) {
+    const auto* p = std::get_if<PrepareReq>(&d.payload);
+    if (p == nullptr || copiers.count(p->txn) == 0) continue;
+    ++copier_prepares;
+    // The source site only served a read: it is released, not prepared.
+    EXPECT_EQ(d.site, p->coordinator);
+    EXPECT_EQ(p->participants, std::vector<SiteId>{p->coordinator});
+  }
+  EXPECT_GT(copier_prepares, 0u);
+  std::string why;
+  EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
 }
 
 TEST(CoordinatorEdges, ReadPrefersLocalCopy) {
@@ -196,22 +314,6 @@ TEST(CoordinatorEdges, OutcomeLogStaysBounded) {
   for (SiteId s = 0; s < 4; ++s) {
     EXPECT_LE(cluster.site(s).stable().outcome_count(), 16u) << "site " << s;
   }
-}
-
-TEST(CoordinatorEdges, ParallelWriteAblationStillCorrect) {
-  // The ablated (parallel) lock acquisition must stay SAFE -- it only
-  // hurts liveness. Serialized single-client traffic commits normally.
-  Config cfg = cfg4();
-  cfg.canonical_write_order = false;
-  Cluster cluster(cfg, 11);
-  cluster.bootstrap();
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(
-        cluster.run_txn(0, {{OpKind::kWrite, i % 30, i}}).committed);
-  }
-  cluster.settle();
-  std::string why;
-  EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
 }
 
 } // namespace

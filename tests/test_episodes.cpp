@@ -441,7 +441,7 @@ TEST(TracerSpans, NestsChildrenUnderAmbientSpan) {
     SpanScope scope(&log, root);
     EXPECT_EQ(log.current(), root);
     child = log.begin(TraceKind::kLockWait, 1, 42);
-    log.record(TraceKind::kStage, 1, 42, /*a=*/7);
+    log.record(TraceKind::kSessionReject, 1, 42, /*a=*/7);
   }
   EXPECT_EQ(log.current(), 0u); // scope restored
   log.end(child, TraceKind::kLockWait, 1, 42);
@@ -453,7 +453,7 @@ TEST(TracerSpans, NestsChildrenUnderAmbientSpan) {
   EXPECT_EQ(events[0].parent, 0u); // root has no parent
   EXPECT_EQ(events[1].kind, TraceKind::kLockWait);
   EXPECT_EQ(events[1].parent, root); // ambient parent captured
-  EXPECT_EQ(events[2].kind, TraceKind::kStage);
+  EXPECT_EQ(events[2].kind, TraceKind::kSessionReject);
   EXPECT_EQ(events[2].phase, TracePhase::kInstant);
   EXPECT_EQ(events[2].parent, root);
   EXPECT_EQ(events[2].a, 7);
@@ -467,7 +467,7 @@ TEST(TracerSpans, ExplicitParentOverridesAmbient) {
   Tracer log(sched, 32);
   const SpanId a = log.begin(TraceKind::kTxnBegin, 0);
   const SpanId b = log.begin_under(a, TraceKind::kCopierStart, 1);
-  log.record_under(b, TraceKind::kApply, 1);
+  log.record_under(b, TraceKind::kCopierCommit, 1);
   const auto events = log.snapshot();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[1].parent, a);
@@ -477,8 +477,8 @@ TEST(TracerSpans, ExplicitParentOverridesAmbient) {
 TEST(TracerSpans, NullTracerIsSafeEverywhere) {
   EXPECT_EQ(Tracer::open(nullptr, TraceKind::kTxnBegin, 0), 0u);
   Tracer::close(nullptr, 3, TraceKind::kTxnBegin, 0); // no crash
-  Tracer::emit(nullptr, TraceKind::kStage, 0);
-  Tracer::emit_under(nullptr, 9, TraceKind::kApply, 0);
+  Tracer::emit(nullptr, TraceKind::kSessionReject, 0);
+  Tracer::emit_under(nullptr, 9, TraceKind::kCopierCommit, 0);
   SpanScope scope(nullptr, 5); // no crash, no effect
 }
 

@@ -119,7 +119,7 @@ TEST(NsInvariants, FalselyDeclaredSiteRestartsAndReintegrates) {
   cluster.bootstrap();
   bool done = false;
   cluster.site(0).tm().run_control_down(
-      {3}, {}, [&](const ControlDownResult& res) {
+      {3}, [&](const ControlDownResult& res) {
         EXPECT_TRUE(res.ok);
         done = true;
       });

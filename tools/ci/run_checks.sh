@@ -131,7 +131,7 @@ step "watchdog self-test (planted NS-lock stall caught, clean run quiet)"
 bundles="$repo/watchdog-bundles"
 rm -rf "$bundles"; mkdir -p "$bundles"
 stall_flags=(--sites=4 --items=100 --degree=3 --scheme=spooler --clients=6
-             --ops=3 --duration-ms=4000 --seed=42 --crash=2@200
+             --ops=3 --duration-ms=4000 --seed=4 --crash=2@200
              --recover=2@300 --retry-limit=1 --watchdog
              --watchdog-recovery-ms=2500)
 rc=0
