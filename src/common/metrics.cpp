@@ -163,6 +163,7 @@ MetricIds Metrics::register_all() {
   m.txn_read_stale_view = c("txn.read_stale_view");
   m.txn_write_infeasible = c("txn.write_infeasible");
   m.txn_ns_reads = c("txn.ns_reads");
+  m.txn_early_votes = c("txn.early_votes");
   m.txn_abort = family("txn.abort.");
 
   m.dm_read_reject = family("dm.read_reject.");

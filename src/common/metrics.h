@@ -157,7 +157,7 @@ struct MetricIds {
   CounterHandle tm_user_submitted, tm_rejected_not_operational;
   CounterHandle txn_committed, txn_2pc_vote_abort, txn_read_redirect,
       txn_read_failover, txn_read_stale_view, txn_write_infeasible,
-      txn_ns_reads;
+      txn_ns_reads, txn_early_votes;
   std::array<CounterHandle, kCodeCount> txn_abort; // txn.abort.<code>
 
   // data manager

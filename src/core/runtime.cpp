@@ -153,10 +153,27 @@ void ClusterRuntime::recover_site_at(SimTime t, SiteId s) {
   schedule_global(t, [this, s]() { recover_site(s); });
 }
 
+bool ClusterRuntime::probe_pending() const {
+  if (!cfg_.reconcile_probes) return false;
+  for (const auto& up : sites_) {
+    if (up->state().mode != SiteMode::kUp) continue;
+    for (const auto& viewer : sites_) {
+      if (viewer == up || viewer->state().mode != SiteMode::kUp ||
+          !net_.reachable(viewer->id(), up->id())) {
+        continue;
+      }
+      const Copy* entry = viewer->stable().kv().find(ns_item(up->id()));
+      if (entry != nullptr && entry->value == 0) return true;
+    }
+  }
+  return false;
+}
+
 void ClusterRuntime::settle(SimTime max_time) {
   // Heuristic quiescence: advance in detector-interval slices until no
-  // transaction coordinators or DM contexts remain in flight anywhere and
-  // every recovering site has finished its refresh.
+  // transaction coordinators or DM contexts remain in flight anywhere,
+  // every recovering site has finished its refresh, and no reconciliation
+  // probe is still due.
   const SimTime deadline = now() + max_time;
   while (now() < deadline) {
     run_until(now() + cfg_.detector_interval);
@@ -172,7 +189,7 @@ void ClusterRuntime::settle(SimTime max_time) {
         break;
       }
     }
-    if (!busy) return;
+    if (!busy && !probe_pending()) return;
   }
   DDBS_WARN << "settle() hit its time bound";
 }

@@ -111,8 +111,13 @@ class ClusterRuntime {
   SimTime local_now(SiteId s) const { return shard_of(s).sched.now(); }
   virtual void run_until(SimTime t) = 0;
   // Run until no coordinator, DM context, parked read or recovery remains
-  // in flight (periodic detector noise aside); bounded by max_time.
+  // in flight (periodic detector noise aside) and no reconciliation probe
+  // is still due; bounded by max_time.
   void settle(SimTime max_time = 60'000'000);
+  // With reconcile_probes on: some operational site is nominally down in
+  // the NS copy of an up site that can reach it, so a probe will restart
+  // it (one-directional integration after a heal).
+  bool probe_pending() const;
 
   // ---- scheduling (lane discipline in sim/scheduler.h) ----
   // Schedule work in `site`'s context: runs on the owning shard, minted

@@ -49,6 +49,8 @@ Site::Site(SiteId id, const Config& cfg, Scheduler& sched, Network& net,
   dm_->set_unreadable_hook([this](ItemId item) {
     rm_->on_demand_copier(item);
   });
+  dm_->set_coordinating_fn(
+      [this](TxnId txn) { return tm_->coordinating(txn); });
   rm_->set_on_operational([this](SessionNum) { fd_->start(); });
 
   rpc_.start([this](const Envelope& env2) {

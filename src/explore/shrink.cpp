@@ -24,11 +24,17 @@ ShrinkResult shrink_schedule(const ExploreOptions& opts,
   res.schedule = failing;
 
   ExploreRunResult best; // result of the current (smallest known) failure
+  ExploreOptions unplanted = opts;
+  unplanted.cfg.planted_bug = PlantedBug::kNone;
   auto violates = [&](const Schedule& s, ExploreRunResult* out) {
     ++res.runs;
     ExploreRunResult r = run_schedule(opts, s, seed);
     if (out != nullptr) *out = r;
-    return r.violated;
+    if (!r.violated || opts.cfg.planted_bug == PlantedBug::kNone) {
+      return r.violated;
+    }
+    ++res.runs;
+    return !run_schedule(unplanted, s, seed).violated;
   };
 
   // The caller asserts `failing` violates, but verify: the shrinker's

@@ -72,6 +72,11 @@ struct BatchReq {
   SessionNum expected_session = 0;
   bool bypass_session_check = false;
   std::vector<BatchOp> ops;
+  // Early vote: every site the coordinator will prepare, ascending (the
+  // PrepareReq::participants it would send), or empty. A listed site whose
+  // batch succeeds on every op prepares at once and votes in its BatchResp,
+  // which saves the separate prepare round.
+  SiteVec prepare;
 };
 
 struct BatchOpResult {
@@ -80,10 +85,22 @@ struct BatchOpResult {
   Version version;   // reads only
 };
 
+// One staged item's current version counter, as a yes vote reports it.
+struct ItemCounter {
+  ItemId item = 0;
+  uint64_t counter = 0;
+};
+// A participant stages few items, so the counters of a vote fit inline.
+using VoteCounters = SmallVec<ItemCounter, 2>;
+
 struct BatchResp {
   TxnId txn = 0;
   Code code = Code::kOk; // batch-level verdict: kOk iff every op succeeded
   std::vector<BatchOpResult> results;
+  // The early vote (BatchReq::prepare): set only when the request listed a
+  // prepare set and code is kOk; then it is a PrepareResp's yes vote.
+  bool vote_yes = false;
+  VoteCounters version_counters;
 };
 
 // One spooled update held for a down site (spooler baseline, Hammer &
@@ -147,7 +164,7 @@ struct PrepareReq {
   // Every prepared site, so an in-doubt site can run cooperative
   // termination against the others when the coordinator is unreachable.
   // Sites released at the lock point are not listed: they learn no outcome.
-  std::vector<SiteId> participants;
+  SiteVec participants;
 };
 
 // A yes-vote returns the current version counter of every copy this
@@ -157,7 +174,7 @@ struct PrepareReq {
 struct PrepareResp {
   TxnId txn = 0;
   bool vote_yes = false;
-  std::vector<std::pair<ItemId, uint64_t>> version_counters;
+  VoteCounters version_counters;
 };
 
 struct CommitReq {

@@ -464,7 +464,16 @@ void DataManager::on_batch(const Envelope& env) {
             break;
           }
         }
-        rpc_.respond(env, std::move(resp));
+        if (resp.code != Code::kOk || r.prepare.empty()) {
+          rpc_.respond(env, std::move(resp));
+          return;
+        }
+        // Early vote: this site is in the prepare set and every op
+        // succeeded, so prepare now exactly as on_prepare would.
+        const bool forced = prepare(ctx, r.prepare);
+        resp.vote_yes = true;
+        resp.version_counters = vote_counters(ctx);
+        respond_vote(env, std::move(resp), forced);
       });
 }
 
@@ -547,52 +556,61 @@ void DataManager::on_prepare(const Envelope& env) {
     rpc_.respond(env, PrepareResp{req.txn, false, {}});
     return;
   }
-  ctx->participants = req.participants;
+  const bool forced = prepare(*ctx, req.participants);
+  respond_vote(env, PrepareResp{req.txn, true, vote_counters(*ctx)}, forced);
+}
+
+bool DataManager::prepare(TxnCtx& ctx, const SiteVec& participants) {
+  ctx.participants = participants;
+  if (ctx.prepared) return false;
+  ctx.prepared = true;
+  if (ctx.activity_timer != 0) {
+    sched_.cancel(ctx.activity_timer);
+    ctx.activity_timer = 0;
+  }
   bool forced_log = false;
-  if (!ctx->prepared) {
-    ctx->prepared = true;
-    if (ctx->activity_timer != 0) {
-      sched_.cancel(ctx->activity_timer);
-      ctx->activity_timer = 0;
+  if (!ctx.writes.empty()) {
+    WalRecord rec;
+    rec.kind = WalRecord::Kind::kPrepare;
+    rec.txn = ctx.txn;
+    rec.txn_kind = ctx.kind;
+    rec.coordinator = ctx.coordinator;
+    for (const auto& [item, w] : ctx.writes) {
+      rec.writes.push_back(
+          WalWrite{item, w.value, w.is_copier, w.copier_version, w.missed});
     }
-    if (!ctx->writes.empty()) {
-      WalRecord rec;
-      rec.kind = WalRecord::Kind::kPrepare;
-      rec.txn = req.txn;
-      rec.txn_kind = ctx->kind;
-      rec.coordinator = ctx->coordinator;
-      for (const auto& [item, w] : ctx->writes) {
-        rec.writes.push_back(
-            WalWrite{item, w.value, w.is_copier, w.copier_version, w.missed});
-      }
-      stable_.wal().append(std::move(rec));
-      ctx->logged_prepare = true;
-      forced_log = true;
-    }
-    arm_termination_timer(req.txn);
+    stable_.wal().append(std::move(rec));
+    ctx.logged_prepare = true;
+    forced_log = true;
   }
-  PrepareResp resp;
-  resp.txn = req.txn;
-  resp.vote_yes = true;
-  for (const auto& [item, w] : ctx->writes) {
+  arm_termination_timer(ctx.txn);
+  return forced_log;
+}
+
+VoteCounters DataManager::vote_counters(const TxnCtx& ctx) const {
+  VoteCounters counters;
+  for (const auto& [item, w] : ctx.writes) {
     const Copy* copy = kv().find(item);
-    resp.version_counters.emplace_back(item,
-                                       copy ? copy->version.counter : 0);
+    counters.push_back(ItemCounter{item, copy ? copy->version.counter : 0});
   }
-  if (forced_log) {
-    // The yes vote is a promise that the prepare record is on the medium:
-    // force the log before answering. The in-memory engine completes the
-    // flush inline, so this is exactly the old synchronous respond there;
-    // the durable engine charges a group-commit disk write first. Read-only
-    // participants skip the force (nothing was logged).
-    const uint64_t epoch = boot_epoch_;
-    stable_.flush([this, env, resp = std::move(resp), epoch]() mutable {
-      if (epoch != boot_epoch_) return; // crashed while the flush was queued
-      rpc_.respond(env, std::move(resp));
-    });
+  return counters;
+}
+
+void DataManager::respond_vote(const Envelope& env, Payload vote,
+                               bool forced) {
+  // Read-only participants skip the force (nothing was logged), and the
+  // in-memory engine is durable at append, so its force completes inline:
+  // both answer now, without building a flush continuation on the heap.
+  if (!forced || cfg_.storage_engine != StorageEngineKind::kDurable) {
+    rpc_.respond(env, std::move(vote));
     return;
   }
-  rpc_.respond(env, std::move(resp));
+  // The durable engine charges a group-commit disk write first.
+  const uint64_t epoch = boot_epoch_;
+  stable_.flush([this, env, vote = std::move(vote), epoch]() mutable {
+    if (epoch != boot_epoch_) return; // crashed while the flush was queued
+    rpc_.respond(env, std::move(vote));
+  });
 }
 
 void DataManager::on_commit(const Envelope& env) {
@@ -852,8 +870,13 @@ void DataManager::on_outcome_query(const Envelope& env) {
   if (const OutcomeRec* rec = stable_.find_outcome(req.txn)) {
     resp.outcome = rec->committed ? Outcome::kCommitted : Outcome::kAborted;
     resp.new_counters = rec->new_counters;
-  } else if (txn_coordinator_site(req.txn) == self_) {
-    // Presumed abort: we coordinated it and have no stable commit record.
+  } else if (txn_coordinator_site(req.txn) == self_ &&
+             !(coordinating_ && coordinating_(req.txn))) {
+    // Presumed abort: we coordinated it, it is over, and there is no stable
+    // commit record. While our TM still runs the coordinator the answer is
+    // unknown: an early vote can outwait the asker's termination timer
+    // while later batches queue for locks, and the transaction may yet
+    // commit.
     resp.outcome = Outcome::kAborted;
   } else {
     resp.outcome = Outcome::kUnknown;

@@ -7,8 +7,10 @@
 //   * runs strict two-phase locking over physical copies, NS copies and
 //     the per-down-site status-table lock items;
 //   * is a two-phase-commit participant (WAL prepare/commit/abort records,
-//     yes-votes carry per-item version counters, cooperative termination
-//     when the coordinator goes silent);
+//     yes-votes carry per-item version counters, either in a PrepareResp or
+//     early, in the BatchResp of a batch that names this site in its
+//     prepare set; cooperative termination when the coordinator goes
+//     silent);
 //   * maintains the Section-5 bookkeeping at commit time: missing-list /
 //     fail-lock additions for skipped copies, removals for written copies,
 //     spool records in spooler mode, and unreadable-mark transitions;
@@ -48,6 +50,8 @@ namespace ddbs {
 class DataManager {
  public:
   using UnreadableHook = std::function<void(ItemId)>;
+  // True while this site's TM still runs the coordinator of `txn`.
+  using CoordinatingFn = std::function<bool(TxnId)>;
 
   DataManager(SiteId self, const Config& cfg, Scheduler& sched,
               RpcEndpoint& rpc, StableStorage& stable, SiteState& state,
@@ -103,6 +107,7 @@ class DataManager {
   // ---- wiring / introspection -------------------------------------------
 
   void set_unreadable_hook(UnreadableHook h) { unreadable_hook_ = std::move(h); }
+  void set_coordinating_fn(CoordinatingFn f) { coordinating_ = std::move(f); }
 
   KvStore& kv() { return stable_.kv(); }
   const KvStore& kv() const { return stable_.kv(); }
@@ -134,7 +139,7 @@ class DataManager {
     std::vector<ItemId> marks;
     std::vector<StatusEntry> ml_rebuild;
     std::vector<SpoolRecord> replay;
-    std::vector<SiteId> participants;
+    SiteVec participants;
     EventId termination_timer = 0;
     EventId activity_timer = 0; // unilateral abort of orphaned contexts
   };
@@ -196,6 +201,16 @@ class DataManager {
   void run_deadlock_check();
   void rearm_deadlock_check();
 
+  // Enter the prepared state (idempotent): remember the prepared set, stop
+  // the activity timer, append the prepare record when anything is staged
+  // and arm the termination timer. True when a record was appended, so the
+  // yes vote must wait for the log force.
+  bool prepare(TxnCtx& ctx, const SiteVec& participants);
+  // The version counters a yes vote carries: one per staged item.
+  VoteCounters vote_counters(const TxnCtx& ctx) const;
+  // Send a yes vote, after the log force when `forced` (the vote promises
+  // the prepare record is on the medium).
+  void respond_vote(const Envelope& env, Payload vote, bool forced);
   void finish_abort(TxnId txn, bool log_abort);
   void apply_commit(TxnCtx& ctx,
                     const std::vector<std::pair<ItemId, uint64_t>>& counters);
@@ -227,6 +242,7 @@ class DataManager {
   // resurrect a partial context (reply kAborted / vote no instead).
   std::unordered_set<TxnId> locally_aborted_;
   UnreadableHook unreadable_hook_;
+  CoordinatingFn coordinating_;
   uint64_t next_chain_ = 1;
   bool deadlock_check_scheduled_ = false;
   // Wait-graph epoch (LockManager::wait_graph_epoch) at the last sweep that

@@ -36,6 +36,8 @@ class TransactionManager {
   void crash();
 
   size_t active_coordinators() const { return coords_.size(); }
+  // True until the coordinator of `txn` (one of ours) retires or dies.
+  bool coordinating(TxnId txn) const { return coords_.count(txn) > 0; }
 
  private:
   TxnId next_id() { return make_txn_id(env_.self, ++seq_); }

@@ -86,8 +86,9 @@ uint64_t CoordinatorBase::send_request(SiteId to, Payload payload,
     hold = Hold::kReads;
   }
   if (hold) {
-    Hold& held = participants_.try_emplace(to, *hold).first->second;
-    held = std::max(held, *hold);
+    Participant& p = participants_[to];
+    p.hold = std::max(p.hold, *hold);
+    p.voted = false;
   }
   const uint64_t id =
       rpc_.send_request(to, std::move(payload), timeout, std::move(cb));
@@ -259,10 +260,10 @@ void CoordinatorBase::run_commit(std::function<void(bool)> k) {
   assert(participants_.count(self_) == 1);
   commit_k_ = std::move(k);
   acks_pending_ = participants_.size();
-  const bool staged =
-      std::any_of(participants_.begin(), participants_.end(),
-                  [](const auto& p) { return p.second == Hold::kStaged; });
-  assert(!staged || participants_.at(self_) != Hold::kReads);
+  const bool staged = std::any_of(
+      participants_.begin(), participants_.end(),
+      [](const auto& p) { return p.second.hold == Hold::kStaged; });
+  assert(!staged || participants_.at(self_).hold != Hold::kReads);
   if (!staged) {
     decided_ = true;
     if (recorder_) recorder_->commit(txn_, sched_.now());
@@ -275,63 +276,85 @@ void CoordinatorBase::run_commit(std::function<void(bool)> k) {
   CommitReq release;
   release.txn = txn_;
   for (auto it = participants_.begin(); it != participants_.end();) {
-    if (staged && it->second != Hold::kReads) {
-      req.participants.push_back((it++)->first);
+    if (staged && it->second.hold != Hold::kReads) {
+      req.participants.push_back(it->first);
+      if (!it->second.voted) ++votes_pending_;
+      ++it;
     } else {
       send_commit(it->first, release);
       it = participants_.erase(it);
     }
   }
-  votes_pending_ = req.participants.size();
-  for (SiteId p : req.participants) {
+  if (!staged) return;
+  if (votes_pending_ == 0) {
+    decide(); // every prepared site voted with its last batch
+    return;
+  }
+  for (const auto& [p, part] : participants_) {
+    if (part.voted) continue;
     send_request(
         p, req, cfg_.rpc_timeout,
         [this, p](Code code, const Payload* payload) {
           if (decided_) return;
-          bool yes = false;
-          if (code == Code::kOk && payload != nullptr) {
-            const auto& resp = std::get<PrepareResp>(*payload);
-            yes = resp.vote_yes;
-            if (yes && !resp.version_counters.empty()) {
-              // Voted yes with staged writes: logged a prepare, can be in
-              // doubt, must ack the decision before we may forget it.
-              write_participants_.push_back(p);
+          const auto* resp = code == Code::kOk && payload != nullptr
+                                 ? &std::get<PrepareResp>(*payload)
+                                 : nullptr;
+          if (resp != nullptr && resp->vote_yes) {
+            count_yes_vote(participants_.at(p), resp->version_counters);
+          } else {
+            any_no_ = true;
+            if (code == Code::kTimeout) {
+              suspect(p);
+              last_prepare_timeouts_.push_back(p);
             }
-            for (const auto& [item, ctr] : resp.version_counters) {
-              auto& slot = max_counters_[item];
-              if (ctr > slot) slot = ctr;
-            }
-          } else if (code == Code::kTimeout) {
-            suspect(p);
-            last_prepare_timeouts_.push_back(p);
           }
-          if (!yes) any_no_ = true;
-          if (--votes_pending_ > 0) return;
-          decided_ = true;
-          if (any_no_) {
-            metrics_.inc(metrics_.id.txn_2pc_vote_abort);
-            send_aborts();
-            if (recorder_) recorder_->abort(txn_);
-            auto cb = std::move(commit_k_);
-            if (cb) cb(false);
-            retire_later();
-            return;
-          }
-          // Commit: assign final version counters, log the decision
-          // durably (presumed abort), then tell every prepared site.
-          CommitReq creq;
-          creq.txn = txn_;
-          for (const auto& [item, ctr] : max_counters_) {
-            creq.new_counters.emplace_back(item, ctr + 1);
-          }
-          OutcomeRec decision{true, creq.new_counters, {}};
-          for (SiteId q : write_participants_) decision.unacked.push_back(q);
-          stable_.record_outcome(txn_, std::move(decision));
-          if (recorder_) recorder_->commit(txn_, sched_.now());
-          for (const auto& entry : participants_) {
-            send_commit(entry.first, creq);
-          }
+          if (--votes_pending_ == 0) decide();
         });
+  }
+}
+
+void CoordinatorBase::count_early_vote(SiteId site, const BatchResp& resp) {
+  if (!resp.vote_yes) return;
+  metrics_.inc(metrics_.id.txn_early_votes);
+  count_yes_vote(participants_.at(site), resp.version_counters);
+}
+
+void CoordinatorBase::count_yes_vote(Participant& p,
+                                     const VoteCounters& counters) {
+  p.voted = true;
+  if (!counters.empty()) p.logged_prepare = true;
+  for (const auto& [item, ctr] : counters) {
+    auto& slot = max_counters_[item];
+    if (ctr > slot) slot = ctr;
+  }
+}
+
+void CoordinatorBase::decide() {
+  decided_ = true;
+  if (any_no_) {
+    metrics_.inc(metrics_.id.txn_2pc_vote_abort);
+    send_aborts();
+    if (recorder_) recorder_->abort(txn_);
+    auto cb = std::move(commit_k_);
+    if (cb) cb(false);
+    retire_later();
+    return;
+  }
+  // Commit: assign final version counters, log the decision durably
+  // (presumed abort), then tell every prepared site.
+  CommitReq creq;
+  creq.txn = txn_;
+  for (const auto& [item, ctr] : max_counters_) {
+    creq.new_counters.emplace_back(item, ctr + 1);
+  }
+  OutcomeRec decision{true, creq.new_counters, {}};
+  for (const auto& [site, part] : participants_) {
+    if (part.logged_prepare) decision.unacked.push_back(site);
+  }
+  stable_.record_outcome(txn_, std::move(decision));
+  if (recorder_) recorder_->commit(txn_, sched_.now());
+  for (const auto& entry : participants_) {
+    send_commit(entry.first, creq);
   }
 }
 
@@ -545,6 +568,27 @@ void UserTxnCoordinator::dispatch_batches(std::shared_ptr<BatchRunState> st) {
   }
   std::sort(st->batches.begin(), st->batches.end(),
             [](const SiteBatch& a, const SiteBatch& b) { return a.to < b.to; });
+  // Early votes: if anything is written, run_commit will prepare every
+  // write target and this site (the NS snapshot's). Those are known now,
+  // so their batches carry the set and each votes as its batch succeeds.
+  SiteVec prepare;
+  for (const SiteBatch& b : st->batches) {
+    if (std::any_of(b.req.ops.begin(), b.req.ops.end(), [](const BatchOp& op) {
+          return op.op == BatchOpKind::kWrite;
+        })) {
+      prepare.push_back(b.to);
+    }
+  }
+  auto listed = [&prepare](SiteId s) {
+    return std::find(prepare.begin(), prepare.end(), s) != prepare.end();
+  };
+  if (!prepare.empty() && !listed(self_)) {
+    prepare.push_back(self_);
+    std::sort(prepare.begin(), prepare.end());
+  }
+  for (SiteBatch& b : st->batches) {
+    if (listed(b.to)) b.req.prepare = prepare;
+  }
   DDBS_TRACE << "txn " << txn_ << " batched " << spec_.ops.size()
              << " ops over " << st->batches.size() << " sites";
   batch_step(std::move(st), 0);
@@ -626,6 +670,7 @@ bool UserTxnCoordinator::consume_batch_resp(BatchRunState& st, size_t i,
         return false;
     }
   }
+  if (resp != nullptr) count_early_vote(to, *resp);
   return true;
 }
 

@@ -2,7 +2,8 @@
 // of transaction shares: the nominal-session-vector snapshot, request
 // plumbing with suspicion reporting, a presumed-abort commit that prepares
 // only the sites holding writes or the NS snapshot (with a durable
-// coordinator decision log), and deferred self-retirement.
+// coordinator decision log) and counts the votes they already gave early,
+// and deferred self-retirement.
 // UserTxnCoordinator drives ordinary transactions under the ROWAA
 // convention (paper Section 3.2); the copier and control coordinators in
 // src/recovery derive from the same base.
@@ -150,7 +151,9 @@ class CoordinatorBase {
   // has been answered (the lock point). When some participant holds a
   // staged write or commit-time action, those sites and the NS snapshot's
   // site are prepared; every other participant only served reads and is
-  // released (CommitReq) in the same step. With nothing staged the
+  // released (CommitReq) in the same step. A prepared site with a standing
+  // early vote (count_early_vote) gets no PrepareReq, so when every one
+  // voted early the decision is made right here. With nothing staged the
   // decision is immediate and every participant is released: no votes, no
   // redo to certify. An early release is safe because a participant's
   // unilateral (activity-timeout) abort can never precede the
@@ -160,6 +163,10 @@ class CoordinatorBase {
   // always a participant); k(false) fires on abort. Retirement is handled
   // inside.
   void run_commit(std::function<void(bool)> k);
+
+  // A yes vote that `site` returned in a BatchResp (BatchReq::prepare). It
+  // stands until the next request that opens a context there.
+  void count_early_vote(SiteId site, const BatchResp& resp);
 
   // Abort everywhere, report `reason` through done_, retire.
   void abort_txn(Code reason);
@@ -220,9 +227,18 @@ class CoordinatorBase {
   // actions are staged at the coordinator's own site, which every type-1
   // also writes).
   enum class Hold : uint8_t { kReads, kNsSnapshot, kStaged };
+  struct Participant {
+    Hold hold = Hold::kReads;
+    // A standing yes vote. send_request voids it: the vote covered only
+    // what the site held when it gave it.
+    bool voted = false;
+    // Some yes vote reported staged writes: the site logged a prepare, can
+    // be in doubt, and is in the decision record's unacked set.
+    bool logged_prepare = false;
+  };
   // Sites holding a DM context of this transaction; run_commit drops the
   // ones it releases, so an abort reaches only the sites still waiting.
-  std::map<SiteId, Hold> participants_;
+  std::map<SiteId, Participant> participants_;
   // Frozen NS snapshot, sparse: only the entries this transaction read.
   // An absent entry reads as session 0 (nominally down), which is what the
   // dense representation held for unread/skipped sites.
@@ -239,6 +255,10 @@ class CoordinatorBase {
   // CommitReq to q: applies the decision at a prepared site, releases a
   // read-only one. Acks drive outcome GC, the local k(true) and retirement.
   void send_commit(SiteId q, const CommitReq& req);
+  void count_yes_vote(Participant& p, const VoteCounters& counters);
+  // Every prepared site has voted: abort on any no, else log the decision
+  // and tell them all.
+  void decide();
 
   DoneFn done_;
   SuspectFn suspect_;
@@ -251,10 +271,6 @@ class CoordinatorBase {
   size_t votes_pending_ = 0;
   bool any_no_ = false;
   std::map<ItemId, uint64_t> max_counters_;
-  // Participants that reported staged writes in their yes vote: exactly the
-  // sites that can later be in doubt, i.e. the unacked set of the durable
-  // decision record (outcome GC erases them as their acks arrive).
-  std::vector<SiteId> write_participants_;
   size_t acks_pending_ = 0;
   std::function<void(bool)> commit_k_;
 };

@@ -1,7 +1,7 @@
 // Coordinator edge cases: empty transactions, read-own-write, the commit's
-// prepare set (read-only sites released at the lock point), transaction
-// deadlines, read failover order, and the WAL checkpointing + outcome-log
-// hygiene those paths rely on.
+// prepare set (read-only sites released at the lock point) and its early
+// votes, transaction deadlines, read failover order, and the WAL
+// checkpointing + outcome-log hygiene those paths rely on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -98,10 +98,16 @@ TEST(CoordinatorEdges, ReadOnlyOnePhaseSkipsVotes) {
   }
 }
 
-TEST(CoordinatorEdges, MixedTxnStillUsesFull2pc) {
-  // Two-phase commit still runs on the sites holding the writes and the NS
-  // snapshot; a site that only served a read is released at the lock point.
-  // Fixed latency: every message of one protocol step lands at once.
+bool hosts(const Catalog& cat, ItemId x, SiteId s) {
+  const auto sites = cat.sites_of(x);
+  return std::find(sites.begin(), sites.end(), s) != sites.end();
+}
+
+TEST(CoordinatorEdges, MixedTxnVotesWithItsBatches) {
+  // Every write target votes with its batch, so no remote site gets a
+  // PrepareReq; a site that only served a read is still released at the
+  // lock point. Fixed latency: every message of one protocol step lands at
+  // once.
   Config cfg = cfg4();
   cfg.net_latency_min = cfg.net_latency_max = 1'000;
   Cluster cluster(cfg, 6);
@@ -109,16 +115,12 @@ TEST(CoordinatorEdges, MixedTxnStillUsesFull2pc) {
   // Site 0 reads `r` at its first copy q and writes `w`, which q does not
   // hold: q serves only a read.
   const Catalog& cat = cluster.catalog();
-  auto hosts = [&cat](ItemId x, SiteId s) {
-    const auto sites = cat.sites_of(x);
-    return std::find(sites.begin(), sites.end(), s) != sites.end();
-  };
   ItemId r = -1, w = -1;
   SiteId q = kInvalidSite;
   for (ItemId x = 0; x < cfg.n_items && w < 0; ++x) {
-    if (hosts(x, 0)) continue;
+    if (hosts(cat, x, 0)) continue;
     for (ItemId y = 0; y < cfg.n_items; ++y) {
-      if (!hosts(y, cat.sites_of(x)[0])) {
+      if (!hosts(cat, y, cat.sites_of(x)[0])) {
         r = x;
         w = y;
         q = cat.sites_of(x)[0];
@@ -127,46 +129,289 @@ TEST(CoordinatorEdges, MixedTxnStillUsesFull2pc) {
     }
   }
   ASSERT_GE(w, 0);
+  // The prepare set: every copy of `w` and the NS snapshot's site 0.
+  std::vector<SiteId> prepared(cat.sites_of(w).begin(), cat.sites_of(w).end());
+  if (!hosts(cat, w, 0)) prepared.insert(prepared.begin(), 0);
   auto log = tap_requests(cluster);
   auto res = cluster.run_txn(0, {{OpKind::kRead, r, 0},
                                  {OpKind::kWrite, w, 9}});
   ASSERT_TRUE(res.committed);
+  cluster.settle();
   const auto n_targets = static_cast<int64_t>(cat.sites_of(w).size());
-  size_t release = log->size(), first_prepare = log->size();
-  size_t first_decision = log->size();
+  size_t release = log->size(), first_decision = log->size();
+  SimTime last_batch = 0;
+  int64_t voting_batches = 0;
   for (size_t i = 0; i < log->size(); ++i) {
     const Delivery& d = (*log)[i];
-    if (d.site == q) {
-      EXPECT_FALSE(std::holds_alternative<PrepareReq>(d.payload));
+    if (const auto* b = std::get_if<BatchReq>(&d.payload)) {
+      last_batch = d.at;
+      if (d.site == q) {
+        EXPECT_TRUE(b->prepare.empty()); // q is not prepared
+      } else if (!b->prepare.empty()) {
+        EXPECT_EQ(b->prepare, prepared);
+        ++voting_batches;
+      }
     }
     if (const auto* p = std::get_if<PrepareReq>(&d.payload)) {
-      // Released sites learn no outcome, so no prepare names them.
-      EXPECT_EQ(std::count(p->participants.begin(), p->participants.end(), q),
-                0);
-      if (d.site != 0 && first_prepare == log->size()) first_prepare = i;
+      // Only the coordinator's own site can lack an early vote: it votes
+      // early only when it also holds a copy of `w`.
+      EXPECT_EQ(d.site, 0);
+      EXPECT_FALSE(hosts(cat, w, 0));
+      EXPECT_EQ(p->participants, prepared);
     }
     if (const auto* c = std::get_if<CommitReq>(&d.payload)) {
       if (d.site == q) {
         EXPECT_TRUE(c->new_counters.empty()); // a release, not a decision
         release = i;
-        // Never before every operation was answered: all copies of `w`
-        // are staged by the time the release lands.
-        EXPECT_EQ(cluster.metrics().get("dm.writes_staged"), n_targets);
-      } else if (!c->new_counters.empty() && first_decision == log->size()) {
+      } else if (!c->new_counters.empty() && d.site != 0 &&
+                 first_decision == log->size()) {
         first_decision = i;
       }
     }
   }
+  EXPECT_EQ(cluster.metrics().get("txn.early_votes"), voting_batches);
+  EXPECT_EQ(voting_batches, n_targets);
   ASSERT_LT(release, log->size());
   ASSERT_LT(first_decision, log->size());
-  // The release goes out with the prepares (compared with a remote one:
-  // loopback latency differs) and lands before the decision.
-  EXPECT_EQ((*log)[release].at, (*log)[first_prepare].at);
-  EXPECT_LT(release, first_decision);
-  cluster.settle();
+  // Released at the lock point: after every batch was served, and no later
+  // than the first remote decision, which leaves in the same step when
+  // every prepared site voted early.
+  EXPECT_GT((*log)[release].at, last_batch);
+  EXPECT_LE((*log)[release].at, (*log)[first_decision].at);
   EXPECT_EQ(cluster.site(q).dm().active_txn_count(), 0u);
   std::string why;
   EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
+}
+
+TEST(CoordinatorEdges, LaterRequestVoidsEarlyVote) {
+  // Site 0 reads `r` (copies at 1, 2, 3) and writes `w` (copies at 0, 2,
+  // 3). Site 1 is dead but not yet declared, so the read times out there
+  // and fails over to site 2 after site 2 voted with its batch: that read
+  // voids site 2's vote, and site 2 alone gets a PrepareReq.
+  Config cfg = cfg4();
+  cfg.net_latency_min = cfg.net_latency_max = 1'000;
+  Cluster cluster(cfg, 13);
+  cluster.bootstrap();
+  const Catalog& cat = cluster.catalog();
+  ItemId r = -1, w = -1;
+  for (ItemId x = 0; x < cfg.n_items; ++x) {
+    if (r < 0 && !hosts(cat, x, 0)) r = x;
+    if (w < 0 && !hosts(cat, x, 1)) w = x;
+  }
+  ASSERT_GE(r, 0);
+  ASSERT_GE(w, 0);
+  ASSERT_EQ(cat.sites_of(r)[1], 2);
+  ASSERT_TRUE(hosts(cat, w, 2));
+  cluster.site(2).stable().kv().install(r, 42, Version{1, 0});
+  cluster.site(3).stable().kv().install(r, 42, Version{1, 0});
+  auto log = tap_requests(cluster);
+  cluster.crash_site(1);
+  auto res = cluster.run_txn(0, {{OpKind::kRead, r, 0},
+                                 {OpKind::kWrite, w, 9}});
+  ASSERT_TRUE(res.committed) << to_string(res.reason);
+  EXPECT_EQ(res.reads[0], 42); // served by site 2
+  EXPECT_EQ(cluster.metrics().get("txn.early_votes"), 3);
+  std::vector<SiteId> prepares;
+  for (const Delivery& d : *log) {
+    if (std::holds_alternative<PrepareReq>(d.payload)) {
+      prepares.push_back(d.site);
+    }
+  }
+  EXPECT_EQ(prepares, std::vector<SiteId>{2});
+  cluster.recover_site(1);
+  cluster.settle();
+  std::string why;
+  EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
+}
+
+TEST(CoordinatorEdges, BatchWithFailedOpDoesNotVote) {
+  // Site a holds `r` and `w`; its batch stages the write but its read of
+  // the unreadable `r` fails, so it does not vote and is asked later.
+  Config cfg = cfg4();
+  cfg.unreadable_policy = UnreadablePolicy::kRedirect;
+  Cluster cluster(cfg, 14);
+  cluster.bootstrap();
+  const Catalog& cat = cluster.catalog();
+  ItemId r = -1, w = -1;
+  for (ItemId x = 0; x < cfg.n_items && w < 0; ++x) {
+    if (hosts(cat, x, 0)) continue;
+    for (ItemId y = 0; y < cfg.n_items; ++y) {
+      if (y != x && hosts(cat, y, cat.sites_of(x)[0])) {
+        r = x;
+        w = y;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(w, 0);
+  const SiteId a = cat.sites_of(r)[0];
+  cluster.site(a).stable().kv().mark_unreadable(r);
+  auto log = tap_requests(cluster);
+  auto res = cluster.run_txn(0, {{OpKind::kRead, r, 0},
+                                 {OpKind::kWrite, w, 9}});
+  ASSERT_TRUE(res.committed) << to_string(res.reason);
+  bool listed = false, asked = false;
+  for (const Delivery& d : *log) {
+    if (d.site != a) continue;
+    if (const auto* b = std::get_if<BatchReq>(&d.payload)) {
+      listed = listed || !b->prepare.empty();
+    }
+    asked = asked || std::holds_alternative<PrepareReq>(d.payload);
+  }
+  EXPECT_TRUE(listed);
+  EXPECT_TRUE(asked);
+  // Every other write target voted with its batch.
+  int64_t others = 0;
+  for (SiteId s : cat.sites_of(w)) others += s != a ? 1 : 0;
+  EXPECT_EQ(cluster.metrics().get("txn.early_votes"), others);
+  cluster.settle();
+  std::string why;
+  EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
+}
+
+// RPC id of hand-delivered requests: no endpoint ever issues it, so their
+// responses match no pending request.
+constexpr uint64_t kNoReply = ~0ull;
+
+// Hold an exclusive lock on `item` at site `s` for `hold` sim-us, through a
+// hand-made transaction that stages a write there and is then aborted.
+void hold_lock(Cluster& cluster, SiteId s, ItemId item, SimTime hold) {
+  const TxnId blocker = make_txn_id(s, 1'000'000);
+  BatchReq req;
+  req.txn = blocker;
+  req.coordinator = s;
+  req.expected_session = cluster.site(s).state().session;
+  BatchOp op;
+  op.op = BatchOpKind::kWrite;
+  op.item = item;
+  op.value = -1;
+  req.ops.push_back(op);
+  cluster.site(s).dm().handle_request(Envelope{kNoReply, false, s, s, req});
+  ASSERT_EQ(cluster.site(s).dm().locks().holders_of(item).size(), 1u);
+  cluster.scheduler().after(hold, [&cluster, s, blocker]() {
+    cluster.site(s).dm().handle_request(
+        Envelope{kNoReply, false, s, s, AbortReq{blocker}});
+  });
+}
+
+// An item site 0 does not hold (so its coordinator prepares by message),
+// whose last copy is where the lock is held.
+ItemId remote_item(const Catalog& cat, ItemId n_items) {
+  for (ItemId x = 0; x < n_items; ++x) {
+    if (!hosts(cat, x, 0)) return x;
+  }
+  return -1;
+}
+
+TEST(CoordinatorEdges, EarlyVoterOutwaitsItsTerminationTimer) {
+  // The first two copies of `w` vote with their batches; the last copy's
+  // batch queues 100 ms for a lock, past the voters' 60 ms termination
+  // timers. Their OutcomeQuery reaches the coordinator's site while its TM
+  // still runs the transaction, so the answer must be "unknown", not
+  // presumed abort: the transaction commits and every copy applies it.
+  Config cfg = cfg4();
+  Cluster cluster(cfg, 15);
+  cluster.bootstrap();
+  const Catalog& cat = cluster.catalog();
+  const ItemId w = remote_item(cat, cfg.n_items);
+  ASSERT_GE(w, 0);
+  const SiteId last = cat.sites_of(w).back();
+  hold_lock(cluster, last, w, 100'000);
+  auto res = cluster.run_txn(0, {{OpKind::kWrite, w, 9}});
+  ASSERT_TRUE(res.committed) << to_string(res.reason);
+  EXPECT_GE(cluster.metrics().get("dm.termination_queries"), 2);
+  EXPECT_EQ(cluster.metrics().get("dm.termination_aborted"), 0);
+  cluster.settle();
+  for (SiteId s : cat.sites_of(w)) {
+    EXPECT_EQ(cluster.site(s).stable().kv().find(w)->value, 9) << "site " << s;
+  }
+  std::string why;
+  EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
+}
+
+TEST(CoordinatorEdges, CoordinatorCrashAfterEarlyVotesAborts) {
+  // As above, but the coordinator's site crashes while the last copy's
+  // batch waits. The early voters are in doubt until that site is back;
+  // then presumed abort resolves them and their locks are free again.
+  Config cfg = cfg4();
+  Cluster cluster(cfg, 16);
+  cluster.bootstrap();
+  const Catalog& cat = cluster.catalog();
+  const ItemId w = remote_item(cat, cfg.n_items);
+  ASSERT_GE(w, 0);
+  const SiteId last = cat.sites_of(w).back();
+  hold_lock(cluster, last, w, 100'000);
+  bool done = false;
+  cluster.submit(0, {{OpKind::kWrite, w, 9}},
+                 [&done](const TxnResult&) { done = true; });
+  cluster.run_until(cluster.now() + 30'000);
+  EXPECT_EQ(cluster.metrics().get("txn.early_votes"), 2);
+  cluster.crash_site(0);
+  cluster.run_until(cluster.now() + 200'000);
+  cluster.recover_site(0);
+  cluster.settle();
+  EXPECT_FALSE(done);
+  EXPECT_GE(cluster.metrics().get("dm.termination_aborted") +
+                cluster.metrics().get("dm.indoubt_aborted"),
+            2);
+  for (SiteId s : cat.sites_of(w)) {
+    EXPECT_EQ(cluster.site(s).dm().active_txn_count(), 0u) << "site " << s;
+    EXPECT_TRUE(cluster.site(s).dm().locks().holders_of(w).empty())
+        << "site " << s;
+    EXPECT_EQ(cluster.site(s).stable().kv().find(w)->value, 0) << "site " << s;
+  }
+  // The item is writable again.
+  EXPECT_TRUE(cluster.run_txn(1, {{OpKind::kWrite, w, 7}}).committed);
+  cluster.settle();
+  std::string why;
+  EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
+}
+
+TEST(CoordinatorEdges, DurableVoteWaitsForItsFlush) {
+  // Under the durable engine a yes vote promises the prepare record is on
+  // the medium, so a voting batch answers one disk write later than the
+  // same batch without a prepare set. Fixed latency isolates the disk.
+  Config cfg = cfg4();
+  cfg.net_latency_min = cfg.net_latency_max = 1'000;
+  cfg.storage_engine = StorageEngineKind::kDurable;
+  cfg.disk_latency_us = 5'000;
+  Cluster cluster(cfg, 17);
+  cluster.bootstrap();
+  const Catalog& cat = cluster.catalog();
+  const ItemId w = remote_item(cat, cfg.n_items);
+  ASSERT_GE(w, 0);
+  const SiteId p = cat.sites_of(w).front();
+  auto round_trip = [&](uint64_t seq, bool vote) {
+    BatchReq req;
+    req.txn = make_txn_id(0, seq);
+    req.coordinator = 0;
+    req.expected_session = cluster.site(p).state().session;
+    BatchOp op;
+    op.op = BatchOpKind::kWrite;
+    op.item = w;
+    op.value = 5;
+    req.ops.push_back(op);
+    if (vote) req.prepare = {0, p};
+    const SimTime sent = cluster.now();
+    SimTime answered = kNoTime;
+    bool voted = false;
+    cluster.site(0).rpc().send_request(
+        p, req, cfg.rpc_timeout,
+        [&](Code code, const Payload* payload) {
+          answered = cluster.now();
+          voted = code == Code::kOk && std::get<BatchResp>(*payload).vote_yes;
+        });
+    cluster.run_until(cluster.now() + 50'000);
+    cluster.site(p).dm().handle_request(
+        Envelope{kNoReply, false, 0, p, AbortReq{req.txn}});
+    EXPECT_NE(answered, kNoTime);
+    EXPECT_EQ(voted, vote);
+    return answered - sent;
+  };
+  const SimTime plain = round_trip(1'000'000, false);
+  const SimTime voting = round_trip(1'000'001, true);
+  EXPECT_GE(voting - plain, cfg.disk_latency_us);
+  EXPECT_GE(cluster.metrics().get("disk.writes"), 1);
 }
 
 TEST(CoordinatorEdges, CopierPreparesOnlyItsOwnSite) {

@@ -76,23 +76,27 @@ TEST(SweepDeterminism, SeedsProduceDistinctRuns) {
   EXPECT_EQ(res.runs[0].report_json, again.runs[0].report_json);
 }
 
-// One cell, planted skip-mark bug, and a crash window long enough for the
-// failure detector to declare the site down so stale writes accumulate,
-// with little traffic left after the recovery to paper over the unmarked
-// copy. Deterministic: seeds 6 and 8 trip the convergence oracle.
+// One cell, planted skip-mark bug, built to lose a write on every seed:
+// one client per site keeps the NS locks free often enough for the type-2
+// to declare site 1 down early in a 2.9 s outage, 16 items and 2 ops per
+// transaction write the unmarked copy's item many times after that, and
+// the reboot 10 ms before the load ends leaves no later write to paper
+// over the stale copy.
 SweepSpec planted_spec() {
   SweepSpec spec = small_spec();
   spec.cells.resize(1);
   spec.cells[0].cfg.planted_bug = PlantedBug::kSkipMark;
+  spec.cells[0].cfg.n_items = 16;
   spec.seed_base = 1;
   spec.seeds = 8;
-  spec.params.workload.ops_per_txn = 3; // match the ddbs_sweep CLI default
-  spec.params.duration = 800'000;
+  spec.params.clients_per_site = 1;
+  spec.params.workload.ops_per_txn = 2;
+  spec.params.duration = 3'000'000;
   spec.params.schedule.clear();
   spec.params.schedule.push_back(
       FailureEvent{80'000, FailureEvent::What::kCrash, 1});
   spec.params.schedule.push_back(
-      FailureEvent{680'000, FailureEvent::What::kRecover, 1});
+      FailureEvent{2'990'000, FailureEvent::What::kRecover, 1});
   return spec;
 }
 
@@ -119,7 +123,7 @@ TEST(SweepOracles, FailFastStopsSchedulingAfterFirstFailure) {
   SweepSpec spec = planted_spec();
   spec.fail_fast = true;
   // Serial execution makes the cutoff deterministic: everything after the
-  // first failing seed (6) is skipped.
+  // first failing seed (1) is skipped.
   const SweepResult res = run_sweep(spec, 1);
   int completed = 0, failures = 0;
   for (const SweepRun& r : res.runs) {

@@ -194,10 +194,10 @@ TEST(Telemetry, TicksCarryPerSiteState) {
 // ------------------------------------------------------------- watchdog
 
 // The historical NS-lock stall, re-enabled via cfg.planted_stall: with
-// control_retry_limit = 1 the first type-1/type-2 lock collision exhausts
-// the retry cycle and the planted give-up strands the site in kRecovering
-// forever. The fixed code (same squeeze, no planted_stall) cools down,
-// restarts the cycle and comes up -- zero stalls.
+// control_retry_limit = 1 the first failed type-1 exhausts the retry cycle
+// and the planted give-up strands the site in kRecovering forever. The
+// fixed code (same squeeze, no planted_stall) cools down, restarts the
+// cycle and comes up -- zero stalls.
 Config stall_config(bool planted) {
   Config cfg;
   cfg.n_sites = 4;
@@ -216,11 +216,10 @@ struct StallRun {
 };
 
 StallRun run_stall_scenario(bool planted) {
-  // Seed and load shape (ops below) make the recovering site's first
-  // type-1 collide with the concurrent type-2 declaration on the NS
-  // copies, which is the collision the planted give-up turns into a
-  // permanent strand. About one seed in five collides; any change to the
-  // message pattern reshuffles which ones.
+  // Site 3 crashes just before site 2 reboots and is still nominally up
+  // when site 2's first type-1 writes its NS copy, so that attempt times
+  // out on every seed: the planted give-up strands site 2 by construction.
+  // Site 3 comes back once the fixed code's cool-down has let site 2 up.
   constexpr uint64_t kSeed = 4;
   Cluster cluster(stall_config(planted), kSeed);
   cluster.bootstrap();
@@ -234,7 +233,9 @@ StallRun run_stall_scenario(bool planted) {
   rp.duration = 4'000'000;
   rp.workload.ops_per_txn = 3; // not the WorkloadParams default of 4
   rp.schedule.push_back({200'000, FailureEvent::What::kCrash, 2});
+  rp.schedule.push_back({290'000, FailureEvent::What::kCrash, 3});
   rp.schedule.push_back({300'000, FailureEvent::What::kRecover, 2});
+  rp.schedule.push_back({2'000'000, FailureEvent::What::kRecover, 3});
   rp.stop_check = [&stream]() { return stream.stalled(); };
   rp.stop_poll = topts.interval;
   Runner runner(cluster, rp, kSeed);

@@ -12,14 +12,18 @@
 //   0  clean protocol explored with zero violations, or -- under
 //      --planted-bug -- the planted bug was found, shrunk and its repro
 //      verified (self-check passed), or --replay reproduced its artifact
-//      byte-for-byte.
+//      byte-for-byte, or --replay --without-bug ran the artifact with its
+//      planted bug off and found nothing.
 //   1  violations found in an unmutated protocol; or a planted bug the
-//      explorer failed to find (self-check failed); or a replay mismatch.
+//      explorer failed to find (self-check failed); or a replay mismatch;
+//      or a --without-bug replay that still violates (the artifact does not
+//      exercise its planted bug).
 //
 // Examples:
 //   ddbs_explore --schedules=50 --seeds=2 -j 8 --corpus=corpus/
 //   ddbs_explore --planted-bug=skip-mark --schedules=12 -j 4
 //   ddbs_explore --replay=corpus/REPRO_sched7_seed1.json
+//   ddbs_explore --replay=corpus/REPRO_sched7_seed1.json --without-bug
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -52,6 +56,7 @@ struct Options {
   bool fail_fast = false;
   std::string corpus = "explore-corpus";
   std::string replay_path;   // non-empty => replay mode
+  bool without_bug = false;  // replay with the planted bug off
   std::string telemetry_dir; // "" = don't write per-run telemetry JSONL
 };
 
@@ -81,6 +86,8 @@ Options parse(int argc, char** argv) {
            {"max-shrinks", &o.max_shrinks, "violations to shrink"},
            {"corpus", &o.corpus, "minimized repro artifacts (\"\" = off)"},
            {"replay", &o.replay_path, "replay one repro artifact and exit"},
+           {"without-bug", &o.without_bug,
+            "with --replay: turn the planted bug off, require no violation"},
            {"telemetry-dir", &o.telemetry_dir,
             "write TEL_sched<S>_seed<N>.jsonl per run"},
            {"telemetry-interval-ms", &o.run.telemetry.interval,
@@ -100,7 +107,7 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
-int replay_artifact(const std::string& path) {
+int replay_artifact(const std::string& path, bool without_bug) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "ddbs_explore: cannot read %s\n", path.c_str());
@@ -118,6 +125,19 @@ int replay_artifact(const std::string& path) {
               static_cast<unsigned long long>(a.seed), a.schedule.size(),
               a.schedule.size() == 1 ? "" : "s",
               to_string(a.schedule).c_str());
+  if (without_bug) {
+    // The artifact stands for its planted bug only if the unmutated
+    // protocol survives the same schedule and seed.
+    a.opts.cfg.planted_bug = PlantedBug::kNone;
+    const ReplayResult r = replay(a);
+    if (r.violated) {
+      std::fprintf(stderr, "ddbs_explore: violates without its planted bug:"
+                   " %s\n", to_string(r.run.violations.front()).c_str());
+      return 1;
+    }
+    std::printf("clean without its planted bug\n");
+    return 0;
+  }
   const ReplayResult r = replay(a);
   if (!r.violated) {
     std::fprintf(stderr, "ddbs_explore: replay did NOT violate (expected"
@@ -146,7 +166,9 @@ struct RunOutcome {
 
 int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
-  if (!o.replay_path.empty()) return replay_artifact(o.replay_path);
+  if (!o.replay_path.empty()) {
+    return replay_artifact(o.replay_path, o.without_bug);
+  }
 
   const size_t total =
       static_cast<size_t>(o.schedules) * static_cast<size_t>(o.seeds);
@@ -241,6 +263,17 @@ int main(int argc, char** argv) {
       break;
     }
     RunOutcome& out = outcomes[i];
+    if (o.run.cfg.planted_bug != PlantedBug::kNone) {
+      ExploreOptions unplanted = o.run;
+      unplanted.cfg.planted_bug = PlantedBug::kNone;
+      if (run_schedule(unplanted, out.schedule, out.seed).violated) {
+        std::printf("  sched %llu seed %llu: violates without its planted"
+                    " bug too; not a repro of it\n",
+                    static_cast<unsigned long long>(out.schedule_seed),
+                    static_cast<unsigned long long>(out.seed));
+        continue;
+      }
+    }
     ++shrunk;
     const ShrinkResult sr = shrink_schedule(o.run, out.schedule, out.seed,
                                             o.shrink_budget);
