@@ -164,6 +164,7 @@ MetricIds Metrics::register_all() {
   m.txn_write_infeasible = c("txn.write_infeasible");
   m.txn_ns_reads = c("txn.ns_reads");
   m.txn_early_votes = c("txn.early_votes");
+  m.txn_chain_relaunches = c("txn.chain_relaunches");
   m.txn_abort = family("txn.abort.");
 
   m.dm_read_reject = family("dm.read_reject.");
@@ -190,6 +191,7 @@ MetricIds Metrics::register_all() {
   m.dm_indoubt_aborted = c("dm.indoubt_aborted");
   m.dm_indoubt_committed = c("dm.indoubt_committed");
   m.dm_wal_checkpoints = c("dm.wal_checkpoints");
+  m.dm_chain_forwards = c("dm.chain_forwards");
 
   m.copier_started = c("copier.started");
   m.copier_resolutions = c("copier.resolutions");

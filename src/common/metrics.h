@@ -157,7 +157,7 @@ struct MetricIds {
   CounterHandle tm_user_submitted, tm_rejected_not_operational;
   CounterHandle txn_committed, txn_2pc_vote_abort, txn_read_redirect,
       txn_read_failover, txn_read_stale_view, txn_write_infeasible,
-      txn_ns_reads, txn_early_votes;
+      txn_ns_reads, txn_early_votes, txn_chain_relaunches;
   std::array<CounterHandle, kCodeCount> txn_abort; // txn.abort.<code>
 
   // data manager
@@ -171,7 +171,7 @@ struct MetricIds {
       dm_termination_blocked_round, dm_termination_queries,
       dm_termination_committed, dm_termination_aborted, dm_mark_all_items,
       dm_spool_applied, dm_indoubt_aborted, dm_indoubt_committed,
-      dm_wal_checkpoints;
+      dm_wal_checkpoints, dm_chain_forwards;
 
   // copier transactions
   CounterHandle copier_started, copier_resolutions, copier_totally_failed,

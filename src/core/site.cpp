@@ -53,12 +53,12 @@ Site::Site(SiteId id, const Config& cfg, Scheduler& sched, Network& net,
       [this](TxnId txn) { return tm_->coordinating(txn); });
   rm_->set_on_operational([this](SessionNum) { fd_->start(); });
 
-  rpc_.start([this](const Envelope& env2) {
+  rpc_.start([this](Envelope& env2) {
     if (std::holds_alternative<DeclaredDown>(env2.payload)) {
       on_declared_down();
       return;
     }
-    dm_->handle_request(env2);
+    dm_->handle_request(std::move(env2));
   });
 }
 

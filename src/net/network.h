@@ -45,7 +45,8 @@ class CrossShardSink {
 
 class Network {
  public:
-  using Handler = std::function<void(const Envelope&)>;
+  // Called with each delivered envelope, which it may move from.
+  using Handler = std::function<void(Envelope&)>;
 
   // One scheduler per site shard; site s lives on shard site_shard[s].
   // `sink` receives cross-shard sends (unused with a single shard).

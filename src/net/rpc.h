@@ -14,10 +14,11 @@ namespace ddbs {
 
 class RpcEndpoint {
  public:
-  // Called for every incoming request envelope.
-  using RequestHandler = std::function<void(const Envelope&)>;
-  // Called exactly once per send_request: with kOk and the response payload,
-  // or with kTimeout and nullptr.
+  // Called for every incoming request envelope, which it may move from.
+  using RequestHandler = std::function<void(Envelope&)>;
+  // Called at most once per registered reply (send_request, expect_reply):
+  // with kOk and the response payload, or with kTimeout and nullptr; never
+  // once the request is cancelled or the endpoint reset.
   using ResponseCb = std::function<void(Code, const Payload*)>;
 
   RpcEndpoint(SiteId self, Network& net, Scheduler& sched);
@@ -31,9 +32,22 @@ class RpcEndpoint {
 
   uint64_t send_request(SiteId to, Payload payload, SimTime timeout,
                         ResponseCb cb);
+  // Chained requests, where one site forwards a request on to the next
+  // and each answers the requester directly. expect_reply registers a
+  // pending reply whose request another site will deliver; its timeout
+  // does not run until arm_timeout (a no-op once armed or answered).
+  // send_registered sends a request under such an id itself -- a
+  // duplicate delivery answers an id that is already gone and is dropped.
+  // forward passes a received request on to `to` under `rpc_id`; the
+  // reply goes to the original requester, not to this site.
+  uint64_t expect_reply(ResponseCb cb);
+  void arm_timeout(uint64_t rpc_id, SimTime timeout);
+  void send_registered(uint64_t rpc_id, SiteId to, Payload payload);
+  void forward(const Envelope& request, uint64_t rpc_id, SiteId to,
+               Payload payload);
   // Fire-and-forget (no response expected, no timeout tracked).
   void send_oneway(SiteId to, Payload payload);
-  // Reply to a received request.
+  // Reply to a received request (to its requester, see forward).
   void respond(const Envelope& request, Payload payload);
 
   // Forget an outstanding request; its callback will never run.
@@ -55,7 +69,11 @@ class RpcEndpoint {
     SpanId resume_span = 0;
   };
 
-  void on_envelope(const Envelope& env);
+  void on_envelope(Envelope& env);
+  // The site whose endpoint awaits the response to `request`.
+  static SiteId requester(const Envelope& request) {
+    return request.reply_to != kInvalidSite ? request.reply_to : request.from;
+  }
 
   SiteId self_;
   Network& net_;

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/logging.h"
+#include "recovery/failure_detector.h"
 
 namespace ddbs {
 
@@ -15,6 +16,7 @@ ControlUpCoordinator::ControlUpCoordinator(TxnId txn,
                                            DataManager& local_dm,
                                            UpDoneFn done)
     : CoordinatorBase(txn, TxnKind::kControlUp, env),
+      env_(env),
       dm_(local_dm),
       up_done_(std::move(done)) {}
 
@@ -72,11 +74,33 @@ void ControlUpCoordinator::pick_sponsor() {
             const bool lowest_alive =
                 std::all_of(alive->begin(), alive->end(),
                             [this](SiteId a) { return a > self_; });
-            if (lowest_alive) {
-              bootstrap_cold_start();
-            } else {
+            if (!lowest_alive) {
               fail(Code::kNoCopyAvailable);
+              return;
             }
+            // One lost ping or pong makes a live site look silent, and an
+            // operational one would then run beside a re-founded cluster
+            // with forked NS copies. Every silent site must prove dead
+            // first; if any answers, retry instead.
+            std::vector<SiteId> silent;
+            for (SiteId q = 0; q < cfg_.n_sites; ++q) {
+              if (q != self_ && std::find(alive->begin(), alive->end(), q) ==
+                                    alive->end()) {
+                silent.push_back(q);
+              }
+            }
+            const size_t n_silent = silent.size();
+            FailureDetector::verify_dead(
+                env_, std::move(silent),
+                [this, n_silent, life = std::weak_ptr<char>(life_)](
+                    std::vector<SiteId> dead) {
+                  if (life.expired() || decided_) return;
+                  if (dead.size() == n_silent) {
+                    bootstrap_cold_start();
+                  } else {
+                    fail(Code::kNoCopyAvailable);
+                  }
+                });
             return;
           }
           std::sort(ping_candidates_.begin(), ping_candidates_.end());

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 
 #include "txn/data_manager.h"
 #include "txn/txn_coordinator.h"
@@ -59,6 +60,10 @@ class ControlUpCoordinator : public CoordinatorBase {
   // resolution protocol drains them as peers rejoin.
   void bootstrap_cold_start();
 
+  const CoordinatorEnv env_;
+  // Expires with this coordinator: the silent-site check's pings are not
+  // swept by ~CoordinatorBase.
+  std::shared_ptr<char> life_ = std::make_shared<char>();
   DataManager& dm_;
   UpDoneFn up_done_;
   std::vector<SiteId> ping_candidates_;

@@ -70,11 +70,11 @@ TEST(Determinism, DifferentSeedsDiverge) {
 
 // Fixed-seed trajectory fingerprints of a 64-site DES run with a crash and
 // a recovery, in legacy global-FIFO key mode and in site-keyed mode. The
-// pinned values were re-captured when prepared sites began voting with
-// their last batch (a writing transaction skips the separate prepare
-// round: fewer messages and events, more commits in the window and a
-// shifted RNG stream); a change that moves them changes the order events
-// fire in and must say why.
+// pinned values were re-captured when each site began forwarding a user
+// transaction's next batch itself (chained dispatch: a transaction costs
+// one network hop per site instead of a round trip, so more commit in the
+// window and the RNG stream shifts); a change that moves them changes the
+// order events fire in and must say why.
 struct Trajectory {
   int64_t submitted = 0;
   int64_t committed = 0;
@@ -115,12 +115,12 @@ Trajectory run_pinned(bool site_keys) {
 
 TEST(Determinism, PinnedTrajectoryLegacyKeys) {
   EXPECT_EQ(run_pinned(/*site_keys=*/false),
-            (Trajectory{660, 620, 30'788, 33'951}));
+            (Trajectory{903, 849, 39'801, 43'702}));
 }
 
 TEST(Determinism, PinnedTrajectorySiteKeys) {
   EXPECT_EQ(run_pinned(/*site_keys=*/true),
-            (Trajectory{658, 616, 32'051, 35'488}));
+            (Trajectory{956, 908, 38'292, 41'635}));
 }
 
 } // namespace
