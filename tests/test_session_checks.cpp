@@ -70,6 +70,53 @@ TEST_F(SessionFixture, StaleSessionAfterReincarnationRejected) {
   EXPECT_EQ(cluster->site(0).dm().active_txn_count(), 0u);
 }
 
+TEST(SessionChecks, PlantedSkipSessionCheckAdmitsAStaleWrite) {
+  // The planted `skip-session-check` bug in isolation: an up site handed a
+  // write that carries its previous session rejects it, and with the bug
+  // planted stages it and takes its X lock. Reads reject either way (the
+  // mutation is scoped to the write path).
+  for (const PlantedBug bug :
+       {PlantedBug::kNone, PlantedBug::kSkipSessionCheck}) {
+    SCOPED_TRACE(bug == PlantedBug::kNone ? "bug off" : "bug on");
+    Config cfg;
+    cfg.n_sites = 3;
+    cfg.n_items = 20;
+    cfg.replication_degree = 3;
+    cfg.planted_bug = bug;
+    Cluster cluster(cfg, 55);
+    cluster.bootstrap();
+    const SessionNum old_session = cluster.site(0).state().session;
+    cluster.crash_site(0);
+    cluster.run_until(cluster.now() + 400'000);
+    cluster.recover_site(0);
+    cluster.settle();
+    ASSERT_EQ(cluster.site(0).state().mode, SiteMode::kUp);
+    ASSERT_NE(cluster.site(0).state().session, old_session);
+
+    BatchReq req;
+    req.txn = make_txn_id(1, 600);
+    req.coordinator = 1;
+    req.expected_session = old_session;
+    BatchOp write;
+    write.op = BatchOpKind::kWrite;
+    write.item = 0;
+    write.value = 99;
+    req.ops.push_back(write);
+    BatchOp read;
+    read.item = 1;
+    req.ops.push_back(read);
+    cluster.site(0).dm().handle_request(
+        Envelope{1234, false, 1, 0, std::move(req)});
+    const bool planted = bug == PlantedBug::kSkipSessionCheck;
+    EXPECT_EQ(cluster.metrics().get("dm.write_reject.session-mismatch"),
+              planted ? 0 : 1);
+    EXPECT_EQ(cluster.metrics().get("dm.read_reject.session-mismatch"), 1);
+    EXPECT_EQ(cluster.site(0).dm().active_txn_count(), planted ? 1u : 0u);
+    EXPECT_EQ(cluster.site(0).dm().locks().holders_of(0).size(),
+              planted ? 1u : 0u);
+  }
+}
+
 TEST_F(SessionFixture, CurrentSessionAccepted) {
   cluster->site(0).dm().handle_request(env_from(
       1, read_req(make_txn_id(1, 502), 0, cluster->site(0).state().session)));
