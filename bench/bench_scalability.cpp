@@ -1,7 +1,7 @@
 // E8 / Table 8 -- how the session-vector machinery scales with the number
 // of sites. The paper's cost argument (Section 6 / comparison with [2]) is
 // that per-site status is O(n_sites): every recovery touches every
-// nominally-up site (NS writes + status reads), and every user transaction
+// nominally-up site (NS writes + status takes), and every user transaction
 // reads an n-entry local vector. This bench measures both ends: recovery
 // latency / message cost vs n, and steady-state throughput vs n.
 #include <chrono>

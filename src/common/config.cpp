@@ -59,7 +59,6 @@ constexpr ConfigField kFields[] = {
      "when copier transactions run (Section 3.2)"},
     {"unreadable_policy", "policy", &C::unreadable_policy,
      "a read of an unreadable copy blocks or redirects"},
-    {"spooler_copies", nullptr, &C::spooler_copies, nullptr},
     {"net_latency_min", nullptr, &C::net_latency_min, nullptr},
     {"net_latency_max", nullptr, &C::net_latency_max, nullptr},
     {"msg_loss_prob", "loss", &C::msg_loss_prob, "message loss probability"},

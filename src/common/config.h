@@ -161,7 +161,6 @@ struct Config {
   OutdatedStrategy outdated_strategy = OutdatedStrategy::kMarkAll;
   CopierMode copier_mode = CopierMode::kEager;
   UnreadablePolicy unreadable_policy = UnreadablePolicy::kBlock;
-  int spooler_copies = 2; // spooler baseline: spoolers per missed update
 
   // Network model (microseconds).
   SimTime net_latency_min = 500;
@@ -245,6 +244,15 @@ struct Config {
 
   int effective_replication() const {
     return replication_degree > n_sites ? n_sites : replication_degree;
+  }
+
+  // Writers that skip a nominally-down copy leave a status entry (a
+  // fail-lock, a missing-list entry or a spool record) that the recovering
+  // site's type-1 control transaction collects and clears (Section 5).
+  bool keeps_status_tables() const {
+    return recovery_scheme == RecoveryScheme::kSpooler ||
+           outdated_strategy == OutdatedStrategy::kFailLock ||
+           outdated_strategy == OutdatedStrategy::kMissingList;
   }
 
   // Shard map used by the parallel backend (and, for comparability, by

@@ -67,6 +67,12 @@ enum class TxnKind : uint8_t {
   kControlDown, // type-2 control txn: "site(s) d are nominally down"
 };
 
+// Control transactions "can be processed by recovering sites as well"
+// (Section 3.3): the DM serves them without the session check.
+inline bool is_control(TxnKind k) {
+  return k == TxnKind::kControlUp || k == TxnKind::kControlDown;
+}
+
 const char* to_string(TxnKind k);
 
 // Nominal session vector as seen by one transaction (its frozen view).

@@ -21,11 +21,11 @@ namespace ddbs {
 // coordinator sends to one destination site in one step share an envelope,
 // and a lone operation is a one-op batch. One envelope-level check is
 // enough because the session convention (paper Section 3.2) is per-SITE:
-// expected_session = ns_i[k] for destination k. Control transactions set
-// `bypass_session_check`: they are processable by recovering sites
-// (Section 3.3). The DM still admits each operation individually (a planted
-// skip-session-check bug must keep applying to writes only) and reports a
-// per-operation code.
+// expected_session = ns_i[k] for destination k. The DM skips the check
+// for control transactions (by `kind`): they are processable by
+// recovering sites (Section 3.3). It still admits each operation
+// individually (a planted skip-session-check bug must keep applying to
+// writes only) and reports a per-operation code.
 
 enum class BatchOpKind : uint8_t { kRead, kWrite };
 
@@ -80,7 +80,6 @@ struct BatchReq {
   TxnKind kind = TxnKind::kUser;
   SiteId coordinator = kInvalidSite;
   SessionNum expected_session = 0;
-  bool bypass_session_check = false;
   std::vector<BatchOp> ops;
   // Early vote: every site the coordinator will prepare, ascending (the
   // PrepareReq::participants it would send), or empty. A listed site whose
@@ -136,9 +135,13 @@ struct StatusEntry {
   friend bool operator==(const StatusEntry&, const StatusEntry&) = default;
 };
 
-// S-lock the destination's status table and return its entries. Issued by
-// the type-1 control transaction of `recovering_site`.
-struct StatusReadReq {
+// X-lock the destination's status item for `recovering_site`, return its
+// status entries (or, in spooler mode, its spool records for that site)
+// and stage their removal, applied only if the type-1 control transaction
+// of `recovering_site` commits. The X lock keeps writers that skip that
+// site's copy (which S-lock the same item) from adding entries between
+// the read and the commit.
+struct StatusTakeReq {
   TxnId txn = 0;
   SiteId coordinator = kInvalidSite;
   SiteId recovering_site = kInvalidSite;
@@ -146,30 +149,18 @@ struct StatusReadReq {
   // the recovering site installed in this incarnation (0 = none). Records
   // still flagged with it are not shipped again.
   uint64_t spool_served = 0;
+  // True when, after this recovery, no site remains nominally down: the
+  // item-granular fail-lock set has no one left to cover and is dropped
+  // at commit too.
+  bool clear_fail_locks = false;
 };
 
-struct StatusReadResp {
+struct StatusTakeResp {
   TxnId txn = 0;
   Code code = Code::kOk;
   std::vector<StatusEntry> entries;    // session-vector modes
   std::vector<SpoolRecord> spool;      // spooler mode: records for the
                                        // recovering site, read under lock
-};
-
-// X-lock the destination's status table and stage removal of every entry
-// (*, recovering_site); applied at commit of the control transaction.
-struct StatusClearReq {
-  TxnId txn = 0;
-  SiteId coordinator = kInvalidSite;
-  SiteId recovering_site = kInvalidSite;
-  // True when, after this recovery, no site remains nominally down: the
-  // item-granular fail-lock set has no one left to cover and is dropped.
-  bool clear_fail_locks = false;
-};
-
-struct StatusClearResp {
-  TxnId txn = 0;
-  Code code = Code::kOk;
 };
 
 // ---- two-phase commit -----------------------------------------------------
@@ -267,11 +258,10 @@ struct SpoolTrimReq { // recovering site tells spoolers to drop its records
 // ---------------------------------------------------------------------------
 
 using Payload =
-    std::variant<BatchReq, BatchResp, StatusReadReq, StatusReadResp,
-                 StatusClearReq, StatusClearResp, PrepareReq, PrepareResp,
-                 CommitReq, AbortReq, AckResp, OutcomeQuery, OutcomeResp,
-                 OutcomeAck, Ping, Pong, SpoolFetchReq, SpoolFetchResp,
-                 SpoolTrimReq, DeclaredDown>;
+    std::variant<BatchReq, BatchResp, StatusTakeReq, StatusTakeResp,
+                 PrepareReq, PrepareResp, CommitReq, AbortReq, AckResp,
+                 OutcomeQuery, OutcomeResp, OutcomeAck, Ping, Pong,
+                 SpoolFetchReq, SpoolFetchResp, SpoolTrimReq, DeclaredDown>;
 
 struct Envelope {
   uint64_t rpc_id = 0;

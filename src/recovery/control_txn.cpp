@@ -105,7 +105,7 @@ void ControlUpCoordinator::pick_sponsor() {
           }
           std::sort(ping_candidates_.begin(), ping_candidates_.end());
           sponsor_ = ping_candidates_.front();
-          read_ns_vector(sponsor_, /*bypass=*/true, 0, [this](bool ok) {
+          read_ns_vector(sponsor_, 0, [this](bool ok) {
             if (decided_) return;
             if (!ok) {
               suspected_.push_back(sponsor_);
@@ -165,9 +165,13 @@ void ControlUpCoordinator::bootstrap_cold_start() {
 
 void ControlUpCoordinator::after_view() {
   operational_.clear();
+  others_down_ = false;
   for (SiteId s = 0; s < cfg_.n_sites; ++s) {
-    if (s != self_ && view_.session(s) != 0) {
+    if (s == self_) continue;
+    if (view_.session(s) != 0) {
       operational_.push_back(s);
+    } else {
+      others_down_ = true;
     }
   }
   if (operational_.empty()) {
@@ -176,35 +180,34 @@ void ControlUpCoordinator::after_view() {
     fail(Code::kNoCopyAvailable);
     return;
   }
-  const bool needs_status =
-      cfg_.recovery_scheme == RecoveryScheme::kSpooler ||
-      cfg_.outdated_strategy == OutdatedStrategy::kFailLock ||
-      cfg_.outdated_strategy == OutdatedStrategy::kMissingList;
-  if (!needs_status) {
+  if (!cfg_.keeps_status_tables()) {
     stage_and_write();
     return;
   }
-  collect_status(operational_.size());
+  collect_status();
 }
 
-void ControlUpCoordinator::collect_status(size_t pending) {
-  // Read (X-locked) and then stage the clear of every status table.
-  auto remaining = std::make_shared<size_t>(pending);
+void ControlUpCoordinator::collect_status() {
+  // One X-locked take per operational site: it reads the site's entries
+  // for self_ and stages their removal at commit. The fail-lock set goes
+  // too when no other site is nominally down in the frozen view.
+  auto remaining = std::make_shared<size_t>(operational_.size());
   auto failed = std::make_shared<bool>(false);
   for (SiteId s : operational_) {
-    StatusReadReq req;
+    StatusTakeReq req;
     req.txn = txn_;
     req.coordinator = self_;
     req.recovering_site = self_;
     req.spool_served = dm_.prefetched_spool_token(s);
+    req.clear_fail_locks = !others_down_;
     send_request(
         s, req, cfg_.lock_timeout + cfg_.rpc_timeout,
         [this, s, remaining, failed](Code code, const Payload* payload) {
           if (decided_) return;
           Code rc = code;
-          const StatusReadResp* resp = nullptr;
+          const StatusTakeResp* resp = nullptr;
           if (code == Code::kOk && payload != nullptr) {
-            resp = &std::get<StatusReadResp>(*payload);
+            resp = &std::get<StatusTakeResp>(*payload);
             rc = resp->code;
           }
           if (rc != Code::kOk) {
@@ -226,44 +229,7 @@ void ControlUpCoordinator::collect_status(size_t pending) {
             fail(Code::kTimeout);
             return;
           }
-          // Stage the clears.
-          bool others_down = false;
-          for (SiteId s2 = 0; s2 < cfg_.n_sites; ++s2) {
-            if (s2 != self_ && view_.session(s2) == 0) {
-              others_down = true;
-            }
-          }
-          auto rem2 = std::make_shared<size_t>(operational_.size());
-          auto failed2 = std::make_shared<bool>(false);
-          for (SiteId s2 : operational_) {
-            StatusClearReq creq;
-            creq.txn = txn_;
-            creq.coordinator = self_;
-            creq.recovering_site = self_;
-            creq.clear_fail_locks = !others_down;
-            send_request(
-                s2, creq, cfg_.lock_timeout + cfg_.rpc_timeout,
-                [this, s2, rem2, failed2](Code c2, const Payload* p2) {
-                  if (decided_) return;
-                  Code rc2 = c2;
-                  if (c2 == Code::kOk && p2 != nullptr) {
-                    rc2 = std::get<StatusClearResp>(*p2).code;
-                  }
-                  if (rc2 != Code::kOk) {
-                    if (rc2 == Code::kTimeout) {
-                      suspect(s2);
-                      suspected_.push_back(s2);
-                    }
-                    *failed2 = true;
-                  }
-                  if (--*rem2 > 0) return;
-                  if (*failed2) {
-                    fail(Code::kTimeout);
-                    return;
-                  }
-                  stage_and_write();
-                });
-          }
+          stage_and_write();
         });
   }
 }
@@ -280,9 +246,10 @@ void ControlUpCoordinator::stage_and_write() {
       if (e.site == self_) {
         mark_set.insert(e.item);
       } else if (e.site == kInvalidSite) {
-        // fail-lock entry: item-granular, covers every down site
+        // fail-lock entry: item-granular, covers every down site; kept
+        // only while some site stays down, as at the other sites
         if (cat_.has_copy(self_, e.item)) mark_set.insert(e.item);
-        rebuild_set.insert({e.item, kInvalidSite});
+        if (others_down_) rebuild_set.insert({e.item, kInvalidSite});
       } else {
         rebuild_set.insert({e.item, e.site});
       }
@@ -402,7 +369,7 @@ void ControlDownCoordinator::start() {
     if (!decided_) fail(Code::kTimeout);
   });
   read_ns_vector(
-      self_, /*bypass=*/true, 0,
+      self_, 0,
       [this](bool ok) {
         if (decided_) return;
         if (!ok) {

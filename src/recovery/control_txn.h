@@ -48,7 +48,7 @@ class ControlUpCoordinator : public CoordinatorBase {
  private:
   void pick_sponsor();
   void after_view();
-  void collect_status(size_t pending);
+  void collect_status();
   void stage_and_write();
   void fail(Code reason);
   // Cold start after a TOTAL failure (outside the paper's model, which
@@ -68,6 +68,7 @@ class ControlUpCoordinator : public CoordinatorBase {
   UpDoneFn up_done_;
   std::vector<SiteId> ping_candidates_;
   std::vector<SiteId> operational_; // O: nominally-up sites per the view
+  bool others_down_ = false;        // some other site is nominally down
   SiteId sponsor_ = kInvalidSite;
   std::vector<StatusEntry> collected_;
   std::vector<SpoolRecord> spool_collected_;

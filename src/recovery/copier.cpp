@@ -33,8 +33,7 @@ void CopierCoordinator::start() {
     }
     try_source(0);
   };
-  read_ns_entries(self_, host_set(), /*bypass=*/false, state_.session,
-                  std::move(resume));
+  read_ns_entries(self_, host_set(), state_.session, std::move(resume));
 }
 
 std::vector<SiteId> CopierCoordinator::host_set() const {

@@ -103,16 +103,15 @@ void RecoveryManager::begin_recovery() {
 
 void RecoveryManager::resolve_in_doubt() {
   for (const WalRecord& rec : dm_.in_doubt()) {
-    resolve_one(rec, 0);
+    resolve_one(rec);
   }
 }
 
-void RecoveryManager::resolve_one(const WalRecord& rec, size_t target_idx) {
+void RecoveryManager::resolve_one(const WalRecord& rec) {
   const SiteId coord = txn_coordinator_site(rec.txn);
   // Ask the coordinator first; it answers from its durable decision log or
   // by presumed abort. If unreachable, retry later (participants would be
   // asked too, but the coordinator answer is always definitive).
-  (void)target_idx;
   const uint64_t epoch = epoch_;
   env_.metrics->inc(env_.metrics->id.rm_indoubt_queries);
   env_.rpc->send_request(
@@ -133,7 +132,7 @@ void RecoveryManager::resolve_one(const WalRecord& rec, size_t target_idx) {
         // Coordinator silent or unsure: retry after a while.
         env_.sched->after(5 * env_.cfg->rpc_timeout, [this, rec, epoch]() {
           if (epoch != epoch_) return;
-          resolve_one(rec, 0);
+          resolve_one(rec);
         });
       });
 }
@@ -252,8 +251,9 @@ void RecoveryManager::become_up(SessionNum session) {
   DDBS_INFO << "site " << env_.self << " operational, session " << session
             << ", " << marked << " copies to refresh";
   if (on_operational_) on_operational_(session);
-  if (env_.cfg->recovery_scheme == RecoveryScheme::kSessionVector &&
-      env_.cfg->copier_mode == CopierMode::kEager) {
+  // Eager mode refreshes every marked copy now, on-demand mode when a read
+  // hits it (on_demand_copier). Under the spooler only a cold start marks.
+  if (env_.cfg->copier_mode == CopierMode::kEager) {
     for (ItemId item : dm_.kv().unreadable_items()) {
       enqueue_copier(item, /*front=*/false);
     }
@@ -323,7 +323,6 @@ void RecoveryManager::spooler_prefetch() {
 
 void RecoveryManager::on_demand_copier(ItemId item) {
   if (env_.state->mode != SiteMode::kUp) return;
-  if (env_.cfg->recovery_scheme != RecoveryScheme::kSessionVector) return;
   enqueue_copier(item, /*front=*/true);
   pump_copiers();
 }

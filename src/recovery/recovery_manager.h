@@ -72,7 +72,7 @@ class RecoveryManager {
 
  private:
   void resolve_in_doubt();
-  void resolve_one(const WalRecord& rec, size_t target_idx);
+  void resolve_one(const WalRecord& rec);
   void attempt_up(int attempt);
   void exclude_then_retry(std::vector<SiteId> dead, int attempt);
   void become_up(SessionNum session);

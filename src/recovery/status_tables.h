@@ -16,9 +16,11 @@
 // other operational sites during its recovery.
 //
 // Concurrency: access is serialized through the lock manager using the
-// per-down-site lock items status_item(d); additions by writers take
-// shared mode (additions commute), the type-1 control transaction of site
-// d takes exclusive mode to read-and-clear atomically. See DataManager.
+// per-down-site lock items status_item(d). Writers that skip d's copy
+// take it in shared mode (additions commute). The type-1 control
+// transaction of site d takes it in exclusive mode with one StatusTakeReq
+// per site, which reads the entries and stages their removal; the removal
+// is applied if the type-1 commits. See DataManager::on_status_take.
 #pragma once
 
 #include <map>

@@ -37,10 +37,8 @@ void DataManager::handle_request(Envelope env) {
         using T = std::decay_t<decltype(payload)>;
         if constexpr (std::is_same_v<T, BatchReq>) {
           on_batch(env);
-        } else if constexpr (std::is_same_v<T, StatusReadReq>) {
-          on_status_read(env);
-        } else if constexpr (std::is_same_v<T, StatusClearReq>) {
-          on_status_clear(env);
+        } else if constexpr (std::is_same_v<T, StatusTakeReq>) {
+          on_status_take(env);
         } else if constexpr (std::is_same_v<T, PrepareReq>) {
           on_prepare(env);
         } else if constexpr (std::is_same_v<T, CommitReq>) {
@@ -67,10 +65,9 @@ void DataManager::handle_request(Envelope env) {
 // ---------------------------------------------------------------------------
 // admission
 
-Code DataManager::admit(SessionNum expected, bool bypass) const {
-  if (bypass) {
-    // Control transactions "can be processed by recovering sites as well"
-    // (Section 3.3); if this handler runs at all, the process is booted.
+Code DataManager::admit(SessionNum expected, TxnKind kind) const {
+  if (is_control(kind)) {
+    // If this handler runs at all, the process is booted.
     return state_.mode == SiteMode::kDown ? Code::kSiteNotOperational
                                           : Code::kOk;
   }
@@ -310,7 +307,7 @@ void DataManager::on_batch(Envelope& env) {
     rpc_.respond(env, std::move(resp));
     return;
   }
-  const Code session = admit(req.expected_session, req.bypass_session_check);
+  const Code session = admit(req.expected_session, req.kind);
   Code write_session = session;
   // PLANTED BUG (explorer self-validation only): the mutation disables the
   // Section 3.2 rejection on the write path only; reads must keep
@@ -346,10 +343,6 @@ void DataManager::on_batch(Envelope& env) {
   }
 
   TxnCtx& ctx = ctx_of(req.txn, req.kind, req.coordinator);
-  const bool tracks_status =
-      cfg_.recovery_scheme == RecoveryScheme::kSpooler ||
-      cfg_.outdated_strategy == OutdatedStrategy::kFailLock ||
-      cfg_.outdated_strategy == OutdatedStrategy::kMissingList;
   std::vector<std::pair<ItemId, LockMode>> locks;
   std::vector<uint8_t> pending(n, 0); // 1 = resolve in the serve pass
   auto add_lock = [&locks](ItemId item, LockMode mode) {
@@ -369,10 +362,10 @@ void DataManager::on_batch(Envelope& env) {
       // Skipping a nominally-down copy touches the per-down-site status
       // lock in shared mode: additions commute with each other but must
       // serialize against the type-1 control transaction's exclusive
-      // read-and-clear -- this is what makes the missing list "under
+      // status take -- this is what makes the missing list "under
       // concurrency control" (S. 5) and closes the stale-readable race
       // discussed in DESIGN.md.
-      if (tracks_status && is_data_item(op.item)) {
+      if (cfg_.keeps_status_tables() && is_data_item(op.item)) {
         for (SiteId d : op.missed_sites) {
           add_lock(status_item(d), LockMode::kShared);
         }
@@ -398,8 +391,7 @@ void DataManager::on_batch(Envelope& env) {
       resp.results[i].code = Code::kNotFound;
       continue;
     }
-    if (is_data_item(op.item) && copy->unreadable &&
-        !req.bypass_session_check &&
+    if (is_data_item(op.item) && copy->unreadable && !is_control(req.kind) &&
         !(op.read_mode == ReadMode::kServe && req.kind == TxnKind::kCopier)) {
       metrics_.inc(metrics_.id.dm_read_hit_unreadable);
       // "a request for reading it triggers a copier transaction" (S. 3.2)
@@ -486,13 +478,13 @@ void DataManager::on_batch(Envelope& env) {
 // ---------------------------------------------------------------------------
 // status table ops (type-1 control transaction, Section 5 bookkeeping)
 
-void DataManager::on_status_read(Envelope& env) {
-  const auto& req = std::get<StatusReadReq>(env.payload);
+void DataManager::on_status_take(Envelope& env) {
+  const auto& req = std::get<StatusTakeReq>(env.payload);
   if (closed_.count(req.txn)) {
     reply_code(env, Code::kAborted);
     return;
   }
-  const Code c = admit(0, /*bypass=*/true);
+  const Code c = admit(0, TxnKind::kControlUp);
   if (c != Code::kOk) {
     reply_code(env, c);
     return;
@@ -500,13 +492,15 @@ void DataManager::on_status_read(Envelope& env) {
   ctx_of(req.txn, TxnKind::kControlUp, req.coordinator);
   const TxnId txn = req.txn;
   const ItemId lock = status_item(req.recovering_site);
-  // Exclusive: the control transaction will clear right after reading, and
-  // X here blocks concurrent writers from adding entries we would miss.
+  // Exclusive: the clear staged with the read must remove exactly what was
+  // read, so writers that would add entries wait until the control
+  // transaction commits or aborts.
   start_chain(txn, std::move(env), {{lock, LockMode::kExclusive}},
               [this](Envelope& env) {
-                const auto& r = std::get<StatusReadReq>(env.payload);
-                ctx_of(r.txn, TxnKind::kControlUp, r.coordinator);
-                StatusReadResp resp;
+                const auto& r = std::get<StatusTakeReq>(env.payload);
+                TxnCtx& ctx =
+                    ctx_of(r.txn, TxnKind::kControlUp, r.coordinator);
+                StatusTakeResp resp;
                 resp.txn = r.txn;
                 if (cfg_.recovery_scheme == RecoveryScheme::kSpooler) {
                   resp.spool = stable_.spool().records_for(
@@ -520,33 +514,12 @@ void DataManager::on_status_read(Envelope& env) {
                            OutdatedStrategy::kMissingList) {
                   resp.entries = status_.ml_entries();
                 }
-                rpc_.respond(env, std::move(resp));
-              });
-}
-
-void DataManager::on_status_clear(Envelope& env) {
-  const auto& req = std::get<StatusClearReq>(env.payload);
-  if (closed_.count(req.txn)) {
-    reply_code(env, Code::kAborted);
-    return;
-  }
-  const Code c = admit(0, /*bypass=*/true);
-  if (c != Code::kOk) {
-    reply_code(env, c);
-    return;
-  }
-  ctx_of(req.txn, TxnKind::kControlUp, req.coordinator);
-  const TxnId txn = req.txn;
-  const ItemId lock = status_item(req.recovering_site);
-  start_chain(txn, std::move(env), {{lock, LockMode::kExclusive}},
-              [this](Envelope& env) {
-                const auto& r = std::get<StatusClearReq>(env.payload);
-                TxnCtx& ctx =
-                    ctx_of(r.txn, TxnKind::kControlUp, r.coordinator);
+                // Applied by apply_commit, dropped with the context on
+                // abort.
                 ctx.status_clear = true;
                 ctx.clear_for = r.recovering_site;
                 ctx.clear_fail_locks = r.clear_fail_locks;
-                rpc_.respond(env, StatusClearResp{r.txn, Code::kOk});
+                rpc_.respond(env, std::move(resp));
               });
 }
 
@@ -1116,13 +1089,11 @@ void DataManager::reply_code(const Envelope& env, Code code) {
           resp.results.resize(payload.ops.size());
           for (auto& r : resp.results) r.code = code;
           rpc_.respond(env, std::move(resp));
-        } else if constexpr (std::is_same_v<T, StatusReadReq>) {
-          StatusReadResp resp;
+        } else if constexpr (std::is_same_v<T, StatusTakeReq>) {
+          StatusTakeResp resp;
           resp.txn = payload.txn;
           resp.code = code;
           rpc_.respond(env, std::move(resp));
-        } else if constexpr (std::is_same_v<T, StatusClearReq>) {
-          rpc_.respond(env, StatusClearResp{payload.txn, code});
         } else if constexpr (std::is_same_v<T, PrepareReq>) {
           rpc_.respond(env, PrepareResp{payload.txn, false, {}});
         } else if constexpr (std::is_same_v<T, CommitReq> ||

@@ -177,8 +177,7 @@ class DataManager {
 
   // ---- handlers ----
   void on_batch(Envelope& env);
-  void on_status_read(Envelope& env);
-  void on_status_clear(Envelope& env);
+  void on_status_take(Envelope& env);
   void on_prepare(const Envelope& env);
   void on_commit(const Envelope& env);
   void on_abort(const Envelope& env);
@@ -196,7 +195,7 @@ class DataManager {
   TxnCtx* find_ctx(TxnId txn);
   // Admission: mode + session checks shared by read/write/status ops.
   // Returns kOk or the rejection code.
-  Code admit(SessionNum expected, bool bypass) const;
+  Code admit(SessionNum expected, TxnKind kind) const;
 
   void start_chain(TxnId txn, Envelope env,
                    std::vector<std::pair<ItemId, LockMode>> locks,

@@ -81,8 +81,8 @@ uint64_t CoordinatorBase::expect_reply(RpcEndpoint::ResponseCb cb) {
 
 void CoordinatorBase::send_registered(uint64_t rpc_id, SiteId to,
                                       Payload payload) {
-  // Physical ops and the type-1's status reads and clears open a DM
-  // context at `to`; pings and the commit's own messages open none.
+  // Physical ops and the type-1's status takes open a DM context at `to`;
+  // pings and the commit's own messages open none.
   auto batch_hold = [](const std::vector<BatchOp>& ops) {
     Hold hold = Hold::kReads;
     for (const BatchOp& op : ops) {
@@ -96,10 +96,8 @@ void CoordinatorBase::send_registered(uint64_t rpc_id, SiteId to,
     for (const ChainHop& hop : batch->chain) {
       note_participant(hop.to, batch_hold(hop.ops));
     }
-  } else if (std::holds_alternative<StatusClearReq>(payload)) {
-    note_participant(to, Hold::kStaged);
-  } else if (std::holds_alternative<StatusReadReq>(payload)) {
-    note_participant(to, Hold::kReads);
+  } else if (std::holds_alternative<StatusTakeReq>(payload)) {
+    note_participant(to, Hold::kStaged); // the clear it stages
   }
   rpc_.send_registered(rpc_id, to, std::move(payload));
 }
@@ -132,8 +130,7 @@ std::vector<SiteId> CoordinatorBase::all_sites() const {
   return sites;
 }
 
-void CoordinatorBase::read_ns_vector(SiteId at, bool bypass,
-                                     SessionNum expected_at,
+void CoordinatorBase::read_ns_vector(SiteId at, SessionNum expected_at,
                                      std::function<void(bool)> k,
                                      const std::vector<SiteId>& skip) {
   // Full vector minus the skip set, by sorted set difference (the old
@@ -149,7 +146,7 @@ void CoordinatorBase::read_ns_vector(SiteId at, bool bypass,
     if (it != sorted_skip.end() && *it == idx) continue;
     sites.push_back(idx);
   }
-  read_ns_entries(at, std::move(sites), bypass, expected_at, std::move(k));
+  read_ns_entries(at, std::move(sites), expected_at, std::move(k));
 }
 
 // The requested NS entries travel in one BatchReq. The DM serves the reads
@@ -157,13 +154,13 @@ void CoordinatorBase::read_ns_vector(SiteId at, bool bypass,
 // write NS entries in, which keeps NS-lock deadlocks rare (and the detector
 // catches the rest); the first failing entry fails the vector read.
 void CoordinatorBase::read_ns_entries(SiteId at, std::vector<SiteId> sites,
-                                      bool bypass, SessionNum expected_at,
+                                      SessionNum expected_at,
                                       std::function<void(bool)> k) {
   metrics_.inc(metrics_.id.txn_ns_reads,
                static_cast<int64_t>(sites.size()));
   // Sent even when `sites` is empty (a transaction with no ops): the read
   // is what makes `at` a participant.
-  BatchReq req = batch_header(expected_at, bypass);
+  BatchReq req = batch_header(expected_at);
   req.ops.reserve(sites.size());
   for (SiteId idx : sites) {
     BatchOp op;
@@ -195,14 +192,12 @@ void CoordinatorBase::read_ns_entries(SiteId at, std::vector<SiteId> sites,
       });
 }
 
-BatchReq CoordinatorBase::batch_header(SessionNum expected,
-                                       bool bypass) const {
+BatchReq CoordinatorBase::batch_header(SessionNum expected) const {
   BatchReq req;
   req.txn = txn_;
   req.kind = kind_;
   req.coordinator = self_;
   req.expected_session = expected;
-  req.bypass_session_check = bypass;
   return req;
 }
 
@@ -217,10 +212,9 @@ void CoordinatorBase::send_writes_seq(std::vector<PlannedWrite> writes,
     // caller's canonical send order.
     WriteGroup* back = st->groups.empty() ? nullptr : &st->groups.back();
     if (back == nullptr || back->to != pw.to ||
-        back->req.expected_session != pw.expected_session ||
-        back->req.bypass_session_check != pw.bypass_session_check) {
-      st->groups.push_back(WriteGroup{
-          pw.to, batch_header(pw.expected_session, pw.bypass_session_check)});
+        back->req.expected_session != pw.expected_session) {
+      st->groups.push_back(
+          WriteGroup{pw.to, batch_header(pw.expected_session)});
       back = &st->groups.back();
     }
     back->req.ops.push_back(std::move(pw.op));
@@ -237,7 +231,6 @@ CoordinatorBase::PlannedWrite CoordinatorBase::ns_write(SiteId to,
   w.op.op = BatchOpKind::kWrite;
   w.op.item = ns_item(entry);
   w.op.value = value;
-  w.bypass_session_check = true;
   return w;
 }
 
@@ -483,8 +476,7 @@ void UserTxnCoordinator::start() {
     }
     run_batched_ops();
   };
-  read_ns_entries(self_, host_set(), /*bypass=*/false, state_.session,
-                  std::move(resume));
+  read_ns_entries(self_, host_set(), state_.session, std::move(resume));
 }
 
 void UserTxnCoordinator::finish_ops() {

@@ -101,7 +101,7 @@ class CoordinatorBase {
   // to zero, so concurrent declarations acquire their X-locks in one
   // canonical global order instead of deadlocking through read-at-self
   // locks.
-  void read_ns_vector(SiteId at, bool bypass, SessionNum expected_at,
+  void read_ns_vector(SiteId at, SessionNum expected_at,
                       std::function<void(bool)> k,
                       const std::vector<SiteId>& skip = {});
 
@@ -113,12 +113,12 @@ class CoordinatorBase {
   // (sorted ascending -- the same global lock order control transactions
   // write in) at `at`. User transactions pass their host set, copiers
   // their item's resident sites; cost is O(|sites|) instead of O(n_sites).
-  void read_ns_entries(SiteId at, std::vector<SiteId> sites, bool bypass,
+  void read_ns_entries(SiteId at, std::vector<SiteId> sites,
                        SessionNum expected_at, std::function<void(bool)> k);
 
   // An empty BatchReq from this transaction carrying the given session
   // stamp; callers append the ops.
-  BatchReq batch_header(SessionNum expected, bool bypass = false) const;
+  BatchReq batch_header(SessionNum expected) const;
 
   // Send the writes ONE DESTINATION AT A TIME in the given order. All
   // writers of the same item use ascending site order, so X-locks on one
@@ -133,13 +133,12 @@ class CoordinatorBase {
     SiteId to = kInvalidSite;
     BatchOp op;
     SessionNum expected_session = 0;
-    bool bypass_session_check = false;
   };
   void send_writes_seq(std::vector<PlannedWrite> writes,
                        std::function<void(bool, Code)> k);
-  // A write of NS entry ns[entry] := value at site `to` that bypasses the
-  // session check, as control transactions issue them (they are
-  // processable by recovering sites, Section 3.3).
+  // A write of NS entry ns[entry] := value at site `to`, as control
+  // transactions issue them (the DM skips the session check for their
+  // kind: they are processable by recovering sites, Section 3.3).
   static PlannedWrite ns_write(SiteId to, SiteId entry, Value value);
 
   // Async-chain state of send_writes_seq: one BatchReq per run. Owned by
@@ -230,7 +229,7 @@ class CoordinatorBase {
 
   // What a participant's DM holds for this transaction, by the strongest
   // request sent there: locks of plain reads, the NS snapshot's S-locks,
-  // or staged writes / commit-time actions (a status clear; recovery
+  // or staged writes / commit-time actions (a status take's clear; recovery
   // actions are staged at the coordinator's own site, which every type-1
   // also writes).
   enum class Hold : uint8_t { kReads, kNsSnapshot, kStaged };

@@ -59,7 +59,7 @@ void OnlineVerifier::ingest_write(TxnId txn, const WriteEvent& w) {
 }
 
 void OnlineVerifier::note_ns_write(const TxnRecord& rec, const WriteEvent& w) {
-  if (rec.kind == TxnKind::kControlUp || rec.kind == TxnKind::kControlDown) {
+  if (is_control(rec.kind)) {
     return;
   }
   if (!is_ns_item(w.item)) return;

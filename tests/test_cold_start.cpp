@@ -130,5 +130,55 @@ TEST(ColdStart, DataOnlyAtStragglerWaitsForIt) {
   EXPECT_EQ(r2.reads[0], 42);
 }
 
+// The spooler baseline marks copies only at a cold start, and copiers
+// refresh them exactly as under session vectors: all at once in eager
+// mode, or when a read hits one in on-demand mode.
+TEST(ColdStart, SpoolerRefreshesTheColdStartMarks) {
+  for (CopierMode mode : {CopierMode::kEager, CopierMode::kOnDemand}) {
+    SCOPED_TRACE(mode == CopierMode::kEager ? "eager" : "on-demand");
+    Config cfg;
+    cfg.n_sites = 4;
+    cfg.n_items = 20;
+    cfg.replication_degree = 2;
+    cfg.recovery_scheme = RecoveryScheme::kSpooler;
+    cfg.copier_mode = mode;
+    Cluster cluster(cfg, 25);
+    cluster.bootstrap();
+    for (ItemId x = 0; x < 20; ++x) {
+      ASSERT_TRUE(
+          cluster.run_txn(0, {{OpKind::kWrite, x, 800 + x}}).committed);
+    }
+    cluster.settle();
+    for (SiteId s = 0; s < 4; ++s) cluster.crash_site(s);
+    cluster.run_until(cluster.now() + 200'000);
+    for (SiteId s = 0; s < 4; ++s) cluster.recover_site(s);
+    cluster.settle(240'000'000);
+    ASSERT_EQ(cluster.metrics().get("control_up.cold_start"), 1);
+    ASSERT_GT(cluster.metrics().get("dm.mark_all_items"), 0);
+    if (mode == CopierMode::kEager) {
+      for (SiteId s = 0; s < 4; ++s) {
+        EXPECT_EQ(cluster.site(s).stable().kv().unreadable_count(), 0u)
+            << "site " << s << " before any read";
+      }
+    }
+    // Every site reads every item it hosts (its local copy first).
+    for (ItemId x = 0; x < 20; ++x) {
+      for (SiteId s : cluster.catalog().sites_of(x)) {
+        auto r = cluster.run_txn(s, {{OpKind::kRead, x, 0}});
+        ASSERT_TRUE(r.committed) << "item " << x << " at " << s;
+        EXPECT_EQ(r.reads[0], 800 + x) << "item " << x << " at " << s;
+      }
+    }
+    cluster.settle();
+    for (SiteId s = 0; s < 4; ++s) {
+      EXPECT_EQ(cluster.site(s).state().mode, SiteMode::kUp) << "site " << s;
+      EXPECT_EQ(cluster.site(s).stable().kv().unreadable_count(), 0u)
+          << "site " << s;
+    }
+    std::string why;
+    EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
+  }
+}
+
 } // namespace
 } // namespace ddbs

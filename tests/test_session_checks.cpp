@@ -128,7 +128,6 @@ TEST_F(SessionFixture, BypassIgnoresSessionButNotDownState) {
   // Control ops bypass the session check entirely...
   BatchReq req = read_req(make_txn_id(1, 503), ns_item(1), 424242);
   req.kind = TxnKind::kControlUp;
-  req.bypass_session_check = true;
   cluster->site(0).dm().handle_request(env_from(1, req));
   EXPECT_EQ(cluster->metrics().get("dm.reads"), 1);
 }
