@@ -39,6 +39,8 @@ constexpr EnumName<PlantedBug> kPlantedBugs[] = {
     {PlantedBug::kNone, "none", "none"},
     {PlantedBug::kSkipSessionCheck, "skip-session-check", "skip-session-check"},
     {PlantedBug::kSkipMark, "skip-mark", "skip-mark"},
+    {PlantedBug::kCopierCounterCompare, "copier-counter-compare",
+     "copier-counter-compare"},
 };
 
 using C = Config;

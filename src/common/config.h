@@ -69,6 +69,10 @@ enum class PlantedBug : uint8_t {
   // Recovery skips marking one hosted item as out-of-date (mark-all step
   // 2 leaves the highest hosted item readable-but-possibly-stale).
   kSkipMark,
+  // A copier keeps a marked copy whose version counter is at least the
+  // source's, comparing counters across sites (the §5 short-circuit as it
+  // was before it judged each copy alone).
+  kCopierCounterCompare,
 };
 
 // Name table of one enum value: the canonical name (reports, repro

@@ -165,6 +165,11 @@ MetricIds Metrics::register_all() {
   m.txn_ns_reads = c("txn.ns_reads");
   m.txn_early_votes = c("txn.early_votes");
   m.txn_chain_relaunches = c("txn.chain_relaunches");
+  m.txn_parallel_commits = c("txn.parallel_commits");
+  m.txn_parallel_fallbacks = c("txn.parallel_fallbacks");
+  m.txn_parallel_fallbacks_held = c("txn.parallel_fallbacks.held");
+  m.txn_parallel_fallbacks_queued = c("txn.parallel_fallbacks.queued");
+  m.txn_retracts = c("txn.retracts");
   m.txn_abort = family("txn.abort.");
 
   m.dm_read_reject = family("dm.read_reject.");

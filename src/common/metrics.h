@@ -146,7 +146,7 @@ struct HistHandle {
 
 // Number of distinct protocol outcome codes, for per-code counter families
 // (e.g. "txn.abort.<code>").
-inline constexpr size_t kCodeCount = static_cast<size_t>(Code::kNotFound) + 1;
+inline constexpr size_t kCodeCount = static_cast<size_t>(Code::kBusy) + 1;
 
 // Every well-known metric in the system, registered once per Metrics
 // instance. Central so per-transaction coordinators (constructed on the
@@ -157,7 +157,10 @@ struct MetricIds {
   CounterHandle tm_user_submitted, tm_rejected_not_operational;
   CounterHandle txn_committed, txn_2pc_vote_abort, txn_read_redirect,
       txn_read_failover, txn_read_stale_view, txn_write_infeasible,
-      txn_ns_reads, txn_early_votes, txn_chain_relaunches;
+      txn_ns_reads, txn_early_votes, txn_chain_relaunches,
+      txn_parallel_commits, txn_parallel_fallbacks,
+      txn_parallel_fallbacks_held, txn_parallel_fallbacks_queued,
+      txn_retracts;
   std::array<CounterHandle, kCodeCount> txn_abort; // txn.abort.<code>
 
   // data manager

@@ -17,6 +17,7 @@ const char* to_string(Code c) {
     case Code::kConflict: return "conflict";
     case Code::kRejected: return "rejected";
     case Code::kNotFound: return "not-found";
+    case Code::kBusy: return "busy";
   }
   return "?";
 }

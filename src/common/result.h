@@ -26,6 +26,7 @@ enum class Code : uint8_t {
   kConflict,         // control transaction conflicted and was aborted
   kRejected,         // generic refusal (e.g. unknown txn at participant)
   kNotFound,
+  kBusy,             // a no-wait batch found a lock taken; it holds nothing
 };
 
 const char* to_string(Code c);

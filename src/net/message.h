@@ -65,6 +65,18 @@ struct BatchOp {
   SiteVec written_sites;
 };
 
+// How a user transaction's batch asks for its locks.
+enum class Dispatch : uint8_t {
+  // Waits for its locks (copiers, control transactions and every read a
+  // user transaction sends alone).
+  kDirect,
+  // The parallel round: every lock is granted at once or the batch holds
+  // nothing and is answered kBusy. It never waits.
+  kNoWait,
+  // A hop of the ordered chain that follows a busy round: it waits.
+  kChained,
+};
+
 // One later site of a chained dispatch (BatchReq::chain): what the
 // coordinator would otherwise have sent there itself.
 struct ChainHop {
@@ -78,6 +90,7 @@ struct ChainHop {
 struct BatchReq {
   TxnId txn = 0;
   TxnKind kind = TxnKind::kUser;
+  Dispatch dispatch = Dispatch::kDirect;
   SiteId coordinator = kInvalidSite;
   SessionNum expected_session = 0;
   std::vector<BatchOp> ops;
@@ -115,6 +128,8 @@ struct BatchResp {
   // The early vote (BatchReq::prepare): set only when the request listed a
   // prepare set and code is kOk; then it is a PrepareResp's yes vote.
   bool vote_yes = false;
+  // With code kBusy: no holder conflicted, only a waiter queued ahead.
+  bool busy_queued = false;
   VoteCounters version_counters;
 };
 
@@ -184,15 +199,25 @@ struct PrepareResp {
   VoteCounters version_counters;
 };
 
+// A read-only participant's release travels one-way (no AckResp), except
+// at the coordinator's own site.
 struct CommitReq {
   TxnId txn = 0;
   std::vector<std::pair<ItemId, uint64_t>> new_counters;
-  // The coordinator relaunched this transaction's chain, so a duplicate of
-  // its batch may still reach the site after this; the DM refuses it.
-  bool chain_relaunched = false;
+  // A batch of this transaction may still reach the site after this: a
+  // duplicate from a relaunched chain, or a no-wait batch whose answer
+  // timed out or never came. The DM refuses it.
+  bool late_batches = false;
 };
 
 struct AbortReq {
+  TxnId txn = 0;
+};
+
+// One-way: undo what this transaction's granted no-wait batch took at the
+// destination (its locks and staged writes), unless a chained batch of the
+// transaction has reached the site since.
+struct RetractReq {
   TxnId txn = 0;
 };
 
@@ -261,7 +286,8 @@ using Payload =
     std::variant<BatchReq, BatchResp, StatusTakeReq, StatusTakeResp,
                  PrepareReq, PrepareResp, CommitReq, AbortReq, AckResp,
                  OutcomeQuery, OutcomeResp, OutcomeAck, Ping, Pong,
-                 SpoolFetchReq, SpoolFetchResp, SpoolTrimReq, DeclaredDown>;
+                 SpoolFetchReq, SpoolFetchResp, SpoolTrimReq, DeclaredDown,
+                 RetractReq>;
 
 struct Envelope {
   uint64_t rpc_id = 0;

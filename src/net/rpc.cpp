@@ -65,6 +65,7 @@ void RpcEndpoint::send_oneway(SiteId to, Payload payload) {
 
 void RpcEndpoint::respond(const Envelope& request, Payload payload) {
   assert(!request.is_response);
+  if (request.rpc_id == 0) return; // send_oneway
   net_.send(Envelope{request.rpc_id, /*is_response=*/true, self_,
                      requester(request), std::move(payload), request.span});
 }

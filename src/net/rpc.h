@@ -47,7 +47,8 @@ class RpcEndpoint {
                Payload payload);
   // Fire-and-forget (no response expected, no timeout tracked).
   void send_oneway(SiteId to, Payload payload);
-  // Reply to a received request (to its requester, see forward).
+  // Reply to a received request (to its requester, see forward). A
+  // one-way request expects no reply, so none is sent.
   void respond(const Envelope& request, Payload payload);
 
   // Forget an outstanding request; its callback will never run.
@@ -58,6 +59,8 @@ class RpcEndpoint {
   void reset();
 
   SiteId self() const { return self_; }
+  // Longest one-way delay any message has been able to draw so far.
+  SimTime max_latency() const { return net_.latency().peak_max(); }
   size_t pending_count() const { return pending_.size(); }
 
  private:

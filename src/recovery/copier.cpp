@@ -104,8 +104,15 @@ void CopierCoordinator::resolve_all_marked(size_t idx) {
       abort_txn(Code::kTotallyFailed);
       return;
     }
-    // The local copier write's apply-time guard keeps the local copy if
-    // it is already the newest; either way the mark is cleared.
+    // The local copy competes too. When it is the newest, the install
+    // finds the same write and only clears the mark; a user write that
+    // lands before the install unmarks the copy, and the install is then
+    // skipped as well.
+    const Copy* local = stable_.kv().find(item_);
+    if (local != nullptr && best_version_ < local->version) {
+      best_value_ = local->value;
+      best_version_ = local->version;
+    }
     write_local(best_value_, best_version_);
     return;
   }

@@ -34,7 +34,8 @@ class CopierCoordinator : public CoordinatorBase {
   // version tag is the latest committed state -- a committed write always
   // reached every nominally-up copy, marks never erase data, and a down
   // site that might hold something newer would show in the view. Read all
-  // remote copies mark-or-not, take the max, install, unmark.
+  // remote copies mark-or-not, take the max with the local copy, install
+  // it, unmark.
   void resolve_all_marked(size_t idx);
 
   ItemId item_;

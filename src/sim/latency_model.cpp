@@ -5,7 +5,8 @@
 namespace ddbs {
 
 LatencyModel::LatencyModel(SimTime min_us, SimTime max_us, uint64_t seed)
-    : min_(min_us), max_(max_us), floor_min_(min_us), seed_(seed),
+    : min_(min_us), max_(max_us), floor_min_(min_us), peak_max_(max_us),
+      seed_(seed),
       rng_(seed) {
   assert(min_us >= 0 && max_us >= min_us);
 }
@@ -40,6 +41,7 @@ void LatencyModel::set_pair(SiteId from, SiteId to, SimTime min_us,
                             SimTime max_us) {
   assert(min_us >= 0 && max_us >= min_us);
   overrides_[{from, to}] = {min_us, max_us};
+  if (max_us > peak_max_) peak_max_ = max_us;
   floor_min_ = min_;
   for (const auto& [pair, band] : overrides_) {
     if (pair.first != pair.second && band.first < floor_min_) {

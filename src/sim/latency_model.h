@@ -33,10 +33,15 @@ class LatencyModel {
   // parallel backend's epoch windows. Cached; recomputed on set_pair.
   SimTime floor_min() const { return floor_min_; }
 
+  // Largest latency any message has been able to draw so far. It never
+  // falls, so a bound taken from it also covers messages still in flight.
+  SimTime peak_max() const { return peak_max_; }
+
  private:
   SimTime min_;
   SimTime max_;
   SimTime floor_min_;
+  SimTime peak_max_;
   uint64_t seed_;
   Rng rng_;
   std::map<std::pair<SiteId, SiteId>, std::pair<SimTime, SimTime>> overrides_;

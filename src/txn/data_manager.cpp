@@ -45,6 +45,8 @@ void DataManager::handle_request(Envelope env) {
           on_commit(env);
         } else if constexpr (std::is_same_v<T, AbortReq>) {
           on_abort(env);
+        } else if constexpr (std::is_same_v<T, RetractReq>) {
+          on_retract(env);
         } else if constexpr (std::is_same_v<T, OutcomeQuery>) {
           on_outcome_query(env);
         } else if constexpr (std::is_same_v<T, OutcomeAck>) {
@@ -301,10 +303,17 @@ void DataManager::on_batch(Envelope& env) {
   BatchResp resp;
   resp.txn = req.txn;
   resp.results.resize(n);
-  if (closed_.count(req.txn)) {
+  if (is_closed(req.txn)) {
     resp.code = Code::kAborted;
     for (auto& r : resp.results) r.code = Code::kAborted;
     rpc_.respond(env, std::move(resp));
+    return;
+  }
+  const bool no_wait = req.dispatch == Dispatch::kNoWait;
+  TxnCtx* ctx = find_ctx(req.txn);
+  if (no_wait && ctx != nullptr && ctx->chain_seen) {
+    // A round batch that the chain overtook: the chain's copy holds it.
+    reply_code(env, Code::kBusy);
     return;
   }
   const Code session = admit(req.expected_session, req.kind);
@@ -342,7 +351,15 @@ void DataManager::on_batch(Envelope& env) {
     return;
   }
 
-  TxnCtx& ctx = ctx_of(req.txn, req.kind, req.coordinator);
+  // A waiting batch opens its context on arrival; a no-wait batch only once
+  // its locks are granted, so a busy one leaves nothing behind.
+  if (!no_wait) {
+    ctx = &ctx_of(req.txn, req.kind, req.coordinator);
+    if (req.dispatch == Dispatch::kChained) {
+      ctx->chain_seen = true;
+      ctx->retractable = false;
+    }
+  }
   std::vector<std::pair<ItemId, LockMode>> locks;
   std::vector<uint8_t> pending(n, 0); // 1 = resolve in the serve pass
   auto add_lock = [&locks](ItemId item, LockMode mode) {
@@ -376,7 +393,7 @@ void DataManager::on_batch(Envelope& env) {
     // Read-own-write: staged by an earlier transaction chain, or by an
     // earlier write op in this very batch (which holds the X lock either
     // way) -- no S lock needed, resolved in op order during the serve pass.
-    bool own = ctx.writes.count(op.item) > 0;
+    bool own = ctx != nullptr && ctx->writes.count(op.item) > 0;
     for (size_t j = 0; !own && j < i; ++j) {
       own = req.ops[j].op == BatchOpKind::kWrite &&
             req.ops[j].item == op.item &&
@@ -410,69 +427,107 @@ void DataManager::on_batch(Envelope& env) {
   }
 
   const TxnId txn = req.txn;
-  start_chain(
-      txn, std::move(env), std::move(locks),
-      [this, resp = std::move(resp),
-       pending = std::move(pending)](Envelope& env) mutable {
-        const auto& r = std::get<BatchReq>(env.payload);
-        TxnCtx& ctx = ctx_of(r.txn, r.kind, r.coordinator);
-        for (size_t i = 0; i < r.ops.size(); ++i) {
-          if (pending[i] == 0) continue;
-          const BatchOp& op = r.ops[i];
-          if (op.op == BatchOpKind::kWrite) {
-            StagedWrite w;
-            w.value = op.value;
-            w.is_copier = op.is_copier_write;
-            w.copier_version = op.copier_version;
-            w.missed = op.missed_sites;
-            w.written = op.written_sites;
-            ctx.writes[op.item] = std::move(w);
-            metrics_.inc(metrics_.id.dm_writes_staged);
-            resp.results[i].code = Code::kOk;
-            continue;
-          }
-          auto wit = ctx.writes.find(op.item);
-          if (wit != ctx.writes.end()) {
-            // Read-own-write (not a database read; nothing recorded).
-            resp.results[i] =
-                BatchOpResult{Code::kOk, wit->second.value, Version{0, r.txn}};
-            continue;
-          }
-          const Copy* copy = kv().find(op.item);
-          assert(copy != nullptr);
-          // NOT recorded here: the requesting coordinator records the read
-          // when it consumes the response. A serve can outlive the
-          // requester -- a read parked on an unreadable copy may only be
-          // served after the coordinator timed out, failed over to another
-          // copy and committed -- and recording such an orphaned serve
-          // would attribute a read the transaction never used,
-          // manufacturing false conflict-graph edges.
-          metrics_.inc(metrics_.id.dm_reads);
-          resp.results[i] =
-              BatchOpResult{Code::kOk, copy->value, copy->version};
-        }
-        resp.code = Code::kOk;
-        for (const auto& res : resp.results) {
-          if (res.code != Code::kOk) {
-            resp.code = res.code;
-            break;
-          }
-        }
-        // The next hop's locks are requested only now that this site
-        // holds all of its own: ascending site order, as if the
-        // coordinator had sent each batch after the previous reply.
-        forward_chain(env, resp);
-        if (resp.code != Code::kOk || r.prepare.empty()) {
-          rpc_.respond(env, std::move(resp));
-          return;
-        }
-        // Early vote: this site is in the prepare set and every op
-        // succeeded, so prepare now exactly as on_prepare would.
-        const bool forced = prepare(ctx, r.prepare);
-        resp.vote_yes = true;
-        resp.version_counters = vote_counters(ctx);
-        respond_vote(env, std::move(resp), forced);
-      });
+  if (no_wait) {
+    std::vector<LockManager::Grant> grants;
+    const auto got = lm_.try_acquire_all(txn, locks, &grants);
+    if (got != LockManager::TryResult::kGranted) {
+      BatchResp busy;
+      busy.txn = txn;
+      busy.code = Code::kBusy;
+      busy.busy_queued = got == LockManager::TryResult::kQueued;
+      busy.results.resize(n, BatchOpResult{Code::kBusy, 0, {}});
+      rpc_.respond(env, std::move(busy));
+      return;
+    }
+    TxnCtx& granted = ctx_of(txn, req.kind, req.coordinator);
+    granted.retractable = true;
+    granted.nowait_grants = std::move(grants);
+    serve_batch(env, std::move(resp), pending);
+    return;
+  }
+  start_chain(txn, std::move(env), std::move(locks),
+              [this, resp = std::move(resp),
+               pending = std::move(pending)](Envelope& env) mutable {
+                serve_batch(env, std::move(resp), pending);
+              });
+}
+
+// Every lock of the batch is held: stage its writes, serve its reads in op
+// order, pass the chain on and answer (with an early vote when listed).
+void DataManager::serve_batch(Envelope& env, BatchResp resp,
+                              const std::vector<uint8_t>& pending) {
+  const auto& r = std::get<BatchReq>(env.payload);
+  TxnCtx& ctx = ctx_of(r.txn, r.kind, r.coordinator);
+  for (size_t i = 0; i < r.ops.size(); ++i) {
+    if (pending[i] == 0) continue;
+    const BatchOp& op = r.ops[i];
+    if (op.op == BatchOpKind::kWrite) {
+      StagedWrite w;
+      w.value = op.value;
+      w.is_copier = op.is_copier_write;
+      w.copier_version = op.copier_version;
+      w.missed = op.missed_sites;
+      w.written = op.written_sites;
+      ctx.writes[op.item] = std::move(w);
+      metrics_.inc(metrics_.id.dm_writes_staged);
+      resp.results[i].code = Code::kOk;
+      continue;
+    }
+    auto wit = ctx.writes.find(op.item);
+    if (wit != ctx.writes.end()) {
+      // Read-own-write (not a database read; nothing recorded).
+      resp.results[i] =
+          BatchOpResult{Code::kOk, wit->second.value, Version{0, r.txn}};
+      continue;
+    }
+    const Copy* copy = kv().find(op.item);
+    assert(copy != nullptr);
+    // NOT recorded here: the requesting coordinator records the read
+    // when it consumes the response. A serve can outlive the
+    // requester -- a read parked on an unreadable copy may only be
+    // served after the coordinator timed out, failed over to another
+    // copy and committed -- and recording such an orphaned serve
+    // would attribute a read the transaction never used,
+    // manufacturing false conflict-graph edges.
+    metrics_.inc(metrics_.id.dm_reads);
+    resp.results[i] = BatchOpResult{Code::kOk, copy->value, copy->version};
+  }
+  resp.code = Code::kOk;
+  for (const auto& res : resp.results) {
+    if (res.code != Code::kOk) {
+      resp.code = res.code;
+      break;
+    }
+  }
+  // The next hop's locks are requested only now that this site
+  // holds all of its own: ascending site order, as if the
+  // coordinator had sent each batch after the previous reply.
+  forward_chain(env, resp);
+  if (resp.code != Code::kOk || r.prepare.empty()) {
+    rpc_.respond(env, std::move(resp));
+    return;
+  }
+  // Early vote: this site is in the prepare set and every op
+  // succeeded, so prepare now exactly as on_prepare would.
+  const bool forced = prepare(ctx, r.prepare);
+  resp.vote_yes = true;
+  resp.version_counters = vote_counters(ctx);
+  respond_vote(env, std::move(resp), forced);
+}
+
+// The coordinator gives back a granted no-wait batch: the busy round falls
+// back to the chain, which will send this site its batch again. The
+// prepared state and its log record stay: the chain's batch stages the same
+// writes and votes anew, and an abort still resolves the record.
+void DataManager::on_retract(const Envelope& env) {
+  const auto& req = std::get<RetractReq>(env.payload);
+  TxnCtx* ctx = find_ctx(req.txn);
+  if (ctx == nullptr || !ctx->retractable) return;
+  ctx->retractable = false;
+  ctx->writes.clear();
+  const auto grants = std::move(ctx->nowait_grants);
+  ctx->nowait_grants.clear();
+  lm_.retract(req.txn, grants); // grant callbacks may run inside
 }
 
 // ---------------------------------------------------------------------------
@@ -480,7 +535,7 @@ void DataManager::on_batch(Envelope& env) {
 
 void DataManager::on_status_take(Envelope& env) {
   const auto& req = std::get<StatusTakeReq>(env.payload);
-  if (closed_.count(req.txn)) {
+  if (is_closed(req.txn)) {
     reply_code(env, Code::kAborted);
     return;
   }
@@ -529,7 +584,7 @@ void DataManager::on_status_take(Envelope& env) {
 void DataManager::on_prepare(const Envelope& env) {
   const auto& req = std::get<PrepareReq>(env.payload);
   TxnCtx* ctx = find_ctx(req.txn);
-  if (ctx == nullptr || closed_.count(req.txn)) {
+  if (ctx == nullptr || is_closed(req.txn)) {
     // Unknown transaction: either we crashed since serving it (all its
     // locks and context are gone -- committing would be unsound, cf. the
     // vanished-S-lock hazard) or we unilaterally aborted it. Vote no.
@@ -543,14 +598,21 @@ void DataManager::on_prepare(const Envelope& env) {
 
 bool DataManager::prepare(TxnCtx& ctx, const SiteVec& participants) {
   ctx.participants = participants;
-  if (ctx.prepared) return false;
-  ctx.prepared = true;
-  if (ctx.activity_timer != 0) {
-    sched_.cancel(ctx.activity_timer);
-    ctx.activity_timer = 0;
+  if (!ctx.prepared) {
+    ctx.prepared = true;
+    if (ctx.activity_timer != 0) {
+      sched_.cancel(ctx.activity_timer);
+      ctx.activity_timer = 0;
+    }
+    // The outcome of a transaction this site coordinates arrives over
+    // loopback, which loses nothing; a crash takes the context with it.
+    if (ctx.coordinator != self_) arm_termination_timer(ctx.txn);
   }
+  // The record is written once, with the first staged writes: a vote given
+  // with the NS snapshot holds none yet, and a batch the chain resends
+  // after a retract stages the same writes again.
   bool forced_log = false;
-  if (!ctx.writes.empty()) {
+  if (!ctx.logged_prepare && !ctx.writes.empty()) {
     WalRecord rec;
     rec.kind = WalRecord::Kind::kPrepare;
     rec.txn = ctx.txn;
@@ -564,7 +626,6 @@ bool DataManager::prepare(TxnCtx& ctx, const SiteVec& participants) {
     ctx.logged_prepare = true;
     forced_log = true;
   }
-  arm_termination_timer(ctx.txn);
   return forced_log;
 }
 
@@ -596,7 +657,7 @@ void DataManager::respond_vote(const Envelope& env, Payload vote,
 
 void DataManager::on_commit(const Envelope& env) {
   const auto& req = std::get<CommitReq>(env.payload);
-  if (req.chain_relaunched) closed_.insert(req.txn);
+  if (req.late_batches) close_txn(req.txn);
   TxnCtx* ctx = find_ctx(req.txn);
   if (ctx == nullptr) {
     // Crashed since voting (in-doubt resolution will redo from the WAL) or
@@ -676,10 +737,24 @@ void DataManager::install_write(TxnId writer, ItemId item,
                                 const StagedWrite& w, uint64_t counter) {
   if (w.is_copier) {
     const Copy* c = kv().find(item);
-    // Apply-time guard: a whole-item write that slipped in between the
-    // copier's source read and its commit has already made the copy
-    // current (and carries a higher counter); never regress.
-    if (c == nullptr || c->version < w.copier_version) {
+    // §5 short-circuit, judged on this data copy alone: counters of
+    // different sites do not compare (a write made while every current
+    // copy was down numbers from a stale copy's counter, below theirs).
+    // The copy needs no install once a committed write has refreshed it
+    // (it is no longer marked), or when it already holds this very write.
+    // NS copies are never marked; a type-1's refresh of one keeps the
+    // newer version.
+    // PLANTED BUG (explorer self-validation only): copier-counter-compare
+    // judges data copies by counter too, so a stale copy's higher counter
+    // keeps it.
+    const bool by_counter =
+        !is_data_item(item) ||
+        cfg_.planted_bug == PlantedBug::kCopierCounterCompare;
+    const bool current =
+        c != nullptr && (by_counter ? !(c->version < w.copier_version)
+                                    : !c->unreadable ||
+                                          c->version == w.copier_version);
+    if (!current) {
       kv().install(item, w.value, w.copier_version);
       if (recorder_) {
         recorder_->add_write(writer, self_, item, w.copier_version.counter,
@@ -687,10 +762,7 @@ void DataManager::install_write(TxnId writer, ItemId item,
       }
       metrics_.inc(metrics_.id.dm_copier_installs);
     } else {
-      // §5 version-number short-circuit: the resident version dominates the
-      // copier's payload, so the refresh write is skipped entirely -- only
-      // the unreadable mark (if any) is cleared.
-      if (kv().exists(item)) kv().clear_mark(item);
+      kv().clear_mark(item);
       metrics_.inc(metrics_.id.dm_copier_skipped_current);
       metrics_.inc(metrics_.id.rec_refresh_skipped);
     }
@@ -746,7 +818,7 @@ void DataManager::on_abort(const Envelope& env) {
 
 void DataManager::finish_abort(TxnId txn, bool log_abort) {
   drop_parked(txn);
-  closed_.insert(txn);
+  close_txn(txn);
   auto it = ctxs_.find(txn);
   if (it == ctxs_.end()) {
     lm_.release_all(txn); // read locks may exist without staged writes
@@ -830,7 +902,7 @@ void DataManager::run_termination(TxnId txn, size_t participant_idx) {
           if (resp.outcome == Outcome::kCommitted) {
             // The answer does not say whether the chain was relaunched,
             // so a duplicate batch is refused either way.
-            closed_.insert(txn);
+            close_txn(txn);
             apply_commit(*c, resp.new_counters);
             metrics_.inc(metrics_.id.dm_termination_committed);
             send_outcome_ack(txn, coord);
@@ -980,6 +1052,7 @@ void DataManager::crash() {
   chains_.clear();
   parked_.clear();
   closed_.clear();
+  closed_order_.clear();
   deadlock_check_scheduled_ = false;
   clean_wait_epoch_ = ~0ull;
   prefetch_tokens_.clear();
@@ -1058,6 +1131,36 @@ void DataManager::resolve_in_doubt(
 // ---------------------------------------------------------------------------
 // misc helpers
 
+// A closed entry lives until no batch of its transaction can still arrive:
+// the transaction's deadline (at most txn_timeout after its context ended
+// here) plus the longest one-way delay. Both terms never fall, so the
+// expiries are queued in order.
+void DataManager::close_txn(TxnId txn) {
+  const SimTime expiry =
+      sched_.now() + cfg_.txn_timeout + rpc_.max_latency();
+  closed_[txn] = expiry;
+  closed_order_.emplace_back(expiry, txn);
+  prune_closed();
+}
+
+bool DataManager::is_closed(TxnId txn) {
+  prune_closed();
+  return closed_.count(txn) > 0;
+}
+
+void DataManager::prune_closed() {
+  const SimTime now = sched_.now();
+  while (!closed_order_.empty() && closed_order_.front().first < now) {
+    const auto [expiry, txn] = closed_order_.front();
+    closed_order_.pop_front();
+    // A later close of the same transaction re-queued it with a later
+    // expiry; only that one removes it.
+    if (auto it = closed_.find(txn); it != closed_.end() && it->second == expiry) {
+      closed_.erase(it);
+    }
+  }
+}
+
 void DataManager::maybe_checkpoint_wal() {
   if (cfg_.wal_checkpoint_threshold == 0) return;
   if (stable_.wal().size() < cfg_.wal_checkpoint_threshold) return;
@@ -1127,6 +1230,7 @@ void DataManager::forward_chain(Envelope& env, const BatchResp& resp) {
   next.prepare = std::move(hop.prepare);
   const SiteId to = hop.to;
   const uint64_t rpc_id = hop.rpc_id;
+  next.dispatch = Dispatch::kChained;
   next.chain = std::move(req.chain);
   next.chain.pop_back();
   metrics_.inc(metrics_.id.dm_chain_forwards);

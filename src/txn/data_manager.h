@@ -14,6 +14,9 @@
 //   * maintains the Section-5 bookkeeping at commit time: missing-list /
 //     fail-lock additions for skipped copies, removals for written copies,
 //     spool records in spooler mode, and unreadable-mark transitions;
+//   * grants a user transaction's no-wait batch (Dispatch::kNoWait) whole
+//     or answers kBusy holding nothing, and gives a granted one back on a
+//     RetractReq;
 //   * passes a user transaction's chained batches on to the next site once
 //     its own batch holds every lock (BatchReq::chain);
 //   * answers pings, outcome queries and spool fetches;
@@ -26,12 +29,12 @@
 // StableStorage and survive.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/config.h"
@@ -118,6 +121,7 @@ class DataManager {
   StatusTable& status_table() { return status_; }
   LockManager& locks() { return lm_; }
   size_t active_txn_count() const { return ctxs_.size(); }
+  size_t closed_count() const { return closed_.size(); }
   size_t parked_read_count() const;
 
  private:
@@ -146,6 +150,12 @@ class DataManager {
     SiteVec participants;
     EventId termination_timer = 0;
     EventId activity_timer = 0; // unilateral abort of orphaned contexts
+    // A granted no-wait batch's locks, until a RetractReq gives them back
+    // or a chained batch of the transaction arrives and owns them.
+    bool retractable = false;
+    std::vector<LockManager::Grant> nowait_grants;
+    // A chained batch arrived: a late no-wait batch is answered kBusy.
+    bool chain_seen = false;
   };
 
   // One in-flight request waiting on a chain of locks.
@@ -181,6 +191,7 @@ class DataManager {
   void on_prepare(const Envelope& env);
   void on_commit(const Envelope& env);
   void on_abort(const Envelope& env);
+  void on_retract(const Envelope& env);
   void on_outcome_query(const Envelope& env);
   void on_outcome_ack(const Envelope& env);
   void on_ping(const Envelope& env);
@@ -197,6 +208,8 @@ class DataManager {
   // Returns kOk or the rejection code.
   Code admit(SessionNum expected, TxnKind kind) const;
 
+  void serve_batch(Envelope& env, BatchResp resp,
+                   const std::vector<uint8_t>& pending);
   void start_chain(TxnId txn, Envelope env,
                    std::vector<std::pair<ItemId, LockMode>> locks,
                    std::function<void(Envelope&)> on_done);
@@ -207,9 +220,9 @@ class DataManager {
   void rearm_deadlock_check();
 
   // Enter the prepared state (idempotent): remember the prepared set, stop
-  // the activity timer, append the prepare record when anything is staged
-  // and arm the termination timer. True when a record was appended, so the
-  // yes vote must wait for the log force.
+  // the activity timer, arm the termination timer (unless this site
+  // coordinates), and append the prepare record once anything is staged. True when a record was appended, so
+  // the yes vote must wait for the log force.
   bool prepare(TxnCtx& ctx, const SiteVec& participants);
   // The version counters a yes vote carries: one per staged item.
   VoteCounters vote_counters(const TxnCtx& ctx) const;
@@ -230,6 +243,9 @@ class DataManager {
   void arm_termination_timer(TxnId txn);
   void run_termination(TxnId txn, size_t participant_idx);
   void maybe_checkpoint_wal();
+  void close_txn(TxnId txn);
+  bool is_closed(TxnId txn);
+  void prune_closed();
 
   SiteId self_;
   const Config& cfg_;
@@ -247,12 +263,13 @@ class DataManager {
   std::unordered_map<TxnId, std::vector<std::shared_ptr<Chain>>> chains_;
   std::map<ItemId, std::vector<Envelope>> parked_;
   // Transactions whose context ended here for good: every abort, every
-  // commit whose chain the coordinator relaunched (CommitReq::
-  // chain_relaunched), which may still deliver a duplicate batch, and every
-  // commit learned through cooperative termination, whose answer does not
-  // say. Later messages for them must not resurrect a context (reply
-  // kAborted / vote no instead).
-  std::unordered_set<TxnId> closed_;
+  // commit that may still see a late batch (CommitReq::late_batches), and
+  // every commit learned through cooperative termination, whose answer
+  // does not say. Later messages for them must not resurrect a context
+  // (reply kAborted / vote no instead). Each entry expires (close_txn);
+  // closed_order_ queues the expiries in order.
+  std::unordered_map<TxnId, SimTime> closed_;
+  std::deque<std::pair<SimTime, TxnId>> closed_order_;
   UnreadableHook unreadable_hook_;
   CoordinatingFn coordinating_;
   uint64_t next_chain_ = 1;

@@ -1,5 +1,6 @@
 #include "txn/lock_manager.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ddbs {
@@ -221,6 +222,80 @@ LockManager::RequestId LockManager::acquire(TxnId txn, ItemId item,
   return enqueue(h, txn, mode, std::move(on_grant));
 }
 
+LockManager::TryResult LockManager::try_acquire_all(
+    TxnId txn, const std::vector<std::pair<ItemId, LockMode>>& locks,
+    std::vector<Grant>* undo) {
+  TryResult busy = TryResult::kGranted;
+  for (const auto& [item, mode] : locks) {
+    const uint32_t h = find_head(item);
+    if (h == kNil) continue;
+    const ItemHead& hd = heads_[h];
+    const int hidx = holder_index(hd, txn);
+    if (hidx >= 0 && (hd.holders[hidx].mode == LockMode::kExclusive ||
+                      mode == LockMode::kShared)) {
+      continue; // re-entrant
+    }
+    const bool holders_ok =
+        hidx >= 0 ? hd.holders.size() == 1 : compatible(hd, txn, mode);
+    if (!holders_ok) return TryResult::kHeld;
+    if (hd.q_head != kNil) busy = TryResult::kQueued;
+  }
+  if (busy != TryResult::kGranted) return busy;
+  for (const auto& [item, mode] : locks) {
+    const uint32_t h = get_or_make_head(item);
+    ItemHead& hd = heads_[h];
+    if (const int hidx = holder_index(hd, txn); hidx >= 0) {
+      if (hd.holders[hidx].mode == LockMode::kShared &&
+          mode == LockMode::kExclusive) {
+        hd.holders[hidx].mode = LockMode::kExclusive;
+        undo->push_back(Grant{item, true});
+      }
+      continue;
+    }
+    hd.holders.push_back(Holder{txn, mode});
+    txn_states_[txn_state_of(txn)].held.push_back(h);
+    undo->push_back(Grant{item, false});
+  }
+  return TryResult::kGranted;
+}
+
+void LockManager::remove_holder(ItemHead& hd, TxnId txn) {
+  if (const int hidx = holder_index(hd, txn); hidx >= 0) {
+    for (size_t i = hidx; i + 1 < hd.holders.size(); ++i) {
+      hd.holders[i] = hd.holders[i + 1];
+    }
+    hd.holders.pop_back();
+  }
+}
+
+void LockManager::retract(TxnId txn, const std::vector<Grant>& grants) {
+  std::vector<uint32_t> to_pump;
+  to_pump.reserve(grants.size());
+  for (const Grant& g : grants) {
+    const uint32_t h = find_head(g.item);
+    if (h == kNil) continue;
+    ItemHead& hd = heads_[h];
+    if (g.upgraded) {
+      if (const int hidx = holder_index(hd, txn); hidx >= 0) {
+        hd.holders[hidx].mode = LockMode::kShared;
+      }
+    } else {
+      remove_holder(hd, txn);
+      if (uint32_t* t = txn_index_.find(txn_key(txn)); t != nullptr) {
+        auto& held = txn_states_[*t].held;
+        const auto it = std::find(held.begin(), held.end(), h);
+        if (it != held.end()) held.erase(it);
+        release_txn_state_if_idle(txn, *t);
+      }
+    }
+    to_pump.push_back(h);
+  }
+  // As in release_all: a grant callback may free or recycle a later head.
+  for (uint32_t h : to_pump) {
+    if (h < heads_.size() && heads_[h].in_use) pump(h);
+  }
+}
+
 bool LockManager::cancel(RequestId id) {
   const uint32_t wi = static_cast<uint32_t>(id & 0xFFFFFFFFu);
   const uint32_t gen = static_cast<uint32_t>(id >> 32);
@@ -289,13 +364,7 @@ void LockManager::release_all(TxnId txn) {
   std::vector<uint32_t> to_pump;
   to_pump.reserve(held.size() + 4);
   for (uint32_t h : held) {
-    ItemHead& hd = heads_[h];
-    if (const int hidx = holder_index(hd, txn); hidx >= 0) {
-      for (size_t i = hidx; i + 1 < hd.holders.size(); ++i) {
-        hd.holders[i] = hd.holders[i + 1];
-      }
-      hd.holders.pop_back();
-    }
+    remove_holder(heads_[h], txn);
     to_pump.push_back(h);
   }
   // Cancel waiting requests of this txn everywhere: O(own waiters), each an

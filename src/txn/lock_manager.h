@@ -44,6 +44,25 @@ class LockManager {
   // upgrade is granted in place, otherwise the upgrade waits its turn.
   RequestId acquire(TxnId txn, ItemId item, LockMode mode, GrantFn on_grant);
 
+  // All-or-nothing, never waits: grant every lock in `locks` (distinct
+  // items) now, or none. A lock is free when it is compatible with the
+  // holders and no waiter is queued ahead (re-entrant requests and
+  // sole-holder upgrades with an empty queue count), so the request never
+  // barges and never appears in wait_edges(). On kGranted, `undo` gets
+  // what changed, for retract(). kHeld: some holder conflicts; kQueued:
+  // only a queued waiter stands in the way.
+  enum class TryResult : uint8_t { kGranted, kHeld, kQueued };
+  struct Grant {
+    ItemId item = 0;
+    bool upgraded = false; // S -> X in place; else newly held
+  };
+  TryResult try_acquire_all(TxnId txn,
+                            const std::vector<std::pair<ItemId, LockMode>>& locks,
+                            std::vector<Grant>* undo);
+  // Give back what try_acquire_all granted (undo upgrades, release new
+  // holds), then grant newly compatible waiters.
+  void retract(TxnId txn, const std::vector<Grant>& grants);
+
   // Remove a waiting request without granting it (lock timeout / deadlock
   // victim). Returns false if it was already granted or never existed.
   bool cancel(RequestId id);
@@ -125,6 +144,8 @@ class LockManager {
   static bool compatible(const ItemHead& hd, TxnId txn, LockMode mode);
   RequestId enqueue(uint32_t h, TxnId txn, LockMode mode, GrantFn fn);
   void unlink_waiter(uint32_t wi);
+  // Drop txn's hold on head h (its held list is the caller's).
+  static void remove_holder(ItemHead& hd, TxnId txn);
   void mark_contended(uint32_t h);
   void unmark_contended(uint32_t h);
   void pump(uint32_t h);

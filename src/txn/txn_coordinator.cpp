@@ -155,12 +155,14 @@ void CoordinatorBase::read_ns_vector(SiteId at, SessionNum expected_at,
 // catches the rest); the first failing entry fails the vector read.
 void CoordinatorBase::read_ns_entries(SiteId at, std::vector<SiteId> sites,
                                       SessionNum expected_at,
-                                      std::function<void(bool)> k) {
+                                      std::function<void(bool)> k,
+                                      bool vote) {
   metrics_.inc(metrics_.id.txn_ns_reads,
                static_cast<int64_t>(sites.size()));
   // Sent even when `sites` is empty (a transaction with no ops): the read
   // is what makes `at` a participant.
   BatchReq req = batch_header(expected_at);
+  if (vote) req.prepare = {at};
   req.ops.reserve(sites.size());
   for (SiteId idx : sites) {
     BatchOp op;
@@ -187,6 +189,9 @@ void CoordinatorBase::read_ns_entries(SiteId at, std::vector<SiteId> sites,
           const BatchOpResult& r = resp.results[j];
           record_read(at, ns_item(sites[j]), r.version);
           view_.set(sites[j], static_cast<SessionNum>(r.value), r.version);
+        }
+        if (resp.vote_yes) {
+          count_yes_vote(participants_.at(at), resp.version_counters);
         }
         k(true);
       });
@@ -266,7 +271,6 @@ void CoordinatorBase::write_seq_step(std::shared_ptr<WriteSeqState> st,
 void CoordinatorBase::run_commit(std::function<void(bool)> k) {
   assert(participants_.count(self_) == 1);
   commit_k_ = std::move(k);
-  acks_pending_ = participants_.size();
   const bool staged = std::any_of(
       participants_.begin(), participants_.end(),
       [](const auto& p) { return p.second.hold == Hold::kStaged; });
@@ -282,14 +286,20 @@ void CoordinatorBase::run_commit(std::function<void(bool)> k) {
   req.coordinator = self_;
   CommitReq release;
   release.txn = txn_;
-  release.chain_relaunched = chain_relaunched_;
+  release.late_batches = late_batches_;
   for (auto it = participants_.begin(); it != participants_.end();) {
     if (staged && it->second.hold != Hold::kReads) {
       req.participants.push_back(it->first);
       if (!it->second.voted) ++votes_pending_;
       ++it;
     } else {
-      send_commit(it->first, release);
+      // Nothing to learn and nothing to ack, except at this site, whose
+      // ack reports the read-only commit.
+      if (it->first == self_) {
+        send_commit(self_, release);
+      } else {
+        rpc_.send_oneway(it->first, release);
+      }
       it = participants_.erase(it);
     }
   }
@@ -352,7 +362,7 @@ void CoordinatorBase::decide() {
   // (presumed abort), then tell every prepared site.
   CommitReq creq;
   creq.txn = txn_;
-  creq.chain_relaunched = chain_relaunched_;
+  creq.late_batches = late_batches_;
   for (const auto& [item, ctr] : max_counters_) {
     creq.new_counters.emplace_back(item, ctr + 1);
   }
@@ -368,14 +378,14 @@ void CoordinatorBase::decide() {
 }
 
 void CoordinatorBase::send_commit(SiteId q, const CommitReq& req) {
+  ++acks_pending_;
   send_request(q, req, cfg_.rpc_timeout,
                [this, q](Code code, const Payload* payload) {
                  // A positive ack means the participant durably applied
                  // the outcome; erase it from the decision record's
-                 // unacked set (a no-op for a released site). The record
-                 // is forgotten when the set empties. Missing acks (crash,
-                 // timeout) keep the record answerable for the eventual
-                 // OutcomeQuery/OutcomeAck.
+                 // unacked set. The record is forgotten when the set
+                 // empties. Missing acks (crash, timeout) keep the record
+                 // answerable for the eventual OutcomeQuery/OutcomeAck.
                  if (code == Code::kOk && payload != nullptr &&
                      std::get<AckResp>(*payload).code == Code::kOk) {
                    stable_.ack_outcome(txn_, q);
@@ -476,12 +486,16 @@ void UserTxnCoordinator::start() {
     }
     run_batched_ops();
   };
-  read_ns_entries(self_, host_set(), state_.session, std::move(resume));
+  // The snapshot's site votes with the read: it is prepared whenever the
+  // transaction writes, and usually gets no batch of its own.
+  read_ns_entries(self_, host_set(), state_.session, std::move(resume),
+                  /*vote=*/true);
 }
 
 void UserTxnCoordinator::finish_ops() {
   run_commit([this](bool committed) {
     if (committed) {
+      if (!fell_back_) metrics_.inc(metrics_.id.txn_parallel_commits);
       report_committed(std::move(read_values_));
     } else {
       report_aborted(Code::kAborted);
@@ -492,8 +506,9 @@ void UserTxnCoordinator::finish_ops() {
 // ---------------------------------------------------------------------------
 // Whole-transaction batching. Reads target their first candidate, writes
 // target every nominally-up copy; everything bound for one site rides a
-// single BatchReq. The batches form one chain in ascending site order, and
-// a site's locks are requested only once every earlier site holds its own,
+// single BatchReq. All batches first go out at once, no-wait; if a site is
+// busy, an ordered chain takes over from the lowest busy site, and there a
+// site's locks are requested only once every earlier site holds its own,
 // so concurrent writers of one item acquire its copies' X-locks in one
 // global order and cannot deadlock across sites.
 
@@ -504,8 +519,10 @@ void UserTxnCoordinator::run_batched_ops() {
     for (auto& b : st->batches) {
       if (b.to == to) return b;
     }
-    st->batches.push_back(SiteBatch{to, batch_header(view_.session(to)), {}});
-    return st->batches.back();
+    SiteBatch& b = st->batches.emplace_back();
+    b.to = to;
+    b.req = batch_header(view_.session(to));
+    return b;
   };
   for (size_t i = 0; i < spec_.ops.size(); ++i) {
     const LogicalOp& op = spec_.ops[i];
@@ -600,21 +617,104 @@ void UserTxnCoordinator::dispatch_batches(std::shared_ptr<BatchRunState> st) {
   }
   DDBS_TRACE << "txn " << txn_ << " batched " << spec_.ops.size()
              << " ops over " << st->batches.size() << " sites";
-  // Every hop's reply is registered before the chain leaves, since any
-  // site of it may answer first.
+  // The parallel round: a no-wait batch never waits on a lock, so its
+  // budget is one round trip.
   for (size_t i = 0; i < st->batches.size(); ++i) {
-    st->batches[i].rpc_id = expect_reply(
-        [this, st, i](Code code, const Payload* payload) {
-          on_hop_reply(st, i, code, payload);
+    BatchReq req = st->batches[i].req;
+    req.dispatch = Dispatch::kNoWait;
+    send_request(st->batches[i].to, std::move(req), cfg_.rpc_timeout,
+                 [this, st, i](Code code, const Payload* payload) {
+                   on_round_reply(st, i, code, payload);
+                 });
+  }
+}
+
+// Round answers are taken in site order: site i counts once every lower
+// site has answered without being busy. The lowest busy site starts the
+// chain; answers from above it are only given back.
+void UserTxnCoordinator::on_round_reply(
+    const std::shared_ptr<BatchRunState>& st, size_t i, Code code,
+    const Payload* payload) {
+  if (decided_) return;
+  const BatchResp* resp = code == Code::kOk && payload != nullptr
+                              ? &std::get<BatchResp>(*payload)
+                              : nullptr;
+  SiteBatch& b = st->batches[i];
+  b.answered = true;
+  // A batch whose answer timed out may still reach its site, even after
+  // the commit.
+  if (code == Code::kTimeout) late_batches_ = true;
+  if (i > st->chain_from) {
+    retract(b.to, resp);
+    return;
+  }
+  if (i != st->frontier) {
+    b.round_code = code;
+    if (resp != nullptr) b.round_resp = *resp;
+    return;
+  }
+  if (!take_round_reply(st, i, code, resp)) return;
+  for (++st->frontier; st->frontier < st->batches.size() &&
+                       st->batches[st->frontier].answered;
+       ++st->frontier) {
+    const SiteBatch& f = st->batches[st->frontier];
+    if (!take_round_reply(st, st->frontier, f.round_code,
+                          f.round_code == Code::kOk ? &f.round_resp
+                                                    : nullptr)) {
+      return;
+    }
+  }
+  if (st->frontier == st->batches.size()) retry_step(st);
+}
+
+bool UserTxnCoordinator::take_round_reply(
+    const std::shared_ptr<BatchRunState>& st, size_t i, Code code,
+    const BatchResp* resp) {
+  if (resp == nullptr || resp->code != Code::kBusy) {
+    // A timeout here is not reported to the failure detector: every
+    // transaction that touches a crashed site hits it at once in the
+    // round, and each report would have its site verify and declare the
+    // crash itself (a type-2 per reporter). The ring watchers find it.
+    return consume_batch_resp(*st, i, code, resp, /*report_timeouts=*/false);
+  }
+  // Site i is the lowest busy one. Grants below it stay, every grant above
+  // it is given back, and the chain runs from it up: a transaction waits
+  // for a lock only in the chain, holding (or retracting) locks at lower
+  // sites only, so no wait-for cycle can form.
+  metrics_.inc(metrics_.id.txn_parallel_fallbacks);
+  metrics_.inc(resp->busy_queued ? metrics_.id.txn_parallel_fallbacks_queued
+                                 : metrics_.id.txn_parallel_fallbacks_held);
+  fell_back_ = true;
+  st->chain_from = i;
+  for (size_t j = i + 1; j < st->batches.size(); ++j) {
+    const SiteBatch& b = st->batches[j];
+    if (b.answered) {
+      retract(b.to, b.round_code == Code::kOk ? &b.round_resp : nullptr);
+    }
+  }
+  for (size_t j = i; j < st->batches.size(); ++j) {
+    st->batches[j].rpc_id = expect_reply(
+        [this, st, j](Code code, const Payload* payload) {
+          on_hop_reply(st, j, code, payload);
         });
   }
-  st->unresolved = st->batches.size();
-  launch_hop(*st, 0);
+  st->unresolved = st->batches.size() - i;
+  launch_hop(*st, i);
+  return false;
+}
+
+void UserTxnCoordinator::retract(SiteId to, const BatchResp* resp) {
+  // A busy site holds nothing. A silent one may (its answer was lost), and
+  // a retract that finds nothing is dropped.
+  if (resp != nullptr && resp->code == Code::kBusy) return;
+  metrics_.inc(metrics_.id.txn_retracts);
+  rpc_.send_oneway(to, RetractReq{txn_});
 }
 
 void UserTxnCoordinator::launch_hop(BatchRunState& st, size_t i) {
   const SiteBatch& b = st.batches[i];
   BatchReq req = b.req;
+  req.dispatch = Dispatch::kChained;
   req.chain.reserve(st.batches.size() - i - 1);
   for (size_t j = st.batches.size() - 1; j > i; --j) {
     const SiteBatch& h = st.batches[j];
@@ -632,7 +732,10 @@ void UserTxnCoordinator::on_hop_reply(const std::shared_ptr<BatchRunState>& st,
   if (decided_) return;
   st->batches[i].resolved = true;
   --st->unresolved;
-  if (!consume_batch_resp(*st, i, code, payload)) return;
+  const BatchResp* resp = code == Code::kOk && payload != nullptr
+                              ? &std::get<BatchResp>(*payload)
+                              : nullptr;
+  if (!consume_batch_resp(*st, i, code, resp)) return;
   const size_t next = i + 1;
   if (next < st->batches.size() && !st->batches[next].resolved) {
     if (code == Code::kTimeout) {
@@ -642,9 +745,9 @@ void UserTxnCoordinator::on_hop_reply(const std::shared_ptr<BatchRunState>& st,
       // forward did arrive, later hops may see their batch twice: while
       // the context lives, the second run restages the same writes and
       // answers an id that is already gone; once it has ended, the DM
-      // refuses the batch (chain_relaunched_).
+      // refuses the batch (late_batches_).
       metrics_.inc(metrics_.id.txn_chain_relaunches);
-      chain_relaunched_ = true;
+      late_batches_ = true;
       launch_hop(*st, next);
     } else {
       rpc_.arm_timeout(st->batches[next].rpc_id,
@@ -654,24 +757,24 @@ void UserTxnCoordinator::on_hop_reply(const std::shared_ptr<BatchRunState>& st,
   if (st->unresolved == 0) retry_step(st);
 }
 
-// Fold one site's batch response into the run. Returns false when the
-// transaction aborted (a write failed -- WRITE is a conjunction over every
-// nominally-up copy, Section 2). Failed reads queue for the fallback
-// ladder instead: the *logical* read is a disjunction over candidates.
-// DataManager::forward_chain passes the chain on exactly when this does
-// not abort, so the two must agree on which read failures are retried.
+// Fold one site's batch response (null when the RPC failed with `code`)
+// into the run. Returns false when the transaction aborted (a write failed
+// -- WRITE is a conjunction over every nominally-up copy, Section 2).
+// Failed reads queue for the fallback ladder instead: the *logical* read
+// is a disjunction over candidates. DataManager::forward_chain passes the
+// chain on exactly when this does not abort, so the two must agree on
+// which read failures are retried.
 bool UserTxnCoordinator::consume_batch_resp(BatchRunState& st, size_t i,
-                                            Code code,
-                                            const Payload* payload) {
+                                            Code code, const BatchResp* resp,
+                                            bool report_timeouts) {
   const SiteBatch& b = st.batches[i];
   const SiteId to = b.to;
-  const BatchResp* resp = nullptr;
-  if (code == Code::kOk && payload != nullptr) {
-    resp = &std::get<BatchResp>(*payload);
-  } else if (code == Code::kTimeout) {
+  // The site was reported already, or is not to be.
+  bool suspected = !report_timeouts;
+  if (code == Code::kTimeout && !suspected) {
     suspect(to); // whole-RPC loss: every op below fails with kTimeout
+    suspected = true;
   }
-  bool suspected = code == Code::kTimeout;
   for (size_t j = 0; j < b.req.ops.size(); ++j) {
     const BatchOp& bop = b.req.ops[j];
     const Code rc = resp != nullptr ? resp->results[j].code : code;
@@ -725,6 +828,11 @@ void UserTxnCoordinator::retry_step(std::shared_ptr<BatchRunState> st) {
     if (!st->dispatched) {
       dispatch_batches(std::move(st));
       return;
+    }
+    // A round batch still unanswered (above the chain's start) may yet
+    // reach its site, even after the commit.
+    for (const SiteBatch& b : st->batches) {
+      if (!b.answered) late_batches_ = true;
     }
     finish_ops();
     return;

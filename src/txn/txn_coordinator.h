@@ -113,8 +113,12 @@ class CoordinatorBase {
   // (sorted ascending -- the same global lock order control transactions
   // write in) at `at`. User transactions pass their host set, copiers
   // their item's resident sites; cost is O(|sites|) instead of O(n_sites).
+  // With `vote`, `at` also prepares with the read and returns a yes vote
+  // (BatchReq::prepare = {at}): the snapshot's site then needs no
+  // PrepareReq unless a later request voids the vote.
   void read_ns_entries(SiteId at, std::vector<SiteId> sites,
-                       SessionNum expected_at, std::function<void(bool)> k);
+                       SessionNum expected_at, std::function<void(bool)> k,
+                       bool vote = false);
 
   // An empty BatchReq from this transaction carrying the given session
   // stamp; callers append the ops.
@@ -157,7 +161,8 @@ class CoordinatorBase {
   // has been answered (the lock point). When some participant holds a
   // staged write or commit-time action, those sites and the NS snapshot's
   // site are prepared; every other participant only served reads and is
-  // released (CommitReq) in the same step. A prepared site with a standing
+  // released in the same step (a one-way CommitReq; only this site's
+  // release is acked). A prepared site with a standing
   // early vote (count_early_vote) gets no PrepareReq, so when every one
   // voted early the decision is made right here. With nothing staged the
   // decision is immediate and every participant is released: no votes, no
@@ -251,10 +256,11 @@ class CoordinatorBase {
   // dense representation held for unread/skipped sites.
   NsView view_;
   bool decided_ = false; // 2PC decision made (or unilateral abort)
-  // A chained dispatch was relaunched past a silent hop: later hops may see
-  // their batch twice, so every CommitReq says so (CommitReq::
-  // chain_relaunched).
-  bool chain_relaunched_ = false;
+  // A batch of this transaction may still reach a site after the decision
+  // (a chain relaunched past a silent hop, a no-wait batch whose answer
+  // timed out or never came), so every CommitReq says so (CommitReq::
+  // late_batches).
+  bool late_batches_ = false;
   // Participants whose prepare timed out in run_commit (the caller may
   // need to declare them down and retry -- recovery step 4).
   std::vector<SiteId> last_prepare_timeouts_;
@@ -314,10 +320,15 @@ class UserTxnCoordinator : public CoordinatorBase {
   // a failed read falls back to the candidate ladder of one-read batches,
   // whose ReadMode::kMayPark read can park on an unreadable copy.
   //
-  // Chained dispatch: the batches form one chain in ascending site order.
-  // The first goes out from here carrying the rest; each DM forwards the
-  // rest once it holds its own locks, and every site answers here
-  // directly, so n batches cost n + 1 one-way hops instead of 2n.
+  // One parallel round, the chain on conflict. Every batch first goes out
+  // at once, no-wait (Dispatch::kNoWait): a site grants all of its locks
+  // now or none and answers kBusy. When every site grants, the early votes
+  // come back in that one round trip. Otherwise, with s the lowest busy
+  // site, the grants below s stay, every grant above s is retracted
+  // (RetractReq, one-way), and the batches from s up form one chain in
+  // ascending site order: the first goes out from here carrying the rest,
+  // each DM forwards the rest once it holds its own locks, and every site
+  // answers here directly.
   struct ReadRetry {
     ItemId item = 0;
     size_t slot = 0;       // read-op ordinal (index into read_values_)
@@ -329,6 +340,10 @@ class UserTxnCoordinator : public CoordinatorBase {
     std::vector<size_t> read_slot; // per op: ordinal, or SIZE_MAX for writes
     uint64_t rpc_id = 0;           // the reply registered for this hop
     bool resolved = false;         // answered, or timed out
+    // The parallel round's answer, held until every lower site's is in.
+    bool answered = false;
+    Code round_code = Code::kOk;
+    BatchResp round_resp;
   };
   struct BatchRunState {
     std::vector<SiteBatch> batches;
@@ -342,9 +357,22 @@ class UserTxnCoordinator : public CoordinatorBase {
     std::vector<ReadRetry> retries;
     size_t next_retry = 0;
     bool dispatched = false;
+    // Round answers below this site index are taken.
+    size_t frontier = 0;
+    // The lowest busy site, where the chain starts (none: SIZE_MAX).
+    size_t chain_from = SIZE_MAX;
   };
   void run_batched_ops();
   void dispatch_batches(std::shared_ptr<BatchRunState> st);
+  void on_round_reply(const std::shared_ptr<BatchRunState>& st, size_t i,
+                      Code code, const Payload* payload);
+  // Take site i's round answer, every lower one taken. False when the
+  // transaction aborted or fell back to the chain at i (busy).
+  bool take_round_reply(const std::shared_ptr<BatchRunState>& st, size_t i,
+                        Code code, const BatchResp* resp);
+  // Give back a round grant above the chain's start (`resp` null: the
+  // answer timed out).
+  void retract(SiteId to, const BatchResp* resp);
   // Send hop i from here, carrying every later unresolved hop, and start
   // its budget.
   void launch_hop(BatchRunState& st, size_t i);
@@ -355,13 +383,14 @@ class UserTxnCoordinator : public CoordinatorBase {
   void on_hop_reply(const std::shared_ptr<BatchRunState>& st, size_t i,
                     Code code, const Payload* payload);
   bool consume_batch_resp(BatchRunState& st, size_t i, Code code,
-                          const Payload* payload);
+                          const BatchResp* resp, bool report_timeouts = true);
   void retry_step(std::shared_ptr<BatchRunState> st);
   void retry_read(std::shared_ptr<BatchRunState> st, size_t candidate_idx);
 
   TxnSpec spec_;
   std::vector<Value> read_values_;
   std::vector<SiteId> read_cands_;
+  bool fell_back_ = false; // some round site was busy: the chain ran
 };
 
 } // namespace ddbs

@@ -1,6 +1,7 @@
 // Coordinator edge cases: empty transactions, read-own-write, the commit's
 // prepare set (read-only sites released at the lock point) and its early
-// votes, chained dispatch (hop order, budgets, relaunch, aborts),
+// votes, the parallel no-wait round and its retracts, chained dispatch on
+// conflict (hop order, budgets, relaunch, aborts),
 // transaction deadlines, read failover order, and the WAL
 // checkpointing + outcome-log hygiene those paths rely on.
 #include <gtest/gtest.h>
@@ -146,6 +147,11 @@ TEST(CoordinatorEdges, MixedTxnVotesWithItsBatches) {
   for (size_t i = 0; i < log->size(); ++i) {
     const Delivery& d = (*log)[i];
     if (const auto* b = std::get_if<BatchReq>(&d.payload)) {
+      if (!b->ops.empty() && is_ns_item(b->ops[0].item)) {
+        // The NS snapshot: site 0 votes with it.
+        EXPECT_EQ(b->prepare, std::vector<SiteId>{0});
+        continue;
+      }
       last_batch = d.at;
       if (d.site == q) {
         EXPECT_TRUE(b->prepare.empty()); // q is not prepared
@@ -428,18 +434,32 @@ ItemId item_at(const Catalog& cat, ItemId n_items, std::vector<SiteId> sites) {
   return -1;
 }
 
-// The data batches of user transaction `txn` (NS reads excluded), in
-// delivery order.
+// The data batches of user transaction `txn` (NS reads excluded) that are
+// not part of its parallel round, in delivery order: chain hops and reads
+// sent alone.
 std::vector<const Delivery*> data_batches(const std::vector<Delivery>& log,
                                           TxnId txn) {
   std::vector<const Delivery*> out;
   for (const Delivery& d : log) {
     const auto* b = std::get_if<BatchReq>(&d.payload);
     if (b == nullptr || b->txn != txn || b->ops.empty() ||
-        is_ns_item(b->ops[0].item)) {
+        is_ns_item(b->ops[0].item) || b->dispatch == Dispatch::kNoWait) {
       continue;
     }
     out.push_back(&d);
+  }
+  return out;
+}
+
+// The parallel round's batches of `txn`, in delivery order.
+std::vector<const Delivery*> round_batches(const std::vector<Delivery>& log,
+                                           TxnId txn) {
+  std::vector<const Delivery*> out;
+  for (const Delivery& d : log) {
+    const auto* b = std::get_if<BatchReq>(&d.payload);
+    if (b != nullptr && b->txn == txn && b->dispatch == Dispatch::kNoWait) {
+      out.push_back(&d);
+    }
   }
   return out;
 }
@@ -455,7 +475,10 @@ TxnId txn_of(const std::vector<Delivery>& log, SiteId site) {
   return 0;
 }
 
-TEST(CoordinatorEdges, ChainVisitsSitesInAscendingOrderHopByHop) {
+TEST(CoordinatorEdges, UncontendedWriterCommitsInOneRound) {
+  // No site is busy: every batch is granted in the parallel round and
+  // votes there, so the transaction decides one round trip after its NS
+  // snapshot, with no chain hop and no prepare round.
   Config cfg = cfg4();
   cfg.net_latency_min = cfg.net_latency_max = 1'000;
   Cluster cluster(cfg, 20);
@@ -464,6 +487,90 @@ TEST(CoordinatorEdges, ChainVisitsSitesInAscendingOrderHopByHop) {
   const ItemId w = item_at(cat, cfg.n_items, {1, 2, 3});
   ASSERT_GE(w, 0);
   auto log = tap_requests(cluster);
+  const SimTime start = cluster.now();
+  const auto res = cluster.run_txn(0, {{OpKind::kWrite, w, 9}});
+  ASSERT_TRUE(res.committed) << to_string(res.reason);
+  // Loopback NS read, one round trip, the local commit: well under two.
+  EXPECT_LT(cluster.now() - start, 3'000);
+  const TxnId txn = txn_of(*log, 1);
+  const auto round = round_batches(*log, txn);
+  ASSERT_EQ(round.size(), 3u);
+  for (const Delivery* d : round) {
+    EXPECT_EQ(d->from, 0);
+    EXPECT_EQ(d->at, round[0]->at); // all at once
+  }
+  EXPECT_TRUE(data_batches(*log, txn).empty());
+  EXPECT_EQ(cluster.metrics().get("dm.chain_forwards"), 0);
+  EXPECT_EQ(cluster.metrics().get("txn.parallel_commits"), 1);
+  EXPECT_EQ(cluster.metrics().get("txn.parallel_fallbacks"), 0);
+  EXPECT_EQ(cluster.metrics().get("txn.early_votes"), 3);
+  // The NS snapshot's site, which holds no copy of `w`, voted with its
+  // snapshot read: no site is asked to prepare.
+  EXPECT_EQ(count_of<PrepareReq>(*log), 0u);
+  cluster.settle();
+  std::string why;
+  EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
+}
+
+TEST(CoordinatorEdges, GrantAboveTheBusySiteIsRetractedAndTheChainCommits) {
+  // Site 2 is busy in the round. Site 1's grant stays; site 3's is given
+  // back, and the chain runs 2 -> 3. The client sees one commit, and the
+  // history holds one record for the transaction.
+  Config cfg = cfg4();
+  cfg.net_latency_min = cfg.net_latency_max = 1'000;
+  Cluster cluster(cfg, 25);
+  cluster.bootstrap();
+  const Catalog& cat = cluster.catalog();
+  const ItemId w = item_at(cat, cfg.n_items, {1, 2, 3});
+  ASSERT_GE(w, 0);
+  auto log = tap_requests(cluster);
+  hold_lock(cluster, 2, w, 5'000);
+  const auto res = cluster.run_txn(0, {{OpKind::kWrite, w, 9}});
+  ASSERT_TRUE(res.committed) << to_string(res.reason);
+  const TxnId txn = txn_of(*log, 1);
+  EXPECT_EQ(cluster.metrics().get("txn.parallel_fallbacks"), 1);
+  EXPECT_EQ(cluster.metrics().get("txn.parallel_fallbacks.held"), 1);
+  EXPECT_EQ(cluster.metrics().get("txn.parallel_commits"), 0);
+  EXPECT_EQ(cluster.metrics().get("txn.retracts"), 1);
+  std::vector<SiteId> retracted;
+  for (const Delivery& d : *log) {
+    if (const auto* r = std::get_if<RetractReq>(&d.payload)) {
+      if (r->txn == txn) retracted.push_back(d.site);
+    }
+  }
+  EXPECT_EQ(retracted, std::vector<SiteId>{3});
+  const auto hops = data_batches(*log, txn);
+  std::vector<std::pair<SiteId, SiteId>> route;
+  for (const Delivery* d : hops) route.emplace_back(d->from, d->site);
+  const std::vector<std::pair<SiteId, SiteId>> expected{{0, 2}, {2, 3}};
+  EXPECT_EQ(route, expected);
+  EXPECT_EQ(cluster.metrics().get("dm.chain_forwards"), 1);
+  EXPECT_EQ(cluster.metrics().get("txn.abort.busy"), 0);
+  const History& h = cluster.history().view();
+  EXPECT_EQ(std::count_if(h.txns.begin(), h.txns.end(),
+                          [txn](const TxnRecord& r) { return r.txn == txn; }),
+            1);
+  cluster.settle();
+  for (SiteId s : cat.sites_of(w)) {
+    EXPECT_EQ(cluster.site(s).stable().kv().find(w)->value, 9) << "site " << s;
+    EXPECT_TRUE(cluster.site(s).dm().locks().holders_of(w).empty());
+  }
+  std::string why;
+  EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
+}
+
+TEST(CoordinatorEdges, ChainVisitsSitesInAscendingOrderHopByHop) {
+  // Site 1 is busy when the round reaches it and free again by the time
+  // the chain does, so the chain runs from site 1 without a wait.
+  Config cfg = cfg4();
+  cfg.net_latency_min = cfg.net_latency_max = 1'000;
+  Cluster cluster(cfg, 20);
+  cluster.bootstrap();
+  const Catalog& cat = cluster.catalog();
+  const ItemId w = item_at(cat, cfg.n_items, {1, 2, 3});
+  ASSERT_GE(w, 0);
+  auto log = tap_requests(cluster);
+  hold_lock(cluster, 1, w, 2'000);
   ASSERT_TRUE(cluster.run_txn(0, {{OpKind::kWrite, w, 9}}).committed);
   const auto hops = data_batches(*log, txn_of(*log, 1));
   ASSERT_EQ(hops.size(), 3u);
@@ -504,6 +611,7 @@ TEST(CoordinatorEdges, DeadReadOnlyHopRelaunchesTheChain) {
       [&suspected](SiteId s) { suspected.push_back(s); });
   auto log = tap_requests(cluster);
   cluster.crash_site(1);
+  hold_lock(cluster, 0, w, 5'000); // the chain runs from site 0
   auto res = cluster.run_txn(0, {{OpKind::kRead, r, 0},
                                  {OpKind::kWrite, w, 9}});
   ASSERT_TRUE(res.committed) << to_string(res.reason);
@@ -540,6 +648,7 @@ TEST(CoordinatorEdges, FailedWriteStopsTheChainAndALateForwardIsRefused) {
   const SessionNum real = session2;
   session2 = real + 1;
   auto log = tap_requests(cluster);
+  hold_lock(cluster, 1, w, 2'000); // the chain runs from site 1
   auto res = cluster.run_txn(0, {{OpKind::kWrite, w, 9}});
   session2 = real;
   EXPECT_FALSE(res.committed);
@@ -594,6 +703,7 @@ TEST(CoordinatorEdges, RelaunchedChainRefusesADuplicateAfterCommit) {
   cluster.site(3).stable().kv().install(r, 42, Version{1, 0});
   auto log = tap_requests(cluster);
   cluster.crash_site(1);
+  hold_lock(cluster, 0, w, 5'000); // the chain runs from site 0
   ASSERT_TRUE(cluster.run_txn(0, {{OpKind::kRead, r, 0},
                                   {OpKind::kWrite, w, 9}})
                   .committed);
@@ -664,6 +774,7 @@ TEST(CoordinatorEdges, FullyChainedWriterNeedsNoPrepareRound) {
   ASSERT_GE(a, 0);
   ASSERT_GE(b, 0);
   auto log = tap_requests(cluster);
+  hold_lock(cluster, 0, a, 2'000); // the chain runs from site 0
   ASSERT_TRUE(cluster.run_txn(0, {{OpKind::kWrite, a, 1},
                                   {OpKind::kWrite, b, 2}})
                   .committed);

@@ -70,11 +70,11 @@ TEST(Determinism, DifferentSeedsDiverge) {
 
 // Fixed-seed trajectory fingerprints of a 64-site DES run with a crash and
 // a recovery, in legacy global-FIFO key mode and in site-keyed mode. The
-// pinned values were re-captured when each site began forwarding a user
-// transaction's next batch itself (chained dispatch: a transaction costs
-// one network hop per site instead of a round trip, so more commit in the
-// window and the RNG stream shifts); a change that moves them changes the
-// order events fire in and must say why.
+// pinned values were re-captured when user transactions began sending all
+// their batches in one parallel no-wait round, chaining only on conflict
+// (a commit costs one round trip instead of n + 1 hops, so more commit in
+// the window and the RNG stream shifts); a change that moves them changes
+// the order events fire in and must say why.
 struct Trajectory {
   int64_t submitted = 0;
   int64_t committed = 0;
@@ -115,12 +115,12 @@ Trajectory run_pinned(bool site_keys) {
 
 TEST(Determinism, PinnedTrajectoryLegacyKeys) {
   EXPECT_EQ(run_pinned(/*site_keys=*/false),
-            (Trajectory{903, 849, 39'801, 43'702}));
+            (Trajectory{1'205, 1'124, 58'863, 64'441}));
 }
 
 TEST(Determinism, PinnedTrajectorySiteKeys) {
   EXPECT_EQ(run_pinned(/*site_keys=*/true),
-            (Trajectory{956, 908, 38'292, 41'635}));
+            (Trajectory{1'317, 1'236, 59'151, 63'961}));
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/cluster.h"
+#include "workload/runner.h"
 
 namespace ddbs {
 namespace {
@@ -167,9 +168,15 @@ TEST_F(DmFixture, InDoubtRedoAfterCrash) {
   prep.coordinator = 1;
   prep.participants = {0, 1};
   dm.handle_request(make_env(prep));
-  // Crash before any outcome arrives; the decision was commit.
+  // Crash before any outcome arrives; the decision was commit, and the
+  // item's other copies applied it.
   cluster->site(1).stable().record_outcome(
       t1, OutcomeRec{true, {{item_at_0, 9}}, {}});
+  for (SiteId s : cluster->catalog().sites_of(item_at_0)) {
+    if (s != 0) {
+      cluster->site(s).stable().kv().install(item_at_0, 66, Version{9, t1});
+    }
+  }
   cluster->crash_site(0);
   cluster->recover_site(0);
   cluster->settle();
@@ -331,6 +338,47 @@ TEST_F(DmFixture, PingReportsOperationalState) {
   EXPECT_TRUE(cluster->site(0).state().operational());
   cluster->crash_site(0);
   EXPECT_FALSE(cluster->site(0).state().operational());
+}
+
+TEST_F(DmFixture, ClosedEntryExpiresAfterTheDeadlineWindow) {
+  DataManager& dm = cluster->site(0).dm();
+  for (uint64_t seq = 1; seq <= 50; ++seq) {
+    dm.handle_request(make_env(AbortReq{make_txn_id(1, seq)}));
+  }
+  EXPECT_EQ(dm.closed_count(), 50u);
+  // Still refused just inside the window...
+  cluster->run_until(cluster->now() + cfg.txn_timeout);
+  const TxnId first = make_txn_id(1, 1);
+  dm.handle_request(make_env(write_req(first, item_at_0, 5)));
+  EXPECT_EQ(dm.active_txn_count(), 0u);
+  // ...and forgotten once no batch of those transactions can arrive.
+  cluster->run_until(cluster->now() + cfg.net_latency_max + 1);
+  dm.handle_request(make_env(AbortReq{make_txn_id(1, 51)}));
+  EXPECT_EQ(dm.closed_count(), 1u);
+}
+
+TEST(ClosedSet, StaysBoundedOverALongContendedRun) {
+  // Eight items and two clients per site: aborts never stop. Closed
+  // entries live one txn_timeout plus a latency, so the set tracks the
+  // abort rate, not the run length.
+  Config cfg;
+  cfg.n_sites = 4;
+  cfg.n_items = 8;
+  cfg.replication_degree = 3;
+  Cluster cluster(cfg, 5);
+  cluster.bootstrap();
+  RunnerParams rp;
+  rp.clients_per_site = 2;
+  rp.duration = 8 * cfg.txn_timeout;
+  Runner runner(cluster, rp, 5);
+  runner.run();
+  const int64_t aborts = cluster.metrics().get("dm.aborts_applied");
+  ASSERT_GT(aborts, 200);
+  size_t closed = 0;
+  for (SiteId s = 0; s < cfg.n_sites; ++s) {
+    closed += cluster.site(s).dm().closed_count();
+  }
+  EXPECT_LT(static_cast<int64_t>(closed), aborts / 3);
 }
 
 } // namespace

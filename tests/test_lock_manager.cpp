@@ -287,6 +287,85 @@ TEST(LockManager, WaitEdgesSkipCompatibleSharedHolders) {
 
 // ---- deadlock detector ----
 
+// ---------------------------------------------------------------------------
+// try_acquire_all: the no-wait round's all-or-nothing primitive.
+
+using Locks = std::vector<std::pair<ItemId, LockMode>>;
+
+TEST(LockManager, TryAcquireAllIsAllOrNothing) {
+  LockManager lm;
+  lm.acquire(1, 20, LockMode::kExclusive, []() {});
+  std::vector<LockManager::Grant> grants;
+  const Locks want{{10, LockMode::kShared},
+                   {20, LockMode::kShared},
+                   {30, LockMode::kExclusive}};
+  EXPECT_EQ(lm.try_acquire_all(2, want, &grants),
+            LockManager::TryResult::kHeld);
+  EXPECT_TRUE(grants.empty());
+  EXPECT_EQ(lm.held_count(2), 0u); // item 10 was free, yet not taken
+  EXPECT_TRUE(lm.holders_of(10).empty());
+  lm.release_all(1);
+  EXPECT_EQ(lm.try_acquire_all(2, want, &grants),
+            LockManager::TryResult::kGranted);
+  EXPECT_EQ(grants.size(), 3u);
+  EXPECT_EQ(lm.held_count(2), 3u);
+  EXPECT_TRUE(lm.holds(2, 30));
+}
+
+TEST(LockManager, TryAcquireAllNeverBargesPastAQueuedWaiter) {
+  LockManager lm;
+  lm.acquire(1, 10, LockMode::kShared, []() {});
+  bool x_granted = false;
+  lm.acquire(2, 10, LockMode::kExclusive, [&]() { x_granted = true; });
+  // Compatible with the S holder, but the X waiter is ahead.
+  std::vector<LockManager::Grant> grants;
+  EXPECT_EQ(lm.try_acquire_all(3, {{10, LockMode::kShared}}, &grants),
+            LockManager::TryResult::kQueued);
+  EXPECT_EQ(lm.held_count(3), 0u);
+  lm.release_all(1);
+  EXPECT_TRUE(x_granted);
+}
+
+TEST(LockManager, TryAcquireAllNeverEntersTheWaitForGraph) {
+  LockManager lm;
+  lm.acquire(1, 10, LockMode::kExclusive, []() {});
+  const uint64_t epoch = lm.wait_graph_epoch();
+  std::vector<LockManager::Grant> grants;
+  EXPECT_EQ(lm.try_acquire_all(2, {{10, LockMode::kExclusive}}, &grants),
+            LockManager::TryResult::kHeld);
+  EXPECT_FALSE(lm.has_waiters());
+  EXPECT_TRUE(lm.wait_edges().empty());
+  EXPECT_TRUE(lm.waiting_txns().empty());
+  EXPECT_EQ(lm.wait_graph_epoch(), epoch);
+}
+
+TEST(LockManager, RetractUndoesUpgradesAndNewHoldsOnly) {
+  LockManager lm;
+  lm.acquire(1, 10, LockMode::kShared, []() {});    // held before the try
+  lm.acquire(1, 30, LockMode::kExclusive, []() {}); // held before the try
+  std::vector<LockManager::Grant> grants;
+  ASSERT_EQ(lm.try_acquire_all(1,
+                               {{10, LockMode::kExclusive},
+                                {20, LockMode::kExclusive},
+                                {30, LockMode::kShared}},
+                               &grants),
+            LockManager::TryResult::kGranted);
+  EXPECT_EQ(grants.size(), 2u); // the upgrade of 10 and the new hold of 20
+  bool s_granted = false, x_granted = false;
+  lm.acquire(2, 10, LockMode::kShared, [&]() { s_granted = true; });
+  lm.acquire(3, 20, LockMode::kExclusive, [&]() { x_granted = true; });
+  EXPECT_FALSE(s_granted);
+  EXPECT_FALSE(x_granted);
+  lm.retract(1, grants);
+  // Back to S on 10 (shared with the waiter now), 20 given up, 30 kept.
+  EXPECT_TRUE(s_granted);
+  EXPECT_TRUE(x_granted);
+  EXPECT_TRUE(lm.holds(1, 10));
+  EXPECT_FALSE(lm.holds(1, 20));
+  EXPECT_TRUE(lm.holds(1, 30));
+  EXPECT_EQ(lm.held_count(1), 2u);
+}
+
 TEST(Deadlock, FindsSimpleCycle) {
   std::vector<std::pair<TxnId, TxnId>> edges{{1, 2}, {2, 1}};
   std::vector<DeadlockCandidate> cands{{1, TxnKind::kUser},

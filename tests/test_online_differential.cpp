@@ -49,17 +49,18 @@ TEST(OnlineDifferential, PlantedSkipMarkViolationsMatch) {
   // outage, 16 items and 2 ops per transaction write the copy the bug
   // leaves unmarked many times after that, and the reboot 10 ms before
   // the load ends leaves no later write to paper over the stale copy.
-  // Site 1 crashes 1 ms in, before any transaction it coordinates can
-  // collect an early vote: an early voter of a dead coordinator stays in
-  // doubt, holding its X locks, for the whole outage, and the writes the
-  // check needs would queue behind them.
+  // Site 1 crashes 1 us in, before its first transaction's batches leave
+  // (its NS read is still on the loopback): an early voter of a dead
+  // coordinator stays in doubt, holding its X locks, for the whole outage,
+  // and the writes the check needs would queue behind them. The parallel
+  // round collects early votes within a millisecond.
   ExploreOptions opts = small_options();
   opts.cfg.planted_bug = PlantedBug::kSkipMark;
   opts.cfg.n_items = 16;
   opts.workload.ops_per_txn = 2;
   opts.horizon = 3'000'000;
   Schedule schedule(2);
-  schedule[0].at = 1'000;
+  schedule[0].at = 1;
   schedule[0].kind = NemesisKind::kCrash;
   schedule[0].site = 1;
   schedule[1].at = 2'990'000;

@@ -16,6 +16,8 @@
 // (4) Each detector probes only its ring window, so idle probe traffic per
 //     site does not grow with the cluster, and the window extends past
 //     declared sites so a failure with no live watcher is still detected.
+// (5) A copier judges its target copy alone: counters of different sites
+//     do not compare once a write has numbered from a stale copy.
 #include <gtest/gtest.h>
 
 #include "core/cluster.h"
@@ -381,6 +383,65 @@ TEST(FailureDetector, NoFalseDeclarationsOnLossyRing) {
     runner.run();
     EXPECT_EQ(cluster.metrics().get("fd.declared_down"), 0) << "seed " << seed;
   }
+}
+
+// Every current copy of x crashes; the one recovering site writes x, which
+// numbers the write from its own stale counter, below the down copies'.
+// When they recover, their copiers must install that write: a comparison
+// of counters across sites would keep their stale values.
+void run_counter_regress(PlantedBug bug, bool expect_converged) {
+  Config cfg;
+  cfg.n_sites = 4;
+  cfg.n_items = 8;
+  cfg.replication_degree = 3;
+  cfg.planted_bug = bug;
+  Cluster cluster(cfg, 31);
+  cluster.bootstrap();
+  const ItemId x = 0;
+  const auto hosts = cluster.catalog().sites_of(x);
+  ASSERT_EQ(hosts.size(), 3u);
+  const SiteId a = hosts[0], b = hosts[1], c = hosts[2];
+  SiteId d = 0;
+  while (d == a || d == b || d == c) ++d;
+  cluster.crash_site(c);
+  cluster.run_until(cluster.now() + 800'000);
+  for (Value v = 1; v <= 3; ++v) {
+    ASSERT_TRUE(cluster.run_txn(d, {{OpKind::kWrite, x, v}}).committed);
+  }
+  const uint64_t down_counter =
+      cluster.site(a).stable().kv().find(x)->version.counter;
+  ASSERT_GE(down_counter, 2u);
+  // a and b go down before c is back: c's marked copy finds no source.
+  cluster.crash_site(a);
+  cluster.crash_site(b);
+  cluster.run_until(cluster.now() + 800'000);
+  cluster.recover_site(c);
+  cluster.run_until(cluster.now() + 800'000);
+  ASSERT_EQ(cluster.site(c).state().mode, SiteMode::kUp);
+  const auto res = cluster.run_txn(c, {{OpKind::kWrite, x, 42}});
+  ASSERT_TRUE(res.committed) << to_string(res.reason);
+  ASSERT_LT(cluster.site(c).stable().kv().find(x)->version.counter,
+            down_counter);
+  cluster.recover_site(a);
+  cluster.recover_site(b);
+  cluster.settle();
+  std::string why;
+  EXPECT_EQ(cluster.replicas_converged(&why), expect_converged) << why;
+  if (expect_converged) {
+    for (SiteId s : hosts) {
+      EXPECT_EQ(cluster.site(s).stable().kv().find(x)->value, 42)
+          << "site " << s;
+    }
+  }
+}
+
+TEST(CopierVersions, WriteWhileEveryCurrentCopyIsDownReachesThemAll) {
+  run_counter_regress(PlantedBug::kNone, /*expect_converged=*/true);
+}
+
+TEST(CopierVersions, PlantedCounterCompareLeavesTheStaleCopies) {
+  run_counter_regress(PlantedBug::kCopierCounterCompare,
+                      /*expect_converged=*/false);
 }
 
 } // namespace
