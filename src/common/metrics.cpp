@@ -197,6 +197,7 @@ MetricIds Metrics::register_all() {
   m.dm_indoubt_committed = c("dm.indoubt_committed");
   m.dm_wal_checkpoints = c("dm.wal_checkpoints");
   m.dm_chain_forwards = c("dm.chain_forwards");
+  m.dm_busy_behind_waiter = c("dm.busy_behind_waiter");
 
   m.copier_started = c("copier.started");
   m.copier_resolutions = c("copier.resolutions");

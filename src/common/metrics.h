@@ -174,7 +174,7 @@ struct MetricIds {
       dm_termination_blocked_round, dm_termination_queries,
       dm_termination_committed, dm_termination_aborted, dm_mark_all_items,
       dm_spool_applied, dm_indoubt_aborted, dm_indoubt_committed,
-      dm_wal_checkpoints, dm_chain_forwards;
+      dm_wal_checkpoints, dm_chain_forwards, dm_busy_behind_waiter;
 
   // copier transactions
   CounterHandle copier_started, copier_resolutions, copier_totally_failed,
@@ -206,7 +206,7 @@ struct MetricIds {
 
   // latency histograms (log-bucketed, merged bucket-wise at report time)
   HistHandle h_commit_latency_us;   // user txn start -> commit
-  HistHandle h_lock_wait_us;        // contended lock acquisitions only
+  HistHandle h_lock_wait_us;        // every real lock wait, however it ends
   HistHandle h_disk_read_us, h_disk_write_us; // queue wait + service
   HistHandle h_replay_records; // redo records replayed per reboot
   HistHandle h_replay_us;      // reboot replay phase duration

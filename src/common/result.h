@@ -26,7 +26,8 @@ enum class Code : uint8_t {
   kConflict,         // control transaction conflicted and was aborted
   kRejected,         // generic refusal (e.g. unknown txn at participant)
   kNotFound,
-  kBusy,             // a no-wait batch found a lock taken; it holds nothing
+  kBusy,             // no-wait batch found a lock taken, or a user lock
+                     // request would queue behind another waiter
 };
 
 const char* to_string(Code c);

@@ -68,12 +68,15 @@ struct BatchOp {
 // How a user transaction's batch asks for its locks.
 enum class Dispatch : uint8_t {
   // Waits for its locks (copiers, control transactions and every read a
-  // user transaction sends alone).
+  // user transaction sends alone). A user transaction's data locks wait
+  // only behind holders: one that would queue behind another waiter is
+  // answered kBusy (DataManager, DESIGN.md §2).
   kDirect,
   // The parallel round: every lock is granted at once or the batch holds
   // nothing and is answered kBusy. It never waits.
   kNoWait,
-  // A hop of the ordered chain that follows a busy round: it waits.
+  // A hop of the ordered chain that follows a busy round: it waits, as a
+  // user kDirect batch does.
   kChained,
 };
 

@@ -136,8 +136,10 @@ void FailureDetector::tick() {
             s, Ping{}, env_.cfg->rpc_timeout,
             [this, s, epoch](Code code, const Payload* payload) {
               if (epoch != epoch_ || !running_) return;
+              // Re-read NS: the site's type-1 may have re-integrated it
+              // (and refreshed our copy) while the ping was in flight.
               if (code == Code::kOk && payload != nullptr &&
-                  std::get<Pong>(*payload).operational) {
+                  std::get<Pong>(*payload).operational && !nominally_up(s)) {
                 metrics_inc_reconcile();
                 env_.rpc->send_oneway(s, DeclaredDown{});
               }

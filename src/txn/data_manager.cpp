@@ -117,6 +117,10 @@ void DataManager::start_chain(TxnId txn, Envelope env,
   auto chain = std::make_shared<Chain>();
   chain->id = next_chain_++;
   chain->txn = txn;
+  // A user transaction's data locks wait only for their holders (DESIGN.md
+  // §2): copiers, control transactions and status takes keep FIFO waits.
+  const auto* batch = std::get_if<BatchReq>(&env.payload);
+  chain->behind_holders = batch != nullptr && batch->kind == TxnKind::kUser;
   chain->parent_span = env.span;
   chain->env = std::move(env);
   chain->locks = std::move(locks);
@@ -132,7 +136,8 @@ void DataManager::advance_chain(const std::shared_ptr<Chain>& chain) {
     chain->sync_granted = false;
     std::weak_ptr<Chain> weak = chain;
     const auto rid = lm_.acquire(
-        chain->txn, item, mode, [this, weak]() {
+        chain->txn, item, mode,
+        [this, weak]() {
           auto c = weak.lock();
           if (!c) return;
           if (c->in_acquire) {
@@ -143,12 +148,25 @@ void DataManager::advance_chain(const std::shared_ptr<Chain>& chain) {
           c->rid = 0;
           c->locks.erase(c->locks.begin());
           advance_chain(c);
-        });
+        },
+        chain->behind_holders && is_data_item(item)
+            ? LockManager::Wait::kBehindHolders
+            : LockManager::Wait::kFifo);
     chain->in_acquire = false;
     if (chain->sync_granted) {
       chain->sync_granted = false;
       chain->locks.erase(chain->locks.begin());
       continue;
+    }
+    if (rid == LockManager::kRefused) {
+      // Queued behind another waiter: refuse rather than wait. The locks
+      // this chain already holds stay until the coordinator's abort.
+      metrics_.inc(metrics_.id.dm_busy_behind_waiter);
+      if (chain->timer != 0) sched_.cancel(chain->timer);
+      end_wait(*chain);
+      erase_chain(chain);
+      reply_code(chain->env, Code::kBusy);
+      return;
     }
     // Must wait.
     chain->rid = rid;
@@ -168,13 +186,9 @@ void DataManager::advance_chain(const std::shared_ptr<Chain>& chain) {
         c->timer = 0;
         if (c->rid != 0) lm_.cancel(c->rid);
         metrics_.inc(metrics_.id.dm_lock_timeout);
-        Tracer::close(tracer_, c->wait_span, TraceKind::kLockWait, self_,
-                      c->txn);
-        c->wait_span = 0;
+        end_wait(*c);
         reply_code(c->env, Code::kLockTimeout);
-        auto& vec = chains_[c->txn];
-        vec.erase(std::remove(vec.begin(), vec.end(), c), vec.end());
-        if (vec.empty()) chains_.erase(c->txn);
+        erase_chain(c);
       });
     }
     schedule_deadlock_check();
@@ -185,18 +199,25 @@ void DataManager::advance_chain(const std::shared_ptr<Chain>& chain) {
     sched_.cancel(chain->timer);
     chain->timer = 0;
   }
-  if (chain->wait_started != kNoTime) {
+  end_wait(*chain);
+  erase_chain(chain);
+  chain->on_done(chain->env);
+}
+
+void DataManager::end_wait(Chain& c) {
+  if (c.wait_started != kNoTime) {
     metrics_.hist(metrics_.id.h_lock_wait_us)
-        .add(static_cast<double>(sched_.now() - chain->wait_started));
-    chain->wait_started = kNoTime;
+        .add(static_cast<double>(sched_.now() - c.wait_started));
+    c.wait_started = kNoTime;
   }
-  Tracer::close(tracer_, chain->wait_span, TraceKind::kLockWait, self_,
-                chain->txn);
-  chain->wait_span = 0;
+  Tracer::close(tracer_, c.wait_span, TraceKind::kLockWait, self_, c.txn);
+  c.wait_span = 0;
+}
+
+void DataManager::erase_chain(const std::shared_ptr<Chain>& chain) {
   auto& vec = chains_[chain->txn];
   vec.erase(std::remove(vec.begin(), vec.end(), chain), vec.end());
   if (vec.empty()) chains_.erase(chain->txn);
-  chain->on_done(chain->env);
 }
 
 void DataManager::fail_chains_of(TxnId txn, Code code) {
@@ -207,8 +228,7 @@ void DataManager::fail_chains_of(TxnId txn, Code code) {
   for (auto& c : chains) {
     if (c->rid != 0) lm_.cancel(c->rid);
     if (c->timer != 0) sched_.cancel(c->timer);
-    Tracer::close(tracer_, c->wait_span, TraceKind::kLockWait, self_, c->txn);
-    c->wait_span = 0;
+    end_wait(*c);
     reply_code(c->env, code);
   }
 }
@@ -1211,7 +1231,8 @@ void DataManager::forward_chain(Envelope& env, const BatchResp& resp) {
   auto& req = std::get<BatchReq>(env.payload);
   if (req.chain.empty()) return;
   // The coordinator aborts on any failed write and on any failed read it
-  // cannot retry at another copy; then the chain stops here.
+  // cannot retry at another copy (kBusy included); then the chain stops
+  // here.
   for (size_t i = 0; i < req.ops.size(); ++i) {
     const Code c = resp.results[i].code;
     const bool retried = req.ops[i].op == BatchOpKind::kRead &&

@@ -180,9 +180,13 @@ class DataManager {
     SpanId parent_span = 0;
     SpanId wait_span = 0;
     // First real wait's start time (kNoTime = never blocked), feeding the
-    // dm.lock_wait_us histogram when the chain completes. Contended path
-    // only: synchronously granted chains never touch it.
+    // dm.lock_wait_us histogram when the chain stops waiting: granted,
+    // timed out, refused or cancelled. Contended path only: synchronously
+    // granted chains never touch it.
     SimTime wait_started = kNoTime;
+    // A user transaction's chain: its data-item locks are requested with
+    // LockManager::Wait::kBehindHolders, and a refusal answers kBusy.
+    bool behind_holders = false;
   };
 
   // ---- handlers ----
@@ -214,6 +218,10 @@ class DataManager {
                    std::vector<std::pair<ItemId, LockMode>> locks,
                    std::function<void(Envelope&)> on_done);
   void advance_chain(const std::shared_ptr<Chain>& chain);
+  // The chain stops waiting, whatever the outcome: a real wait adds its
+  // length to dm.lock_wait_us and closes its span.
+  void end_wait(Chain& c);
+  void erase_chain(const std::shared_ptr<Chain>& chain);
   void fail_chains_of(TxnId txn, Code code);
   void schedule_deadlock_check();
   void run_deadlock_check();

@@ -96,6 +96,13 @@ bool LockManager::compatible(const ItemHead& hd, TxnId txn, LockMode mode) {
   return true;
 }
 
+bool LockManager::other_waiter(const ItemHead& hd, TxnId txn) const {
+  for (uint32_t wi = hd.q_head; wi != kNil; wi = waiters_[wi].q_next) {
+    if (waiters_[wi].txn != txn) return true;
+  }
+  return false;
+}
+
 void LockManager::mark_contended(uint32_t h) {
   ItemHead& hd = heads_[h];
   if (hd.contended) return;
@@ -190,7 +197,8 @@ void LockManager::unlink_waiter(uint32_t wi) {
 }
 
 LockManager::RequestId LockManager::acquire(TxnId txn, ItemId item,
-                                            LockMode mode, GrantFn on_grant) {
+                                            LockMode mode, GrantFn on_grant,
+                                            Wait wait) {
   const uint32_t h = get_or_make_head(item);
   ItemHead& hd = heads_[h];
 
@@ -219,6 +227,7 @@ LockManager::RequestId LockManager::acquire(TxnId txn, ItemId item,
     return 0;
   }
 
+  if (wait == Wait::kBehindHolders && other_waiter(hd, txn)) return kRefused;
   return enqueue(h, txn, mode, std::move(on_grant));
 }
 

@@ -38,11 +38,21 @@ class LockManager {
   using RequestId = uint64_t;
   using GrantFn = InlineFn;
 
+  // How a request that cannot be granted now may wait. kFifo queues it
+  // behind everyone. kBehindHolders lets it wait only for the holders: a
+  // request that would queue behind another transaction's queued request
+  // is refused instead (acquire returns kRefused, `on_grant` never runs
+  // and nothing changes, the wait-graph epoch included), so a queue of
+  // such requests is at most one waiter deep.
+  enum class Wait : uint8_t { kFifo, kBehindHolders };
+  static constexpr RequestId kRefused = ~RequestId{0};
+
   // Queue a lock request. If grantable now, `on_grant` runs synchronously
   // and the returned id is already inactive. Re-entrant requests (same txn,
   // same or weaker mode) are granted immediately; a sole-holder S->X
   // upgrade is granted in place, otherwise the upgrade waits its turn.
-  RequestId acquire(TxnId txn, ItemId item, LockMode mode, GrantFn on_grant);
+  RequestId acquire(TxnId txn, ItemId item, LockMode mode, GrantFn on_grant,
+                    Wait wait = Wait::kFifo);
 
   // All-or-nothing, never waits: grant every lock in `locks` (distinct
   // items) now, or none. A lock is free when it is compatible with the
@@ -142,6 +152,8 @@ class LockManager {
   void release_txn_state_if_idle(TxnId txn, uint32_t t);
   static int holder_index(const ItemHead& hd, TxnId txn);
   static bool compatible(const ItemHead& hd, TxnId txn, LockMode mode);
+  // Some other transaction has a request queued on this item.
+  bool other_waiter(const ItemHead& hd, TxnId txn) const;
   RequestId enqueue(uint32_t h, TxnId txn, LockMode mode, GrantFn fn);
   void unlink_waiter(uint32_t wi);
   // Drop txn's hold on head h (its held list is the caller's).

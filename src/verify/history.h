@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "common/u64_table.h"
 
 namespace ddbs {
 
@@ -53,10 +54,12 @@ struct History {
 // Observer of the recorder's committed-transaction stream. on_commit fires
 // with the full record as known at commit time; events that land on an
 // already-committed record afterwards (participant applies, WAL redo after
-// recovery, spool replay) arrive as on_late_*. A sink sees exactly the
-// same events a post-hoc pass over view() would, just incrementally --
-// which is what lets OnlineVerifier keep judging while the consumed prefix
-// is pruned away, and lets a recorded History be replayed through it.
+// recovery, spool replay) arrive as on_late_*, with the recorder's stub of
+// the record (txn, kind and commit time; no events). A sink sees exactly
+// the same events a post-hoc pass over a sink-less recorder's view() would,
+// just incrementally -- which is what lets OnlineVerifier keep judging
+// while the recorder keeps no events, and lets a recorded History be
+// replayed through it.
 class HistorySink {
  public:
   virtual ~HistorySink() = default;
@@ -87,24 +90,33 @@ class HistoryRecorder {
     if (!on) mu_.reset();
   }
 
-  // At most one sink (the online verifier); nullptr detaches.
+  // At most one sink (the online verifier); nullptr detaches. While a sink
+  // is attached the recorder streams: commit() hands the full record to
+  // the sink and keeps only a stub (txn, kind, commit time), and a late
+  // read or write goes to the sink with a record holding just that stub.
+  // Memory then grows with the unpruned commit count, not the events.
   void set_sink(HistorySink* sink) { sink_ = sink; }
 
   // Committed transactions ordered by commit time, borrowed from the
   // recorder -- no copy. The reference stays valid until the next commit().
   // Checkers take `const History&`, so this is the preferred entry point.
+  // It holds only what committed while no sink was attached: a streaming
+  // recorder keeps stubs, not records.
   const History& view() const;
 
   // Owned copy of view(), for callers that outlive the recorder or mutate
-  // the history.
+  // the history. Same caveat as view().
   History snapshot() const;
 
+  // Committed records and stubs not yet pruned.
   size_t committed_count() const;
 
-  // Drops the first `n` records of view() (the prefix an online checker
-  // has fully consumed and acknowledged), bounding memory over long runs.
-  // Checkers that later call view() see only the retained suffix,
-  // so callers must prune only prefixes whose verdicts are already banked.
+  // Drops the first `n` committed transactions in (commit time, txn)
+  // order: the prefix an online checker has fully consumed and
+  // acknowledged, bounding memory over long runs. Records go before stubs
+  // (a recorder that always streams holds only stubs). Checkers that later
+  // call view() see only the retained suffix, so callers must prune only
+  // prefixes whose verdicts are already banked.
   void prune_committed_prefix(size_t n);
 
   // Records still buffered for in-flight (uncommitted) transactions. A
@@ -124,8 +136,18 @@ class HistoryRecorder {
   uint64_t pruned_committed() const { return pruned_committed_; }
 
  private:
+  // What a streaming recorder keeps of a committed transaction.
+  struct Stub {
+    TxnId txn = 0;
+    SimTime commit_time = kNoTime;
+    TxnKind kind = TxnKind::kUser;
+  };
+
   TxnRecord& record_of(TxnId txn);
   const History& view_locked() const;
+  // The stub of a streamed commit, or nullptr.
+  Stub* stub_of(TxnId txn);
+  void sort_stubs();
 
   // Lock mu_ if thread safety was requested; no-op otherwise.
   struct MaybeLock {
@@ -141,14 +163,17 @@ class HistoryRecorder {
   };
 
   // In-flight transactions accumulate here; commit() moves the record into
-  // committed_ (so a checker pass never re-copies the whole history) and
-  // abort() just drops it. committed_idx_ maps a committed txn back to its
+  // committed_ (so a checker pass never re-copies the whole history), or
+  // hands it to the sink and keeps a stub, and abort() just drops it. committed_idx_ maps a committed txn back to its
   // slot so participant writes that land after the coordinator's commit
   // still reach the record; view() re-sorts lazily and rebuilds the index.
   std::unordered_map<TxnId, TxnRecord> pending_;
   mutable std::unordered_map<TxnId, size_t> committed_idx_;
   mutable History committed_;
   mutable bool sorted_ = true;
+  // Streamed commits, indexed by txn + 1 (the table reserves key 0).
+  std::vector<Stub> stubs_;
+  U64Table<uint32_t> stub_idx_;
   bool enabled_ = true;
   HistorySink* sink_ = nullptr;
   std::unique_ptr<std::mutex> mu_;

@@ -326,6 +326,85 @@ TEST(HistoryRecorder, AbortErasesAndCommitOrders) {
   EXPECT_EQ(rec.committed_count(), 2u);
 }
 
+// Keeps what a sink is handed: full records at commit, then each late
+// event with the record it came with.
+struct CollectingSink : HistorySink {
+  std::vector<TxnRecord> commits;
+  std::vector<std::pair<TxnRecord, ReadEvent>> late_reads;
+  std::vector<std::pair<TxnRecord, WriteEvent>> late_writes;
+  void on_commit(const TxnRecord& rec) override { commits.push_back(rec); }
+  void on_late_read(const TxnRecord& rec, const ReadEvent& r) override {
+    late_reads.emplace_back(rec, r);
+  }
+  void on_late_write(const TxnRecord& rec, const WriteEvent& w) override {
+    late_writes.emplace_back(rec, w);
+  }
+};
+
+// Two commits, each with a read and a write, then a late write and a late
+// read on the first.
+void record_two_with_late_events(HistoryRecorder& rec) {
+  rec.set_kind(1, TxnKind::kUser);
+  rec.add_read(1, 0, 5, 0, 0);
+  rec.add_write(1, 0, 5, 1, 9, false);
+  rec.commit(1, 100);
+  rec.set_kind(2, TxnKind::kCopier);
+  rec.add_read(2, 1, 6, 0, 0);
+  rec.add_write(2, 1, 6, 1, 7, true);
+  rec.commit(2, 200);
+  rec.add_write(1, 2, 5, 1, 9, false);
+  rec.add_read(1, 2, 8, 0, 0);
+}
+
+TEST(HistoryRecorder, SinkGetsTheRecordsAndTheRecorderKeepsStubs) {
+  HistoryRecorder rec;
+  CollectingSink sink;
+  rec.set_sink(&sink);
+  record_two_with_late_events(rec);
+  ASSERT_EQ(sink.commits.size(), 2u);
+  EXPECT_EQ(sink.commits[0].reads.size(), 1u);
+  EXPECT_EQ(sink.commits[0].writes.size(), 1u);
+  EXPECT_EQ(sink.commits[1].kind, TxnKind::kCopier);
+  // Late events reach the sink with the stub: kind and commit time.
+  ASSERT_EQ(sink.late_writes.size(), 1u);
+  EXPECT_EQ(sink.late_writes[0].first.txn, 1u);
+  EXPECT_EQ(sink.late_writes[0].first.kind, TxnKind::kUser);
+  EXPECT_EQ(sink.late_writes[0].first.commit_time, 100);
+  EXPECT_EQ(sink.late_writes[0].second.site, 2);
+  ASSERT_EQ(sink.late_reads.size(), 1u);
+  EXPECT_EQ(sink.late_reads[0].first.commit_time, 100);
+  EXPECT_EQ(sink.late_reads[0].second.item, 8);
+  // The recorder retains no records, only their stubs.
+  EXPECT_EQ(rec.committed_count(), 2u);
+  EXPECT_TRUE(rec.view().txns.empty());
+  EXPECT_EQ(rec.pending_count(), 0u);
+  // Pruning keeps its counts and drops the earliest stub first; the
+  // survivor's stub still carries late events.
+  rec.prune_committed_prefix(1);
+  EXPECT_EQ(rec.committed_count(), 1u);
+  EXPECT_EQ(rec.total_committed(), 2u);
+  EXPECT_EQ(rec.pruned_committed(), 1u);
+  rec.add_write(2, 3, 6, 1, 7, true);
+  ASSERT_EQ(sink.late_writes.size(), 2u);
+  EXPECT_EQ(sink.late_writes[1].first.commit_time, 200);
+  rec.prune_committed_prefix(5);
+  EXPECT_EQ(rec.committed_count(), 0u);
+  EXPECT_EQ(rec.pruned_committed(), 2u);
+}
+
+TEST(HistoryRecorder, WithoutASinkViewKeepsEveryEvent) {
+  HistoryRecorder rec;
+  record_two_with_late_events(rec);
+  const History& h = rec.view();
+  ASSERT_EQ(h.txns.size(), 2u);
+  EXPECT_EQ(h.txns[0].txn, 1u);
+  EXPECT_EQ(h.txns[0].reads.size(), 2u);
+  EXPECT_EQ(h.txns[0].writes.size(), 2u);
+  EXPECT_EQ(h.txns[1].kind, TxnKind::kCopier);
+  EXPECT_EQ(h.txns[1].writes.size(), 1u);
+  EXPECT_TRUE(h.txns[1].writes[0].copier_install);
+}
+
 TEST(HistoryRecorder, DisabledRecordsNothing) {
   HistoryRecorder rec;
   rec.set_enabled(false);

@@ -1,7 +1,8 @@
 // Coordinator edge cases: empty transactions, read-own-write, the commit's
 // prepare set (read-only sites released at the lock point) and its early
 // votes, the parallel no-wait round and its retracts, chained dispatch on
-// conflict (hop order, budgets, relaunch, aborts),
+// conflict (hop order, budgets, relaunch, aborts), the rule that a user
+// lock request waits behind holders but never behind a waiter,
 // transaction deadlines, read failover order, and the WAL
 // checkpointing + outcome-log hygiene those paths rely on.
 #include <gtest/gtest.h>
@@ -557,6 +558,138 @@ TEST(CoordinatorEdges, GrantAboveTheBusySiteIsRetractedAndTheChainCommits) {
   }
   std::string why;
   EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
+}
+
+// ---------------------------------------------------------------------------
+// The wait rule: a user transaction's data lock waits behind holders only.
+
+// Hand-deliver a batch of `kind` writing `item` at site `s`, from a
+// transaction that never answers: it holds (or waits for) the X lock until
+// its activity timer aborts it.
+void deliver_write(Cluster& cluster, SiteId s, TxnId txn, TxnKind kind,
+                   ItemId item, SiteVec missed = {}) {
+  BatchReq req;
+  req.txn = txn;
+  req.kind = kind;
+  req.coordinator = s;
+  req.expected_session = cluster.site(s).state().session;
+  BatchOp op;
+  op.op = BatchOpKind::kWrite;
+  op.item = item;
+  op.value = -2;
+  op.is_copier_write = kind == TxnKind::kCopier;
+  op.missed_sites = std::move(missed);
+  req.ops.push_back(op);
+  cluster.site(s).dm().handle_request(Envelope{kNoReply, false, s, s, req});
+}
+
+bool waits(Cluster& cluster, SiteId s, TxnId txn) {
+  const auto w = cluster.site(s).dm().locks().waiting_txns();
+  return std::find(w.begin(), w.end(), txn) != w.end();
+}
+
+TEST(CoordinatorEdges, ChainedHopBehindAQueuedWaiterAnswersBusyAndAborts) {
+  // Site 2's copy of `w` is held, and another user transaction queues for
+  // it. The round finds site 2 busy, so the chain starts there; its hop
+  // would queue behind that waiter and is refused at once: no wait, no
+  // forward to site 3, and the coordinator aborts as busy, releasing
+  // site 1's kept grant.
+  Config cfg = cfg4();
+  cfg.net_latency_min = cfg.net_latency_max = 1'000;
+  Cluster cluster(cfg, 25);
+  cluster.bootstrap();
+  const Catalog& cat = cluster.catalog();
+  const ItemId w = item_at(cat, cfg.n_items, {1, 2, 3});
+  ASSERT_GE(w, 0);
+  auto log = tap_requests(cluster);
+  hold_lock(cluster, 2, w, 100'000);
+  const TxnId waiter = make_txn_id(2, 1'000'001);
+  deliver_write(cluster, 2, waiter, TxnKind::kUser, w);
+  ASSERT_EQ(cluster.site(2).dm().locks().waiting_txns(),
+            std::vector<TxnId>{waiter});
+  const SimTime start = cluster.now();
+  const auto res = cluster.run_txn(0, {{OpKind::kWrite, w, 9}});
+  ASSERT_FALSE(res.committed);
+  EXPECT_EQ(res.reason, Code::kBusy) << to_string(res.reason);
+  EXPECT_LT(cluster.now() - start, 10'000); // no lock_timeout wait
+  const TxnId txn = txn_of(*log, 1);
+  const auto hops = data_batches(*log, txn);
+  ASSERT_EQ(hops.size(), 1u);
+  EXPECT_EQ(hops[0]->site, 2);
+  EXPECT_EQ(std::get<BatchReq>(hops[0]->payload).dispatch,
+            Dispatch::kChained);
+  EXPECT_EQ(cluster.metrics().get("dm.busy_behind_waiter"), 1);
+  EXPECT_EQ(cluster.metrics().get("dm.chain_forwards"), 0);
+  EXPECT_EQ(cluster.metrics().get("dm.lock_timeout"), 0);
+  EXPECT_EQ(cluster.metrics().get("txn.abort.busy"), 1);
+  EXPECT_EQ(cluster.site(2).dm().locks().waiting_txns(),
+            std::vector<TxnId>{waiter});
+  cluster.run_until(cluster.now() + 10'000);
+  for (SiteId s = 0; s < cfg.n_sites; ++s) {
+    EXPECT_EQ(cluster.site(s).dm().locks().held_count(txn), 0u)
+        << "site " << s;
+    EXPECT_FALSE(waits(cluster, s, txn)) << "site " << s;
+  }
+}
+
+TEST(CoordinatorEdges, ChainedHopBehindAHolderOnlyWaitsAndCommits) {
+  // Site 2's copy of `w` is held but nobody queues: the chain's hop waits
+  // for the holder, and the wait is in the lock-wait histogram.
+  Config cfg = cfg4();
+  cfg.net_latency_min = cfg.net_latency_max = 1'000;
+  Cluster cluster(cfg, 25);
+  cluster.bootstrap();
+  const ItemId w = item_at(cluster.catalog(), cfg.n_items, {1, 2, 3});
+  ASSERT_GE(w, 0);
+  hold_lock(cluster, 2, w, 20'000);
+  const auto res = cluster.run_txn(0, {{OpKind::kWrite, w, 9}});
+  ASSERT_TRUE(res.committed) << to_string(res.reason);
+  EXPECT_EQ(cluster.metrics().get("dm.busy_behind_waiter"), 0);
+  EXPECT_EQ(cluster.metrics().get("txn.parallel_fallbacks"), 1);
+  EXPECT_EQ(cluster.metrics().hist("dm.lock_wait_us").count(), 1u);
+  cluster.settle();
+  std::string why;
+  EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
+}
+
+TEST(CoordinatorEdges, CopierAndControlRequestsStillQueueBehindAWaiter) {
+  // A copier's data lock and a status take keep FIFO waits, and so does a
+  // user transaction's S lock on a status item.
+  Config cfg = cfg4();
+  cfg.outdated_strategy = OutdatedStrategy::kMissingList;
+  Cluster cluster(cfg, 25);
+  cluster.bootstrap();
+  const ItemId w = item_at(cluster.catalog(), cfg.n_items, {1, 2, 3});
+  ASSERT_GE(w, 0);
+  hold_lock(cluster, 2, w, 100'000);
+  const TxnId user = make_txn_id(2, 1'000'001);
+  deliver_write(cluster, 2, user, TxnKind::kUser, w);
+  const TxnId copier = make_txn_id(2, 1'000'002);
+  deliver_write(cluster, 2, copier, TxnKind::kCopier, w);
+  EXPECT_TRUE(waits(cluster, 2, user));
+  EXPECT_TRUE(waits(cluster, 2, copier));
+
+  // At site 1: a user write that skipped site 3 S-locks status_item(3), a
+  // type-1's status take queues for it in X, and a second such write
+  // queues behind the take instead of being refused.
+  std::vector<ItemId> at1;
+  for (ItemId x = 0; x < cfg.n_items && at1.size() < 2; ++x) {
+    const auto sites = cluster.catalog().sites_of(x);
+    if (std::find(sites.begin(), sites.end(), 1) != sites.end()) {
+      at1.push_back(x);
+    }
+  }
+  ASSERT_EQ(at1.size(), 2u);
+  deliver_write(cluster, 1, make_txn_id(1, 1'000'001), TxnKind::kUser,
+                at1[0], {3});
+  const TxnId take = make_txn_id(3, 1'000'001);
+  cluster.site(1).dm().handle_request(Envelope{
+      kNoReply, false, 3, 1, StatusTakeReq{take, 3, 3, 0, false}});
+  EXPECT_TRUE(waits(cluster, 1, take));
+  const TxnId second = make_txn_id(1, 1'000'002);
+  deliver_write(cluster, 1, second, TxnKind::kUser, at1[1], {3});
+  EXPECT_TRUE(waits(cluster, 1, second));
+  EXPECT_EQ(cluster.metrics().get("dm.busy_behind_waiter"), 0);
 }
 
 TEST(CoordinatorEdges, ChainVisitsSitesInAscendingOrderHopByHop) {

@@ -115,12 +115,12 @@ Trajectory run_pinned(bool site_keys) {
 
 TEST(Determinism, PinnedTrajectoryLegacyKeys) {
   EXPECT_EQ(run_pinned(/*site_keys=*/false),
-            (Trajectory{1'205, 1'124, 58'863, 64'441}));
+            (Trajectory{1'896, 1'588, 84'141, 90'855}));
 }
 
 TEST(Determinism, PinnedTrajectorySiteKeys) {
   EXPECT_EQ(run_pinned(/*site_keys=*/true),
-            (Trajectory{1'317, 1'236, 59'151, 63'961}));
+            (Trajectory{2'016, 1'713, 86'760, 93'016}));
 }
 
 } // namespace

@@ -366,6 +366,56 @@ TEST(LockManager, RetractUndoesUpgradesAndNewHoldsOnly) {
   EXPECT_EQ(lm.held_count(1), 2u);
 }
 
+TEST(LockManager, BehindHoldersWaitsForHoldersButNeverBehindAWaiter) {
+  using Wait = LockManager::Wait;
+  LockManager lm;
+  int granted = 0;
+  auto grant = [&]() { ++granted; };
+  lm.acquire(1, 10, LockMode::kShared, grant);
+  lm.acquire(2, 10, LockMode::kShared, grant);
+  // Conflicts with the holders only: it waits, and the wait is an edge.
+  const uint64_t epoch = lm.wait_graph_epoch();
+  const auto x = lm.acquire(3, 10, LockMode::kExclusive, grant,
+                            Wait::kBehindHolders);
+  EXPECT_NE(x, LockManager::kRefused);
+  EXPECT_TRUE(lm.is_waiting(x));
+  EXPECT_GT(lm.wait_graph_epoch(), epoch);
+  // Would queue behind txn 3: refused, with nothing changed. A compatible
+  // S request is refused too, since FIFO would queue it behind the X.
+  const uint64_t queued = lm.wait_graph_epoch();
+  bool late = false;
+  EXPECT_EQ(lm.acquire(4, 10, LockMode::kShared, [&]() { late = true; },
+                       Wait::kBehindHolders),
+            LockManager::kRefused);
+  EXPECT_EQ(lm.acquire(5, 10, LockMode::kExclusive, [&]() { late = true; },
+                       Wait::kBehindHolders),
+            LockManager::kRefused);
+  EXPECT_EQ(lm.wait_graph_epoch(), queued);
+  EXPECT_EQ(lm.waiting_txns(), std::vector<TxnId>{3});
+  EXPECT_EQ(lm.held_count(4), 0u);
+  // A FIFO request still queues behind the waiter.
+  const auto fifo = lm.acquire(6, 10, LockMode::kShared, grant);
+  EXPECT_TRUE(lm.is_waiting(fifo));
+  EXPECT_EQ(granted, 2);
+  lm.release_all(1);
+  lm.release_all(2);
+  EXPECT_TRUE(lm.holds(3, 10));
+  EXPECT_TRUE(lm.is_waiting(fifo));
+  lm.release_all(3);
+  EXPECT_TRUE(lm.holds(6, 10));
+  EXPECT_FALSE(late);
+  // Free item, or only the caller's own request queued: no refusal.
+  EXPECT_EQ(lm.acquire(7, 11, LockMode::kExclusive, grant,
+                       Wait::kBehindHolders),
+            0u);
+  const auto own = lm.acquire(8, 11, LockMode::kShared, grant);
+  EXPECT_TRUE(lm.is_waiting(own));
+  const auto again = lm.acquire(8, 11, LockMode::kExclusive, grant,
+                                Wait::kBehindHolders);
+  EXPECT_NE(again, LockManager::kRefused);
+  EXPECT_TRUE(lm.is_waiting(again));
+}
+
 TEST(Deadlock, FindsSimpleCycle) {
   std::vector<std::pair<TxnId, TxnId>> edges{{1, 2}, {2, 1}};
   std::vector<DeadlockCandidate> cands{{1, TxnKind::kUser},

@@ -18,6 +18,9 @@
 //     declared sites so a failure with no live watcher is still detected.
 // (5) A copier judges its target copy alone: counters of different sites
 //     do not compare once a write has numbered from a stale copy.
+// (6) A reconciliation probe whose "operational" pong arrives after the
+//     probed site re-integrated (its type-1 refreshed the prober's NS copy)
+//     does not restart it.
 #include <gtest/gtest.h>
 
 #include "core/cluster.h"
@@ -432,6 +435,38 @@ void run_counter_regress(PlantedBug bug, bool expect_converged) {
       EXPECT_EQ(cluster.site(s).stable().kv().find(x)->value, 42)
           << "site " << s;
     }
+  }
+}
+
+TEST(FailureDetector, LateProbePongDoesNotRestartAReintegratedSite) {
+  // Site 2 crashes and is declared down; then every link into it gets
+  // slow (18 ms) while its answers stay fast (1 ms). A probe sent just
+  // before site 2's type-1 commits reaches it once it is operational, and
+  // the pong comes back after the type-1's CommitReq refreshed the
+  // prober's NS copy. The prober must re-read NS and stay quiet. Probes
+  // run every 4th tick; a 20 ms detector interval makes such a crossing
+  // likely on every seed.
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Config cfg;
+    cfg.n_sites = 4;
+    cfg.n_items = 40;
+    cfg.replication_degree = 3;
+    cfg.reconcile_probes = true;
+    cfg.detector_interval = 20'000;
+    cfg.net_latency_min = cfg.net_latency_max = 1'000;
+    Cluster cluster(cfg, seed);
+    cluster.bootstrap();
+    ASSERT_TRUE(cluster.crash_site(2));
+    cluster.run_until(cluster.now() + 600'000);
+    ASSERT_GE(cluster.metrics().get("fd.declared_down"), 1) << seed;
+    for (SiteId p : {0, 1, 3}) {
+      cluster.network().latency().set_pair(p, 2, 18'000, 18'000);
+    }
+    ASSERT_TRUE(cluster.recover_site(2));
+    cluster.run_until(cluster.now() + 3'000'000);
+    EXPECT_EQ(cluster.site(2).state().mode, SiteMode::kUp) << seed;
+    EXPECT_EQ(cluster.metrics().get("fd.reconcile_restarts"), 0) << seed;
+    EXPECT_EQ(cluster.metrics().get("site.crashes"), 1) << seed;
   }
 }
 

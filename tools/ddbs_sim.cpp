@@ -57,7 +57,9 @@ Options parse(int argc, char** argv) {
   Cli cli(argv[0]);
   cli.add("run:",
           {{"seed", &o.seed, "simulation seed"},
-           {"verify", &o.verify, "run the Section-4 serializability checkers"},
+           {"verify", &o.verify,
+            "run the Section-4 serializability checkers (not with "
+            "--online-verify)"},
            {"metrics", &o.dump_metrics, "dump the raw metric counters"},
            {"isolate",
             [&o](const std::string& v) {
@@ -89,6 +91,13 @@ Options parse(int argc, char** argv) {
                    &o.rp.schedule);
   cli.add_config(&o.cfg);
   cli.parse(argc, argv);
+  // The online verifier streams the history away, so the post-hoc
+  // checkers would have nothing to judge.
+  if (o.verify && o.cfg.online_verify) {
+    std::fprintf(stderr, "%s: --verify and --online-verify exclude each "
+                 "other\n", argv[0]);
+    cli.usage(2);
+  }
   return o;
 }
 
